@@ -6,6 +6,7 @@ latency beats HeMem*'s because faulted pages get promoted to DRAM while
 HeMem* keeps serving from NVMM.
 """
 
+import pytest
 from conftest import run_once
 
 from repro.bench.experiments import fig11_tail_latency
@@ -25,8 +26,12 @@ def test_fig11_tail_latency(benchmark):
     )
     for baseline in ("GSwap*", "TMO*", "Waterfall"):
         assert worst_am_tail * 5 <= by_policy[baseline]["p999_norm"], baseline
-    # AM-perf holds full DRAM-parity tails.
-    assert by_policy["AM-perf"]["p999_norm"] == 1.0
+    # AM-perf holds DRAM-parity tails.  p999_norm divides a log-binned
+    # p99.9 by DRAM's read latency; a bin's representative lies within
+    # sqrt(LOG_BASE) - 1 ~ 0.25% of every value in the bin
+    # (repro.obs.metrics.LOG_BASE = 1.005), so parity reads as 1.0 only
+    # up to that error.  rel=0.005 allows twice the bound.
+    assert by_policy["AM-perf"]["p999_norm"] == pytest.approx(1.0, rel=0.005)
     # Averages stay near DRAM parity for every policy (normalized ~1).
     for row in rows:
         assert row["avg_norm"] < 3.0

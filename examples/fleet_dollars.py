@@ -10,8 +10,8 @@ Run:
 """
 
 from repro.bench.reporting import format_bars, format_table
-from repro.bench.runner import run_policy
 from repro.core.dollars import compare_policies
+from repro.engine import ScenarioSpec, Session
 
 FLEET_GB = 100_000  # 100 TB of Memcached-class memory
 POLICIES = ["hemem", "tmo", "waterfall", "am-tco", "am-perf"]
@@ -21,7 +21,10 @@ def main() -> None:
     print(f"Fleet projection: {FLEET_GB / 1000:.0f} TB Memcached fleet, "
           "$0.35/GB/month amortized DRAM\n")
     summaries = [
-        run_policy("memcached-ycsb", policy, windows=10, seed=0)
+        Session(
+            ScenarioSpec(workload="memcached-ycsb", policy=policy,
+                         windows=10, seed=0)
+        ).run()
         for policy in POLICIES
     ]
     rows = compare_policies(summaries, fleet_memory_gb=FLEET_GB)

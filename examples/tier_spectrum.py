@@ -13,7 +13,7 @@ Run:
 
 from repro.bench.experiments import AGGRESSIVENESS
 from repro.bench.reporting import format_table
-from repro.bench.runner import run_policy
+from repro.engine import ScenarioSpec, Session
 
 
 def main() -> None:
@@ -24,19 +24,20 @@ def main() -> None:
     rows = []
     for model, short in (("waterfall", "WF"), ("am", "AM")):
         for level, params in AGGRESSIVENESS.items():
-            summary, daemon = run_policy(
-                "memcached-ycsb",
-                model,
+            spec = ScenarioSpec(
+                workload="memcached-ycsb",
+                policy=model,
                 mix="spectrum",
                 windows=12,
                 percentile=params["percentile"],
                 alpha=params["alpha"],
                 seed=0,
-                return_daemon=True,
             )
-            placement = daemon.records[-1].placement
+            session = Session(spec)
+            summary = session.run()
+            placement = session.daemon.records[-1].placement
             row = {"config": f"{short}-{level}"}
-            for tier, pages in zip(daemon.system.tiers, placement):
+            for tier, pages in zip(session.system.tiers, placement):
                 row[tier.name] = int(pages)
             row["tco_savings_pct"] = 100 * summary.final_tco_savings
             row["slowdown_pct"] = 100 * summary.slowdown

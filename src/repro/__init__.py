@@ -15,7 +15,7 @@ provides:
   hotness tracking and EWMA cooling.
 * ``repro.solver`` -- the ILP formulation of the analytical placement model
   and three interchangeable backends (scipy/HiGHS, exact branch-and-bound,
-  Lagrangian greedy).
+  MCKP greedy).
 * ``repro.core`` -- the TierScape cost models (TCO and performance overhead),
   the Waterfall and analytical placement models, the migration filter and the
   TS-Daemon orchestration loop.

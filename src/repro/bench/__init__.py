@@ -2,14 +2,9 @@
 
 * :mod:`repro.bench.configs` -- tier mixes: the 12 characterization tiers
   (Figure 2), the standard mix (§8.2) and the spectrum mix (§8.3).
-* :mod:`repro.bench.runner` -- builds a system + workload + policy and
-  runs the daemon, returning a :class:`repro.core.metrics.RunSummary`.
-* :mod:`repro.bench.experiments` -- one driver per table/figure.
+* :mod:`repro.bench.experiments` -- one driver per table/figure, each a
+  set of :class:`~repro.engine.spec.ScenarioSpec` runs.
 * :mod:`repro.bench.reporting` -- plain-text table/series printers.
-
-The runner symbols are re-exported lazily: ``repro.bench.runner`` is a
-thin shim over :mod:`repro.engine`, which itself imports
-``repro.bench.configs``, so an eager import here would be circular.
 """
 
 from repro.bench.configs import (
@@ -22,24 +17,11 @@ from repro.bench.configs import (
 from repro.bench.reporting import format_series, format_table
 
 __all__ = [
-    "build_system",
     "characterization_tiers",
     "enumerate_tiers",
     "format_series",
     "format_table",
     "make_compressed_tier",
-    "make_policy",
-    "run_policy",
     "spectrum_mix",
     "standard_mix",
 ]
-
-_RUNNER_EXPORTS = ("build_system", "make_policy", "run_policy")
-
-
-def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from repro.bench import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

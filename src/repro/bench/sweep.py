@@ -3,8 +3,8 @@
 The figure drivers run one seed; downstream users comparing policies want
 grids and error bars.  This module provides both:
 
-* :func:`sweep` -- run every combination of a parameter grid through
-  :func:`~repro.bench.runner.run_policy` and collect flat result rows,
+* :func:`sweep` -- run every combination of a parameter grid as a
+  :class:`~repro.engine.spec.ScenarioSpec` and collect flat result rows,
 * :func:`replicate` -- run one configuration across seeds and report
   mean / standard deviation for the headline metrics.
 """
@@ -16,17 +16,19 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.bench.runner import run_policy
 from repro.core.seeding import child_seed
+from repro.engine.session import Session
+from repro.engine.spec import ScenarioSpec
 
 
 def sweep(grid: dict[str, Iterable], windows: int = 10, seed: int = 0) -> list[dict]:
     """Run the cross-product of a parameter grid.
 
     Args:
-        grid: Mapping of :func:`run_policy` keyword names to value lists.
-            Must include ``"workload"`` and ``"policy"``; other keys
-            (``mix``, ``percentile``, ``alpha``, ...) are optional.
+        grid: Mapping of :class:`~repro.engine.spec.ScenarioSpec` field
+            names to value lists.  Must include ``"workload"`` and
+            ``"policy"``; other keys (``mix``, ``percentile``,
+            ``alpha``, ...) are optional.
         windows: Profile windows per run.
         seed: RNG seed for every run (use :func:`replicate` for seed
             variation).
@@ -42,7 +44,7 @@ def sweep(grid: dict[str, Iterable], windows: int = 10, seed: int = 0) -> list[d
     rows = []
     for values in itertools.product(*(list(grid[k]) for k in keys)):
         params = dict(zip(keys, values))
-        summary = run_policy(windows=windows, seed=seed, **params)
+        summary = Session(ScenarioSpec(windows=windows, seed=seed, **params)).run()
         row = dict(params)
         row.update(
             {
@@ -70,7 +72,7 @@ def replicate(
         policy: Policy name.
         seeds: Seeds to replicate over.
         windows: Profile windows per run.
-        **kwargs: Forwarded to :func:`run_policy`.
+        **kwargs: Further :class:`~repro.engine.spec.ScenarioSpec` fields.
 
     Returns:
         A row with ``*_mean`` and ``*_std`` for slowdown and TCO savings,
@@ -86,10 +88,14 @@ def replicate(
         # adjacent replica seeds (0, 1, 2, ...) cannot produce the
         # correlated workload/daemon streams that additive derivations
         # like ``seed + 1`` would.
-        summary = run_policy(
-            workload, policy, windows=windows, seed=child_seed(seed, 0),
+        spec = ScenarioSpec(
+            workload=workload,
+            policy=policy,
+            windows=windows,
+            seed=child_seed(seed, 0),
             **kwargs,
         )
+        summary = Session(spec).run()
         slowdowns.append(100 * summary.slowdown)
         savings.append(100 * summary.tco_savings)
     return {

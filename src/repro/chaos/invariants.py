@@ -3,8 +3,8 @@
 Fault injection is only useful if a surviving run is a *correct* run.
 :func:`check_capacity` asserts the accounting invariants every fault
 sequence must preserve -- the property tests call it after each window
-of a randomized chaos run, and it doubles as a debugging aid for new
-fault kinds.
+of a randomized chaos run and after every operation of the memory-system
+fuzz tests, and it doubles as a debugging aid for new fault kinds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,12 @@ def check_capacity(system) -> None:
       compressed tiers only),
     * each compressed tier's stored set matches ``page_location`` and
       its ``compressed_bytes`` statistic equals the stored objects'
-      sizes (no page charged whose store failed).
+      sizes (no page charged whose store failed),
+    * each compressed tier's pool spans at most four pages per resident
+      page (one zspage when nearly empty),
+    * TCO is positive and at most the all-DRAM bound plus the
+      fragmentation allowance that pool bound implies,
+    * the access and migration clocks are non-negative.
 
     Raises:
         AssertionError: Naming the violated invariant and tier.
@@ -58,6 +63,26 @@ def check_capacity(system) -> None:
                 f"{tier.stats.compressed_bytes} B but objects hold "
                 f"{stored_bytes} B"
             )
-            assert tier.used_pages >= 0, (
-                f"compressed tier {tier.name} pool went negative"
+            # A zspage holds at least one object and spans at most four
+            # pages: the low-occupancy fragmentation bound.
+            bound = max(1, 4 * located)
+            assert 0 <= tier.used_pages <= bound, (
+                f"compressed tier {tier.name} pool spans {tier.used_pages} "
+                f"pages, outside [0, {bound}] for {located} resident"
             )
+    # Each compressed pool may exceed its residents by up to
+    # ``3 * resident + 1`` pages, each costing at most a DRAM page.
+    dram_cost = system.dram.media.cost_per_page
+    frag_allowance = sum(
+        (3 * int(counts[idx]) + 1) * dram_cost
+        for idx, tier in enumerate(system.tiers)
+        if isinstance(tier, CompressedTier)
+    )
+    tco = system.tco()
+    tco_bound = system.tco_max() + frag_allowance
+    assert 0 < tco <= tco_bound, f"TCO {tco} outside (0, {tco_bound}]"
+    clock = system.clock
+    assert clock.access_ns >= 0 and clock.migration_ns >= 0, (
+        f"negative clock: access {clock.access_ns} ns, "
+        f"migration {clock.migration_ns} ns"
+    )

@@ -28,7 +28,6 @@ from typing import Callable
 
 from repro.bench import experiments
 from repro.bench.reporting import format_table
-from repro.bench.runner import run_policy
 from repro.obs import LOG_LEVELS, configure_logging, get_logger
 
 _log = get_logger("cli")
@@ -404,16 +403,19 @@ def cmd_arena(args) -> int:
 
 
 def cmd_policy(args) -> int:
+    from repro.engine import ScenarioSpec, Session
+
     try:
-        summary = run_policy(
-            args.workload,
-            args.policy,
+        spec = ScenarioSpec(
+            workload=args.workload,
+            policy=args.policy,
             mix=args.mix,
             windows=args.windows,
             percentile=args.percentile,
             alpha=args.alpha,
             seed=args.seed,
         )
+        summary = Session(spec).run()
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"invalid policy run: {message}", file=sys.stderr)
@@ -422,15 +424,6 @@ def cmd_policy(args) -> int:
     print(f"p99.9 latency : {summary.p999_latency_ns:.0f} ns")
     print(f"migration     : {summary.migration_ns / 1e6:.1f} ms (daemon)")
     print(f"solver        : {summary.solver_ns / 1e6:.1f} ms")
-    return 0
-
-
-def cmd_config(args) -> int:
-    from repro.config import ExperimentConfig
-
-    config = ExperimentConfig.load(args.path)
-    summary = config.run()
-    print(format_table([summary.row()], title=config.tag))
     return 0
 
 
@@ -1179,10 +1172,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("workloads", help="print the workload registry").set_defaults(
         func=cmd_workloads
     )
-
-    config = sub.add_parser("config", help="run a JSON experiment config")
-    config.add_argument("path", help="path to an ExperimentConfig JSON file")
-    config.set_defaults(func=cmd_config)
 
     validate = sub.add_parser(
         "validate", help="check the paper's artifact claims (C1, C2)"

@@ -12,7 +12,7 @@ and the fleet's JSONL stream.
     export_events(session.events, "run_events.jsonl")
 """
 
-from repro.engine.build import MIXES, POLICY_NAMES, build_system, make_policy
+from repro.engine.build import MIXES, build_system, make_policy
 from repro.engine.events import (
     EVENT_KINDS,
     EngineEvent,
@@ -30,7 +30,6 @@ __all__ = [
     "EventLog",
     "MIXES",
     "NullModel",
-    "POLICY_NAMES",
     "ScenarioSpec",
     "Session",
     "build_system",

@@ -1,16 +1,13 @@
 """Canonical construction path: names -> simulator objects.
 
 This module owns the mapping from declarative names (tier-mix, policy)
-to built objects.  It absorbed ``build_system``/``make_policy`` from
-``repro.bench.runner`` so that the bench harness, the fleet runner and
-the CLI all construct systems and policies through one seam; the old
-``repro.bench.runner`` imports remain as thin aliases.
+to built objects, so that the bench harness, the fleet runner and the
+CLI all construct systems and policies through one seam
+(:class:`~repro.engine.session.Session`).
 
-Policy construction itself now lives in the extensible
-:mod:`repro.policies` registry -- :func:`make_policy` here is a
-re-export, and :data:`POLICY_NAMES` is the import-time snapshot of the
-built-in names (dynamic callers should use
-:func:`repro.policies.policy_names`, which sees late registrations).
+Policy construction itself lives in the extensible :mod:`repro.policies`
+registry -- :func:`make_policy` here is a re-export, and
+:func:`repro.policies.policy_names` lists the registered names.
 """
 
 from __future__ import annotations
@@ -21,13 +18,12 @@ from repro.bench import configs
 from repro.mem.address_space import AddressSpace
 from repro.mem.system import TieredMemorySystem
 from repro.mem.tier import Tier
-from repro.policies import make_policy, policy_names
+from repro.policies import make_policy
 from repro.workloads.base import Workload
 from repro.workloads.registry import WORKLOADS
 
 __all__ = [
     "MIXES",
-    "POLICY_NAMES",
     "build_system",
     "make_policy",
 ]
@@ -38,10 +34,6 @@ MIXES: dict[str, Callable[[AddressSpace], list[Tier]]] = {
     "spectrum": configs.spectrum_mix,
     "single": configs.single_ct_mix,
 }
-
-#: The built-in policy names, snapshotted at import time.  Kept for the
-#: historic import sites; validation goes through the live registry.
-POLICY_NAMES = policy_names()
 
 
 def build_system(

@@ -2,9 +2,9 @@
 
 ``Session`` turns a :class:`~repro.engine.spec.ScenarioSpec` into live
 simulator objects (workload, tiered system, policy, daemon) and owns the
-single instrumented window loop that used to be re-implemented by
-``TSDaemon.run``, ``bench.runner.run_policy`` and the fleet's per-node
-worker body.  Each window it emits structured
+instrumented window loop that the figure drivers, sweeps, the CLI, the
+fleet's per-node worker and the serving daemon all run.  Each window it
+emits structured
 :class:`~repro.engine.events.EngineEvent` records that the bench
 exporters and the fleet's JSONL stream consume directly.
 

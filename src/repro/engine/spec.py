@@ -8,9 +8,10 @@ expand each figure into specs, the fleet expands each node into a spec,
 and the CLI runs a spec straight from a file
 (``python -m repro run scenario.json``).
 
-Unknown workload / policy / telemetry / mix names are rejected at
-construction with a :class:`ValueError` naming the valid options, so a
-bad scenario file fails before any simulation state is built.
+Unknown workload / policy / telemetry / mix / solver-backend names are
+rejected at construction with a :class:`ValueError` naming the valid
+options, so a bad scenario file fails before any simulation state is
+built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 from repro.engine.build import MIXES
 from repro.mem.page import PAGES_PER_REGION
 from repro.policies import validate_policy
+from repro.solver import SOLVERS
 from repro.telemetry import PROFILER_KINDS
 from repro.workloads.registry import WORKLOADS
 
@@ -70,7 +72,8 @@ class ScenarioSpec:
         policy: Policy name (the :mod:`repro.policies` registry).
         percentile: Hotness threshold for threshold-based policies.
         alpha: Analytical knob; required when ``policy == "am"``.
-        solver_backend: ILP backend for analytical policies.
+        solver_backend: ILP backend for analytical policies: a
+            :data:`repro.solver.SOLVERS` name or ``"auto"``.
         telemetry: Telemetry backend (:data:`repro.telemetry.PROFILER_KINDS`).
         sampling_rate: PEBS period; must be >= 1.
         cooling: Hotness EWMA cooling per window; must be in ``[0, 1]``.
@@ -136,6 +139,11 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown telemetry {self.telemetry!r}; "
                 f"available: {', '.join(PROFILER_KINDS)}"
+            )
+        if self.solver_backend != "auto" and self.solver_backend not in SOLVERS:
+            raise ValueError(
+                f"unknown solver backend {self.solver_backend!r}; "
+                f"available: auto, {', '.join(sorted(SOLVERS))}"
             )
         if policy_info.requires_alpha and self.alpha is None:
             raise ValueError(

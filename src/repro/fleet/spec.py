@@ -30,7 +30,7 @@ class NodeSpec:
             order within each window batch).
         workload: Registry workload name.
         workload_kwargs: Factory kwargs (already scaled for this node).
-        policy: Policy name (see :func:`repro.bench.runner.make_policy`).
+        policy: Policy name (see :func:`repro.policies.make_policy`).
         mix: Tier-mix name (``standard`` / ``spectrum`` / ``single``).
         alpha: Knob override for analytical policies; ``None`` keeps the
             policy preset (set by the fleet scheduler).

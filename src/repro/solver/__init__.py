@@ -14,12 +14,13 @@ provided (DESIGN.md §2):
   (small instances; used to validate the others),
 * :mod:`repro.solver.greedy` -- LP-dominance greedy for multiple-choice
   knapsack (near-optimal, very fast; the default for large runs).
+
+:func:`solve` runs one by name; ``"auto"`` picks by instance size
+(:func:`~repro.solver.registry.resolve_backend`).
 """
 
 from repro.solver.branch_bound import solve_branch_bound
-from repro.solver.dp import solve_dp
 from repro.solver.greedy import solve_greedy
-from repro.solver.lagrangian import solve_lagrangian
 from repro.solver.problem import PlacementProblem, Solution
 from repro.solver.registry import SOLVERS, solve
 from repro.solver.scipy_backend import solve_scipy
@@ -30,8 +31,6 @@ __all__ = [
     "Solution",
     "solve",
     "solve_branch_bound",
-    "solve_dp",
     "solve_greedy",
-    "solve_lagrangian",
     "solve_scipy",
 ]

@@ -5,9 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.solver.branch_bound import MAX_REGIONS, solve_branch_bound
-from repro.solver.dp import solve_dp
 from repro.solver.greedy import solve_greedy
-from repro.solver.lagrangian import solve_lagrangian
 from repro.solver.problem import PlacementProblem, Solution
 from repro.solver.scipy_backend import solve_scipy
 
@@ -15,8 +13,6 @@ SOLVERS: dict[str, Callable[[PlacementProblem], Solution]] = {
     "scipy": solve_scipy,
     "branch_bound": solve_branch_bound,
     "greedy": solve_greedy,
-    "dp": solve_dp,
-    "lagrangian": solve_lagrangian,
 }
 
 

@@ -18,7 +18,6 @@ from repro.core.daemon import TSDaemon
 from repro.engine import (
     EVENT_KINDS,
     MIXES,
-    POLICY_NAMES,
     ScenarioSpec,
     Session,
     run_scenario,
@@ -26,7 +25,8 @@ from repro.engine import (
 )
 from repro.engine.spec import HAS_TOML
 from repro.mem.page import PAGES_PER_REGION
-from repro.telemetry import PROFILER_KINDS
+from repro.policies import policy_names
+from repro.telemetry import PROFILER_KINDS, IdleBitProfiler
 from repro.workloads.registry import WORKLOADS
 
 #: A small, fast scenario most Session tests share.
@@ -40,7 +40,7 @@ FAST = dict(
 
 def spec_strategy():
     """Valid ScenarioSpecs across the whole name/knob space."""
-    policies = st.sampled_from(POLICY_NAMES)
+    policies = st.sampled_from(policy_names())
     return policies.flatmap(
         lambda policy: st.builds(
             ScenarioSpec,
@@ -111,6 +111,7 @@ class TestScenarioSpecValidation:
             ("scale", 0.0, "scale must be > 0"),
             ("sampling_rate", 0, "sampling_rate must be >= 1"),
             ("cooling", 1.5, r"cooling must be in \[0, 1\]"),
+            ("solver_backend", "highs", "unknown solver backend 'highs'; available: auto"),
         ],
     )
     def test_bad_field_rejected(self, field, value, match):
@@ -218,6 +219,13 @@ class TestSessionEvents:
         off = Session(ScenarioSpec(**FAST))
         assert on.system.fast_same_algo_migration is True
         assert off.system.fast_same_algo_migration is False
+
+    def test_spec_threads_telemetry_and_prefetch(self):
+        spec = ScenarioSpec(**FAST, telemetry="idlebit", prefetch_degree=4)
+        session = Session(spec)
+        session.run()
+        assert isinstance(session.daemon.profiler, IdleBitProfiler)
+        assert session.daemon.prefetcher is not None
 
 
 class TestScenarioCLI:

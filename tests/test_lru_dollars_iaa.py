@@ -3,7 +3,6 @@ IAA hardware-compression tier."""
 
 import pytest
 
-from repro.bench.runner import build_system
 from repro.core.dollars import (
     DEFAULT_DRAM_PRICE,
     FleetProjection,
@@ -12,6 +11,7 @@ from repro.core.dollars import (
 )
 from repro.core.metrics import RunSummary
 from repro.core.placement.lru import run_lru
+from repro.engine import build_system
 from repro.workloads.masim import MasimWorkload
 
 

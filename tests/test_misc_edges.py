@@ -4,9 +4,9 @@ cases, workload guards, runner profile resolution, CLI errors."""
 import numpy as np
 import pytest
 
-from repro.bench.runner import build_system
 from repro.cli import main
 from repro.compression.bitio import BitReader, BitWriter
+from repro.engine import build_system
 from repro.mem.stats import ClockStats, TierStats
 from repro.workloads.base import Workload
 from repro.workloads.graph import PageRankWorkload

@@ -9,6 +9,8 @@ The central invariants a tiered memory system must never break, under
    (pool fragmentation included, since a pool page is never larger than
    the objects it holds);
 4. clock monotonicity -- virtual time only moves forward.
+
+All four are asserted by :func:`repro.chaos.invariants.check_capacity`.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocators import AllocationError, ZsmallocAllocator
+from repro.chaos.invariants import check_capacity
 from repro.compression.registry import algorithm
 from repro.mem.address_space import AddressSpace
 from repro.mem.media import DRAM, NVMM
@@ -25,36 +28,6 @@ from repro.mem.system import TieredMemorySystem
 from repro.mem.tier import ByteAddressableTier, CompressedTier
 
 from tests.conftest import make_tiers
-
-
-def check_invariants(system: TieredMemorySystem) -> None:
-    counts = system.placement_counts()
-    # (1) conservation
-    assert counts.sum() == system.space.num_pages
-    # (2) accounting
-    for idx, tier in enumerate(system.tiers):
-        if isinstance(tier, ByteAddressableTier):
-            assert counts[idx] == tier.used_pages
-        else:
-            assert counts[idx] == tier.resident_pages
-            # A zspage holds at least one object and spans at most four
-            # pages, so pool pages are bounded by 4x the resident count
-            # (the low-occupancy fragmentation bound).
-            assert tier.used_pages <= max(1, 4 * tier.resident_pages)
-    # (3) cost sanity: TCO stays positive and within the all-DRAM bound
-    # plus the fragmentation allowance implied by invariant (2): a
-    # compressed tier's pool may span up to 4x its resident pages (or one
-    # zspage when nearly empty), i.e. at most ``3 * resident + 1`` pages
-    # beyond the residents it replaced, each costing at most a DRAM page.
-    frag_allowance = sum(
-        (3 * int(counts[idx]) + 1) * DRAM.cost_per_page
-        for idx, tier in enumerate(system.tiers)
-        if not isinstance(tier, ByteAddressableTier)
-    )
-    assert 0 < system.tco() <= system.tco_max() + frag_allowance
-    # (4) clock
-    assert system.clock.access_ns >= 0
-    assert system.clock.migration_ns >= 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,7 +55,7 @@ def test_random_operations_preserve_invariants(data):
             )
         else:
             system.advance_window()
-        check_invariants(system)
+        check_capacity(system)
 
 
 @settings(max_examples=10, deadline=None)
@@ -100,7 +73,29 @@ def test_daemon_run_preserves_invariants(seed):
     )
     for _ in range(4):
         daemon.run_window(workload.next_window())
-        check_invariants(system)
+        check_capacity(system)
+
+
+class TestCheckCapacityFlagsCorruption:
+    """States the residency/accounting checks alone would let through."""
+
+    @pytest.fixture
+    def compressed(self, system):
+        system.move_region(0, 2)  # give the compressed tier a pool
+        check_capacity(system)
+        return system
+
+    def test_pool_beyond_four_pages_per_resident(self, compressed):
+        tier = compressed.tiers[2]
+        tier.allocator._pool_pages = 4 * tier.resident_pages + 1
+        with pytest.raises(AssertionError, match="pool spans"):
+            check_capacity(compressed)
+
+    @pytest.mark.parametrize("clock_field", ["access_ns", "migration_ns"])
+    def test_negative_clock(self, compressed, clock_field):
+        setattr(compressed.clock, clock_field, -1.0)
+        with pytest.raises(AssertionError, match="negative clock"):
+            check_capacity(compressed)
 
 
 class TestFailureInjection:
@@ -130,7 +125,7 @@ class TestFailureInjection:
         assert tiny_ct.used_pages <= 4 + 3
         # The overflow stayed in DRAM (zswap store refusal).
         assert counts[0] > 0
-        check_invariants(system)
+        check_capacity(system)
 
     def test_arena_exhaustion_surfaces_as_allocation_error(self):
         pool = ZsmallocAllocator(arena_pages=4)
@@ -149,7 +144,7 @@ class TestFailureInjection:
         system.move_page(1, 1)
         with pytest.raises(AllocationError, match="over capacity"):
             system.move_page(2, 1)
-        check_invariants(system)
+        check_capacity(system)
 
     def test_infeasible_ilp_budget_degrades_to_cheapest(self, system):
         """With capacity constraints making the budget unreachable, the
@@ -178,4 +173,4 @@ class TestFailureInjection:
         daemon = TSDaemon(system, WaterfallModel(50.0), sampling_rate=1)
         record = daemon.run_window(np.empty(0, dtype=np.int64))
         assert record.accesses == 0
-        check_invariants(system)
+        check_capacity(system)
