@@ -44,6 +44,12 @@ class PEBSSampler:
         self._scr_u: np.ndarray | None = None
         self._scr_keep: np.ndarray | None = None
 
+    def __getstate__(self) -> dict:
+        # Scratch is rebuilt on the next call; checkpoints skip it.
+        state = self.__dict__.copy()
+        state["_scr_u"] = state["_scr_keep"] = None
+        return state
+
     def sample(self, page_ids: np.ndarray) -> np.ndarray:
         """Thin a batch of accessed page ids down to the sampled subset.
 

@@ -10,7 +10,10 @@
 * :class:`UniformGenerator` -- uniform accesses (control).
 
 Each generator draws *item ids* in ``[0, n)``; workloads map items to
-pages.
+pages.  ``sample(size, rng, lut=table)`` returns ``table[item]`` instead,
+which lets a workload hand its item -> page table to the sampler: the
+samplers fold it into tables they already index (the Zipfian bucket
+table, the hot-rank rotation) rather than mapping every draw afterwards.
 """
 
 from __future__ import annotations
@@ -18,7 +21,36 @@ from __future__ import annotations
 import numpy as np
 
 
-class ZipfianGenerator:
+class TransientCaches:
+    """Pickling for objects whose caches are rebuilt on demand.
+
+    Attributes named in ``_TRANSIENT`` (scratch buffers, derived tables)
+    are pickled as ``None`` and reset to ``None`` on load, so checkpoints
+    carry parameters and stream state only.  ``_LEGACY`` names attributes
+    older checkpoints carried that no longer exist; they are discarded.
+    """
+
+    _TRANSIENT: tuple[str, ...] = ()
+    _LEGACY: tuple[str, ...] = ()
+
+    def _clear_transient(self) -> None:
+        for name in self._TRANSIENT:
+            setattr(self, name, None)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._TRANSIENT:
+            state[name] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in self._LEGACY:
+            self.__dict__.pop(name, None)
+        self._clear_transient()
+
+
+class ZipfianGenerator(TransientCaches):
     """Rank-based Zipfian sampler (YCSB's zipfian constant 0.99).
 
     Sampling inverts the CDF exactly the way ``rng.choice(n, p=...)``
@@ -26,15 +58,27 @@ class ZipfianGenerator:
     semantics), so the output stream is bit-identical to the
     ``rng.choice`` implementation this replaces -- but the CDF is
     normalised once at construction and the binary search is replaced
-    by a bucket table: bucket ``b`` of ``[0, 1)`` caches the smallest
-    rank any draw in that bucket can map to, leaving only a short
-    vectorized walk over the few draws that land on a bucket straddling
-    CDF steps.
+    by a sign-folded bucket table.  Bucket ``b`` of ``[0, 1)`` holds the
+    rank every draw in it maps to when no CDF step falls inside the
+    bucket (*exact* buckets), and ``~rank`` -- the smallest rank any draw
+    in it can map to -- when one does (*straddler* buckets).  One
+    ``take`` resolves the exact draws; only the few straddlers walk
+    forward along the CDF.
+
+    ``sample(..., lut=table)`` returns ``table[rank]`` instead of the
+    rank.  The table is composed into the exact bucket entries once (and
+    again only when a different table object is passed), so mapping
+    ranks to pages costs no pass over the draws.  Tables are treated as
+    read-only and their entries must be non-negative.
 
     Args:
         n: Item-space size.
         theta: Skew; 0 = uniform, YCSB default 0.99.
     """
+
+    _TRANSIENT = ("_folded", "_straddlers", "_table", "_table_lut",
+                  "_scr_u", "_scr_b", "_scr_m")
+    _LEGACY = ("_bucket_lo", "_bucket_exact", "_scr_f")
 
     def __init__(self, n: int, theta: float = 0.99) -> None:
         if n < 1:
@@ -56,78 +100,72 @@ class ZipfianGenerator:
         buckets = 1024
         while buckets < 16 * n and buckets < (1 << 17):
             buckets <<= 1
+        # rng.random returns multiples of 2**-53, so with a power-of-two
+        # bucket count u * buckets is exact and strictly below buckets:
+        # the bucket index needs no clamp and never overshoots its draw.
+        assert buckets & (buckets - 1) == 0
         self._buckets = buckets
-        edges = cdf.searchsorted(
-            np.arange(buckets + 1) / buckets, side="right"
-        )
-        self._bucket_lo = edges[:-1]
-        # Bucket b is *exact* when no CDF step falls inside it: every draw
-        # landing there maps to rank bucket_lo[b] with no verification.
-        self._bucket_exact = edges[1:] == edges[:-1]
-        # Reusable scratch (uniform draws, bucket ids, walk mask): windows
-        # sample hundreds of thousands of draws, and re-faulting fresh
-        # multi-MB arrays per call costs more than the arithmetic on them.
-        self._scr_u: np.ndarray | None = None
-        self._scr_f: np.ndarray | None = None
-        self._scr_b: np.ndarray | None = None
-        self._scr_m: np.ndarray | None = None
+        self._clear_transient()
+
+    def _table_for(self, lut: np.ndarray | None) -> np.ndarray:
+        """The sign-folded bucket table, composed with ``lut`` if given."""
+        if self._folded is None:
+            buckets = self._buckets
+            edges = self._cdf.searchsorted(
+                np.arange(buckets + 1) / buckets, side="right"
+            )
+            folded = edges[:-1].copy()
+            self._straddlers = np.flatnonzero(edges[1:] != edges[:-1])
+            folded[self._straddlers] = ~folded[self._straddlers]
+            self._folded = folded
+        if lut is None:
+            return self._folded
+        if lut is not self._table_lut:
+            if lut.shape[0] < self.n:
+                raise ValueError(f"lut has {lut.shape[0]} entries, need {self.n}")
+            # Straddler entries are negative, which 'clip' maps to lut[0];
+            # they are restored right after.
+            table = lut.take(self._folded, mode="clip")
+            table[self._straddlers] = self._folded[self._straddlers]
+            self._table, self._table_lut = table, lut
+        return self._table
 
     def _scratch(self, size: int) -> tuple[np.ndarray, ...]:
         if self._scr_u is None or self._scr_u.size < size:
             self._scr_u = np.empty(size)
-            self._scr_f = np.empty(size)
             self._scr_b = np.empty(size, dtype=np.int64)
             self._scr_m = np.empty(size, dtype=bool)
-        return (
-            self._scr_u[:size],
-            self._scr_f[:size],
-            self._scr_b[:size],
-            self._scr_m[:size],
-        )
+        return self._scr_u[:size], self._scr_b[:size], self._scr_m[:size]
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` item ids; item 0 is the most popular rank.
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Draw ``size`` item ids (``lut[id]`` when a table is given).
 
-        The returned array is freshly allocated; internal scratch buffers
-        are reused across calls.
+        Item 0 is the most popular rank.  The returned array is freshly
+        allocated; internal scratch buffers are reused across calls.
         """
-        u, scr_f, b, mask = self._scratch(size)
+        table = self._table_for(lut)
+        u, b, mask = self._scratch(size)
         rng.random(out=u)
-        cdf = self._cdf
-        buckets = self._buckets
-        # A float rounding edge can push u * buckets to exactly
-        # ``buckets``; the clamp keeps the bucket index in range (and the
-        # lower-bound property holds because such a u is within one ulp of
-        # the last bucket's left edge, which the always-inexact last
-        # bucket walks).
-        np.multiply(u, buckets, out=scr_f)
-        np.copyto(b, scr_f, casting="unsafe")  # trunc == astype(int64)
-        np.minimum(b, buckets - 1, out=b)
-        idx = self._bucket_lo.take(b)
-        # Straddler buckets: walk forward to the first rank with cdf > u.
-        self._bucket_exact.take(b, out=mask)
-        np.logical_not(mask, out=mask)
+        np.multiply(u, self._buckets, out=b, casting="unsafe")  # exact; trunc
+        out = table.take(b)
+        np.less(out, 0, out=mask)
         hard = np.flatnonzero(mask)
         if hard.size:
-            wrong = hard[cdf[idx[hard]] <= u[hard]]
+            # Straddlers: walk forward to the first rank with cdf > u.
+            cdf = self._cdf
+            ranks = ~out[hard]
+            uh = u[hard]
+            wrong = np.flatnonzero(cdf[ranks] <= uh)
             while wrong.size:
-                idx[wrong] += 1
-                wrong = wrong[cdf[idx[wrong]] <= u[wrong]]
-        # u * buckets rounding *up* across a bucket edge can overshoot the
-        # start rank; walk those (near-nonexistent) draws back down to the
-        # smallest rank with cdf > u, completing searchsorted(u, 'right').
-        # b / buckets is exact (power-of-two divisor), so the comparison
-        # catches every overshoot, including products that round to an
-        # exact integer.
-        np.multiply(b, 1.0 / buckets, out=scr_f)
-        np.less(u, scr_f, out=mask)
-        for j in np.flatnonzero(mask).tolist():
-            i = int(idx[j]) - 1
-            uj = u[j]
-            while i >= 0 and cdf[i] > uj:
-                i -= 1
-            idx[j] = i + 1
-        return idx
+                ranks[wrong] += 1
+                wrong = wrong[cdf[ranks[wrong]] <= uh[wrong]]
+            out[hard] = ranks if lut is None else lut.take(ranks)
+        return out
 
 
 class GaussianGenerator:
@@ -152,13 +190,19 @@ class GaussianGenerator:
         self.center_fraction = center_fraction
         self.std_fraction = std_fraction
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+    ) -> np.ndarray:
         draws = rng.normal(
             loc=self.center_fraction * self.n,
             scale=self.std_fraction * self.n,
             size=size,
         )
-        return np.clip(np.rint(draws), 0, self.n - 1).astype(np.int64)
+        items = np.clip(np.rint(draws), 0, self.n - 1).astype(np.int64)
+        return items if lut is None else lut.take(items)
 
 
 class HotspotGenerator:
@@ -183,7 +227,12 @@ class HotspotGenerator:
         self.hot_items = max(1, int(round(hot_fraction * n)))
         self.hot_access_prob = hot_access_prob
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+    ) -> np.ndarray:
         hot = rng.random(size) < self.hot_access_prob
         out = np.empty(size, dtype=np.int64)
         n_hot = int(hot.sum())
@@ -193,7 +242,7 @@ class HotspotGenerator:
             0, cold_span, size=size - n_hot
         )
         np.clip(out, 0, self.n - 1, out=out)
-        return out
+        return out if lut is None else lut.take(out)
 
 
 class UniformGenerator:
@@ -204,8 +253,14 @@ class UniformGenerator:
             raise ValueError("n must be >= 1")
         self.n = n
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.n, size=size)
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+    ) -> np.ndarray:
+        items = rng.integers(0, self.n, size=size)
+        return items if lut is None else lut.take(items)
 
 
 class ChurningColdSet:
@@ -255,7 +310,7 @@ class ChurningColdSet:
         self.offset = 0
 
 
-class HotWarmColdGenerator:
+class HotWarmColdGenerator(TransientCaches):
     """Three-population popularity: hot (Zipfian), warm, churning cold.
 
     Models the population structure data-center operators report (paper
@@ -264,6 +319,11 @@ class HotWarmColdGenerator:
     sparse accesses cluster via :class:`ChurningColdSet`.  The hot set
     identity can drift to reproduce the shifting pattern of the paper's
     Figure 9d.
+
+    The drift never touches the draws: each window's rotation (composed
+    with the caller's ``lut``, if any) becomes one ``hot_items``-entry
+    rank table that the Zipfian sampler folds into its bucket table, so
+    hot draws come out already rotated and mapped.
 
     Args:
         n: Item-space size.
@@ -274,6 +334,9 @@ class HotWarmColdGenerator:
         hot_drift_fraction: Fraction of the hot range the hot-set identity
             rotates per window (0 = stationary).
     """
+
+    _TRANSIENT = ("_hot_table", "_hot_table_offset", "_hot_table_lut",
+                  "_scr_c", "_scr_hot", "_scr_nh")
 
     def __init__(
         self,
@@ -307,11 +370,34 @@ class HotWarmColdGenerator:
         )
         self._hot_offset = 0
         self._hot_step = max(0, int(round(hot_drift_fraction * self.hot_items)))
-        self._scr_c: np.ndarray | None = None
-        self._scr_hot: np.ndarray | None = None
-        self._scr_nh: np.ndarray | None = None
+        self._clear_transient()
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+    def _hot_lut(self, lut: np.ndarray | None) -> np.ndarray | None:
+        """This window's hot-rank table: rotation composed with ``lut``.
+
+        Rank ``r`` maps to item ``(r + offset) % hot_items`` and then to
+        ``lut[item]``.  The table is rebuilt only when the offset or the
+        ``lut`` object changes, so the Zipfian sampler (which composes it
+        into its bucket table) rebuilds only then too.
+        """
+        offset = self._hot_offset
+        if self._hot_table_offset != offset or self._hot_table_lut is not lut:
+            if lut is None:
+                head = np.arange(self.hot_items) if offset else None
+            else:
+                head = lut[: self.hot_items]
+            if offset:
+                head = np.concatenate((head[offset:], head[:offset]))
+            self._hot_table = head
+            self._hot_table_offset, self._hot_table_lut = offset, lut
+        return self._hot_table
+
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+    ) -> np.ndarray:
         if self._scr_c is None or self._scr_c.size < size:
             self._scr_c = np.empty(size)
             self._scr_hot = np.empty(size, dtype=bool)
@@ -332,20 +418,16 @@ class HotWarmColdGenerator:
         cold_idx = not_hot[~warm_split]
         n_hot = size - not_hot.size
         if n_hot:
-            ranks = self._hot.sample(n_hot, rng)
-            if self._hot_offset:
-                # ranks < hot_items and offset < hot_items, so the modulo
-                # is a single conditional subtract.
-                ranks += self._hot_offset
-                ranks[ranks >= self.hot_items] -= self.hot_items
-            out[hot] = ranks
+            out[hot] = self._hot.sample(n_hot, rng, lut=self._hot_lut(lut))
         if warm_idx.size:
-            out[warm_idx] = self.hot_items + rng.integers(
+            items = self.hot_items + rng.integers(
                 0, self.warm_items, size=warm_idx.size
             )
+            out[warm_idx] = items if lut is None else lut.take(items)
         if cold_idx.size:
             draws = rng.integers(0, self.cold_items, size=cold_idx.size)
-            out[cold_idx] = self.hot_items + self.warm_items + self._cold.map(draws)
+            items = self.hot_items + self.warm_items + self._cold.map(draws)
+            out[cold_idx] = items if lut is None else lut.take(items)
         return out
 
     def advance(self) -> None:

@@ -24,18 +24,19 @@ from repro.workloads.base import Workload
 from repro.workloads.distributions import (
     GaussianGenerator,
     HotWarmColdGenerator,
+    TransientCaches,
     ZipfianGenerator,
 )
 
 
-class KVWorkload(Workload):
+class KVWorkload(TransientCaches, Workload):
     """Key-value store under a request generator.
 
     Args:
         name: Display name, e.g. ``"memcached-ycsb"``.
         num_pages: Pages holding the dataset.
         ops_per_window: Requests per profile window.
-        distribution: Popularity sampler (has ``sample(size, rng)``).
+        distribution: Popularity sampler (has ``sample(size, rng, lut)``).
         objects_per_page: Stored objects per 4 KB page (4 for 1 KB values).
         drift_per_window: Fraction of the keyspace the popularity ranking
             rotates by per window (0 = stationary).
@@ -43,6 +44,9 @@ class KVWorkload(Workload):
         write_fraction: Fraction of requests that are writes.
         seed: RNG seed.
     """
+
+    _TRANSIENT = ("_key_page", "_key_page_offset")
+    _LEGACY = ("_objects_shift",)
 
     def __init__(
         self,
@@ -68,13 +72,6 @@ class KVWorkload(Workload):
         self.name = name
         self.write_fraction = write_fraction
         self.objects_per_page = objects_per_page
-        # key -> page is a shift when objects_per_page is a power of two
-        # (the common 1 KB / 4 KB value layouts).
-        self._objects_shift = (
-            objects_per_page.bit_length() - 1
-            if objects_per_page & (objects_per_page - 1) == 0
-            else None
-        )
         self.num_keys = num_pages * objects_per_page
         self.distribution = distribution or ZipfianGenerator(self.num_keys)
         self.drift_per_window = drift_per_window
@@ -91,17 +88,28 @@ class KVWorkload(Workload):
             + np.arange(layout_block_pages)[None, :]
         ).reshape(-1)
         self._page_of_block = page_perm
+        self._clear_transient()
+
+    def _key_pages(self) -> np.ndarray:
+        """Item -> page table for the current drift offset.
+
+        Item ``i`` is key ``(i + drift) % num_keys`` (drift rotates the
+        rank -> key mapping so the hot set moves over time), stored on
+        page ``_page_of_block[key // objects_per_page]``.  The sampler
+        indexes this table instead of the workload mapping every draw;
+        it is rebuilt only when the drift offset moves.
+        """
+        offset = self._drift_offset
+        if self._key_page_offset != offset:
+            pages = self._page_of_block.repeat(self.objects_per_page)
+            self._key_page = np.concatenate((pages[offset:], pages[:offset]))
+            self._key_page_offset = offset
+        return self._key_page
 
     def _generate(self, rng: np.random.Generator) -> np.ndarray:
-        # sample() returns a fresh array, so the rank -> page arithmetic
-        # below can run in place.
-        keys = self.distribution.sample(self.ops_per_window, rng)
-        # Drift: rotate rank -> key mapping so the hot set moves over time.
-        # Ranks and the offset are both < num_keys, so the rotation's
-        # modulo reduces to one conditional subtract.
-        if self._drift_offset:
-            keys += self._drift_offset
-            keys[keys >= self.num_keys] -= self.num_keys
+        pages = self.distribution.sample(
+            self.ops_per_window, rng, lut=self._key_pages()
+        )
         self._drift_offset = int(
             (self._drift_offset + self.drift_per_window * self.num_keys)
             % self.num_keys
@@ -109,11 +117,7 @@ class KVWorkload(Workload):
         advance = getattr(self.distribution, "advance", None)
         if advance is not None:
             advance()
-        if self._objects_shift is not None:
-            keys >>= self._objects_shift
-        else:
-            keys //= self.objects_per_page
-        return self._page_of_block.take(keys)
+        return pages
 
     def reset(self) -> None:
         """Rewind drift and distribution churn along with the RNG.

@@ -287,6 +287,24 @@ def test_checkpoint_roundtrip_resumes_identically(seed):
         assert got.access_ns == want.access_ns
 
 
+def test_memcached_checkpoint_carries_no_scratch():
+    """Sampler and PEBS scratch buffers stay out of checkpoints.
+
+    At full scale (500k accesses per window) the scratch alone used to be
+    ~22 MB of a ~24 MB checkpoint.
+    """
+    from repro.chaos.checkpoint import capture_session
+    from repro.engine.session import Session
+    from repro.engine.spec import ScenarioSpec
+
+    session = Session(
+        ScenarioSpec(workload="memcached-ycsb", policy="waterfall", windows=3)
+    )
+    for _ in range(3):
+        session.run_window()
+    assert len(capture_session(session)) < 5_000_000
+
+
 def test_checkpoint_v1_fixture_loads_and_resumes_identically():
     """Backward compat: a pre-SoA (v1) checkpoint restores into the
     columnar core and finishes byte-identically to a fresh run.
@@ -305,6 +323,10 @@ def test_checkpoint_v1_fixture_loads_and_resumes_identically():
     sess, rows, done = restore_session(load_checkpoint(fixture))
     assert done == 3
     assert rows == [{"w": 0}, {"w": 1}, {"w": 2}]
+    # The fixture's samplers carry scratch and the unfolded bucket table;
+    # both are dropped on load and rebuilt on demand.
+    hot = sess.workload.distribution._hot
+    assert not hasattr(hot, "_bucket_lo") and hot._scr_u is None
     for _ in range(sess.spec.windows - done):
         sess.run_window()
 
@@ -334,7 +356,9 @@ def test_checkpoint_v1_fixture_loads_and_resumes_identically():
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.integers(1, 5000),
+    # Past n = 8192 the bucket count is capped at 2**17, so buckets hold
+    # several CDF steps and the straddler walk takes more than one step.
+    n=st.one_of(st.integers(1, 5000), st.integers(8193, 200_000)),
     theta=st.floats(0.0, 1.8, allow_nan=False),
     size=st.integers(1, 2000),
     seed=st.integers(0, 10_000),
@@ -352,3 +376,24 @@ def test_zipfian_sampler_matches_generator_choice(n, theta, size, seed):
     gen.sample(size, rng_a)
     rng_b.random(size)
     assert rng_a.integers(0, 1 << 62) == rng_b.integers(0, 1 << 62)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 5000), st.integers(8193, 200_000)),
+    theta=st.floats(0.0, 1.8, allow_nan=False),
+    size=st.integers(1, 2000),
+    seed=st.integers(0, 10_000),
+)
+def test_zipfian_lut_matches_lut_of_generator_choice(n, theta, size, seed):
+    """``sample(lut=t)`` is ``t[choice(...)]``, also when ``t`` changes."""
+    gen = ZipfianGenerator(n, theta=theta)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    tables = np.random.default_rng(seed + 1).integers(0, 1 << 40, size=(2, n))
+    # First table, same table again (cached composition), second table,
+    # then no table (the rank path after a composition).
+    for lut in (tables[0], tables[0], tables[1], None):
+        got = gen.sample(size, rng, lut=lut)
+        ranks = ref.choice(n, size=size, p=gen._probabilities)
+        assert np.array_equal(got, ranks if lut is None else lut[ranks])
+    assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.seeding import derive_rng
 from repro.mem.page import PAGES_PER_REGION
 from repro.workloads.base import Workload
 from repro.workloads.distributions import (
@@ -42,6 +45,10 @@ class TestDistributions:
         samples = gen.sample(50_000, rng)
         counts = np.bincount(samples, minlength=100)
         assert counts.min() > 300  # roughly uniform
+
+    def test_zipfian_rejects_short_lut(self, rng):
+        with pytest.raises(ValueError, match="lut has 5 entries"):
+            ZipfianGenerator(10).sample(5, rng, lut=np.arange(5))
 
     def test_gaussian_centered(self, rng):
         gen = GaussianGenerator(10_000, center_fraction=0.5, std_fraction=0.05)
@@ -164,6 +171,110 @@ class TestKVWorkload:
     def test_bad_block_size(self):
         with pytest.raises(ValueError):
             KVWorkload("t", num_pages=1024, layout_block_pages=300)
+
+
+def _reference_kv_windows(
+    num_pages, ops, opp, drift_per_window, block, seed, gen, windows, reset_at
+):
+    """The rank -> key -> page pipeline, one pass per step.
+
+    Item ids first (Zipfian ranks via ``rng.choice``, hot-set rotation,
+    warm and churning-cold draws), then the KV drift rotation, the
+    key -> page division and the layout gather.  ``gen`` supplies only
+    parameters (population sizes, rank probabilities, drift steps); a
+    plain :class:`ZipfianGenerator` stands for the whole keyspace.
+    ``reset_at`` is the window index at which to rewind everything.
+    """
+    keys_total = num_pages * opp
+    num_blocks = num_pages // block
+    perm = derive_rng(seed, 0x5EED).permutation(num_blocks)
+    page_of_block = (perm[:, None] * block + np.arange(block)[None, :]).ravel()
+    hwc = isinstance(gen, HotWarmColdGenerator)
+    batches = []
+    for i in range(windows):
+        if i in (0, reset_at):
+            rng = np.random.default_rng(seed)
+            drift = hot_offset = cold_offset = 0
+        if not hwc:
+            items = rng.choice(keys_total, size=ops, p=gen._probabilities)
+        else:
+            comp = rng.random(ops)
+            hot = comp < gen.hot_mass
+            warm = ~hot & (comp < gen.hot_mass + gen.warm_mass)
+            cold = ~hot & ~warm
+            items = np.empty(ops, dtype=np.int64)
+            if hot.any():
+                ranks = rng.choice(
+                    gen.hot_items, size=int(hot.sum()), p=gen._hot._probabilities
+                )
+                items[hot] = (ranks + hot_offset) % gen.hot_items
+            if warm.any():
+                items[warm] = gen.hot_items + rng.integers(
+                    0, gen.warm_items, size=int(warm.sum())
+                )
+            if cold.any():
+                draws = rng.integers(0, gen.cold_items, size=int(cold.sum()))
+                active = (cold_offset + draws % gen._cold.active) % gen.cold_items
+                items[cold] = gen.hot_items + gen.warm_items + active
+            hot_offset = (hot_offset + gen._hot_step) % gen.hot_items
+            cold_offset = (cold_offset + gen._cold.step) % gen.cold_items
+        keys = (items + drift) % keys_total
+        batches.append(page_of_block[keys // opp])
+        drift = int((drift + drift_per_window * keys_total) % keys_total)
+    return batches, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    regions=st.integers(1, 3),
+    block=st.sampled_from([64, 128, 512]),
+    opp=st.sampled_from([1, 3, 4]),
+    ops=st.integers(1, 3000),
+    drift_per_window=st.one_of(st.just(0.0), st.floats(0.001, 0.9)),
+    hwc=st.booleans(),
+    hot_fraction=st.floats(0.01, 0.3),
+    hot_mass=st.floats(0.5, 1.0),
+    warm_share=st.floats(0.0, 1.0),
+    hot_drift_fraction=st.one_of(st.just(0.0), st.floats(0.001, 0.9)),
+    windows=st.integers(1, 6),
+    reset_at=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+)
+def test_kv_windows_match_reference_pipeline(
+    regions, block, opp, ops, drift_per_window, hwc, hot_fraction, hot_mass,
+    warm_share, hot_drift_fraction, windows, reset_at, seed,
+):
+    num_pages = regions * PAGES_PER_REGION
+    keys_total = num_pages * opp
+    if hwc:
+        gen = HotWarmColdGenerator(
+            keys_total,
+            hot_fraction=hot_fraction,
+            warm_fraction=0.3,
+            hot_mass=hot_mass,
+            warm_mass=warm_share * (1.0 - hot_mass),
+            cold_advance_fraction=0.03,
+            hot_drift_fraction=hot_drift_fraction,
+        )
+    else:
+        gen = ZipfianGenerator(keys_total)
+    w = KVWorkload(
+        "ref", num_pages, ops_per_window=ops, distribution=gen,
+        objects_per_page=opp, drift_per_window=drift_per_window,
+        layout_block_pages=block, seed=seed,
+    )
+    got = []
+    for i in range(windows):
+        if i == reset_at:
+            w.reset()
+        got.append(w.next_window())
+    want, ref_rng = _reference_kv_windows(
+        num_pages, ops, opp, drift_per_window, block, seed, gen, windows,
+        reset_at,
+    )
+    for g, x in zip(got, want):
+        assert np.array_equal(g, x)
+    assert w._rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
 
 
 class TestRMAT:
