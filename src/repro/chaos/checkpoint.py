@@ -6,7 +6,10 @@ model (with its injector), profiler, migration stats, window records and
 a metrics snapshot.  Everything harness-shaped -- the observability
 bundle, event hooks, the streaming sink -- is deliberately excluded:
 those hold process-local resources (registries, open files, closures)
-and are rebuilt fresh on restore.
+and are rebuilt fresh on restore.  A replayed trace workload is carried
+by reference (path, fingerprint, cursor) rather than its windows, so
+restoring it needs the unchanged trace file
+(:class:`~repro.workloads.trace.TraceWorkload`).
 
 The resume contract: a session restored from the window-``k`` checkpoint
 and run to completion produces byte-identical records, summaries and
@@ -125,6 +128,10 @@ def restore_session(blob: bytes, *, hooks=(), obs=None, sink=None):
         ``(session, rows, windows_done)`` -- the restored session, the
         caller rows captured with the checkpoint, and how many windows
         the checkpoint had completed.
+
+    Raises:
+        TraceMismatchError: The session replays a trace file (checkpointed
+            by reference) that is gone or was re-recorded.
     """
     from repro.engine.session import Session
     from repro.engine.spec import ScenarioSpec

@@ -179,7 +179,9 @@ class ServeDaemon:
         Generator streams resume mid-RNG (the workload pickles its
         stream position); replay streams skip the recorded windows the
         checkpoint already ran; socket streams just pick up live
-        traffic.
+        traffic.  A trace workload is checkpointed by reference, so its
+        file must still be there: a missing or re-recorded trace raises
+        :class:`~repro.workloads.trace.TraceMismatchError`.
         """
         session, _rows, windows_done = restore_session(
             load_checkpoint(path), obs=Observability(metrics=True)

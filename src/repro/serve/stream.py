@@ -27,11 +27,11 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.obs.logs import get_logger
+from repro.workloads.trace import open_trace, read_windows
 
 _log = get_logger("serve.stream")
 
@@ -165,24 +165,17 @@ class ReplaySource:
         rate: float | None = None,
         skip_windows: int = 0,
     ) -> None:
-        path = Path(path)
-        if not path.exists():
-            raise ValueError(f"trace file not found: {path}")
-        data = np.load(path)
-        if "meta" not in data:
-            raise ValueError(f"{path} is not a recorded trace")
-        num_pages, num_windows, write_milli = data["meta"].tolist()
+        info = open_trace(path)
         if rate is not None and rate <= 0:
             raise ValueError("replay rate must be > 0 events/second")
         if skip_windows < 0:
             raise ValueError("skip_windows must be >= 0")
-        self.num_pages = int(num_pages)
-        self.num_windows = int(num_windows)
-        self.write_fraction = write_milli / 1000.0
-        self._windows = [
-            data[f"window_{w}"].astype(np.int64)
-            for w in range(self.num_windows)
-        ]
+        self.num_pages = info.num_pages
+        self.num_windows = info.num_windows
+        self.write_fraction = info.write_fraction
+        # Eager on purpose: decompressing inside __aiter__ would land in
+        # window time.
+        self._windows = read_windows(info)
         self.clock = clock
         self.rate = rate
         self.skip_windows = skip_windows

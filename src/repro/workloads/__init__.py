@@ -28,7 +28,12 @@ from repro.workloads.distributions import (
     UniformGenerator,
     ZipfianGenerator,
 )
-from repro.workloads.trace import TraceWorkload, record_trace
+from repro.workloads.trace import (
+    TraceMismatchError,
+    TraceWorkload,
+    open_trace,
+    record_trace,
+)
 from repro.workloads.diurnal import DiurnalWorkload
 from repro.workloads.graph import BFSWorkload, PageRankWorkload
 from repro.workloads.graphsage import GraphSAGEWorkload
@@ -58,6 +63,7 @@ __all__ = [
     "MasimWorkload",
     "PageRankWorkload",
     "TenantChurnWorkload",
+    "TraceMismatchError",
     "TraceWorkload",
     "UniformGenerator",
     "WORKLOADS",
@@ -68,6 +74,7 @@ __all__ = [
     "diurnal_kv",
     "flash_crowd_kv",
     "make_workload",
+    "open_trace",
     "record_trace",
     "rmat_edges",
     "workload_table",
