@@ -66,45 +66,88 @@ class BuddyAllocator:
         Raises:
             AllocationError: If no block of sufficient order is free.
         """
+        return self.alloc_many(num_pages, 1)[0]
+
+    def alloc_many(self, num_pages: int, k: int) -> list[int]:
+        """Allocate ``k`` blocks of at least ``num_pages`` pages each.
+
+        Free-list state afterwards is exactly that of ``k`` sequential
+        :meth:`alloc` calls (same set pops and splits, same order); an
+        exhausted arena raises after committing the blocks already
+        handed out, as the sequential loop would.
+
+        Returns:
+            The blocks' start PFNs, in allocation order.
+        """
         order = self.order_for(num_pages)
-        if order > self.max_order:
+        max_order = self.max_order
+        if order > max_order:
             raise AllocationError(
                 f"request of {num_pages} pages exceeds arena of "
                 f"{self.total_pages} pages"
             )
-        # Find the smallest free order that satisfies the request.
-        avail = order
-        while avail <= self.max_order and not self._free_lists[avail]:
-            avail += 1
-        if avail > self.max_order:
-            raise AllocationError(
-                f"out of memory: no free block of order >= {order}"
-            )
-        pfn = self._free_lists[avail].pop()
-        # Split down to the requested order.
-        while avail > order:
-            avail -= 1
-            buddy = pfn + (1 << avail)
-            self._free_lists[avail].add(buddy)
-        self._allocated[pfn] = order
-        self.allocated_pages += 1 << order
-        return pfn
+        free_lists = self._free_lists
+        allocated = self._allocated
+        exact = free_lists[order]
+        pfns: list[int] = []
+        push = pfns.append
+        for _ in range(k):
+            if exact:
+                push(exact.pop())
+                continue
+            avail = order + 1
+            while avail <= max_order and not free_lists[avail]:
+                avail += 1
+            if avail > max_order:
+                allocated.update(dict.fromkeys(pfns, order))
+                self.allocated_pages += len(pfns) << order
+                raise AllocationError(
+                    f"out of memory: no free block of order >= {order}"
+                )
+            pfn = free_lists[avail].pop()
+            # Split down to the requested order.
+            while avail > order:
+                avail -= 1
+                free_lists[avail].add(pfn + (1 << avail))
+            push(pfn)
+        allocated.update(dict.fromkeys(pfns, order))
+        self.allocated_pages += k << order
+        return pfns
 
     def free(self, pfn: int) -> None:
         """Free a previously allocated block, coalescing with buddies."""
-        try:
-            order = self._allocated.pop(pfn)
-        except KeyError:
-            raise AllocationError(f"PFN {pfn} is not an allocated block") from None
-        self.allocated_pages -= 1 << order
-        while order < self.max_order:
-            buddy = pfn ^ (1 << order)
-            if buddy not in self._free_lists[order]:
-                break
-            self._free_lists[order].remove(buddy)
-            pfn = min(pfn, buddy)
-            order += 1
-        self._free_lists[order].add(pfn)
+        self.free_many((pfn,))
+
+    def free_many(self, pfns) -> None:
+        """Free blocks in order; exactly sequential :meth:`free` calls.
+
+        An unknown PFN raises after committing the frees before it.
+        """
+        free_lists = self._free_lists
+        allocated = self._allocated
+        max_order = self.max_order
+        freed = 0
+        for pfn in pfns:
+            try:
+                order = allocated.pop(pfn)
+            except KeyError:
+                self.allocated_pages -= freed
+                raise AllocationError(
+                    f"PFN {pfn} is not an allocated block"
+                ) from None
+            size = 1 << order
+            freed += size
+            while order < max_order:
+                same_order = free_lists[order]
+                buddy = pfn ^ size
+                if buddy not in same_order:
+                    break
+                same_order.remove(buddy)
+                pfn &= ~size  # the lower of the pair
+                order += 1
+                size <<= 1
+            free_lists[order].add(pfn)
+        self.allocated_pages -= freed
 
     def fragmentation(self) -> float:
         """Fraction of free memory not in the largest free block.

@@ -7,14 +7,17 @@ the best packing density of the three pool managers at the cost of the most
 complex management (paper §2), which we reflect in the highest per-operation
 overhead.
 
-Columnar internals: zspages live in parallel slot lists (pfn, pages,
-capacity, live-object count, class) and object membership is one numpy
-array mapping object id -> zspage slot (-1 when free), so the bulk
-store/free paths touch a few cells per *zspage* instead of a set entry
-and two dict entries per *object*.  Object ids grow monotonically; the
-membership array doubles on demand (ids are never reused, so a very
-long-lived pool grows it linearly with total stores -- 4 bytes per
-object ever stored).
+Columnar internals: zspages are rows of five numpy slot columns (pfn,
+pages, capacity, live-object count, class; narrow dtypes, ``_n_slots``
+rows in use) and object membership is one int32 array mapping object
+id -> zspage slot (-1 when free).  The bulk paths work once per *size
+class* (store) or once per *batch* (free) rather than once per zspage:
+fresh zspages open in one batch and counts update by fancy index, so
+Python touches only the partial lists and released slots.  Object ids
+grow monotonically; the membership array doubles on demand (ids are
+never reused, so a very long-lived pool grows it linearly with total
+stores -- 4 bytes per object ever stored).  Pickles carry only the
+rows and ids in use.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.allocators.base import AllocationError, Handle, PoolAllocator
+from repro.allocators.base import Handle, PoolAllocator
 from repro.allocators.buddy import BuddyAllocator
 from repro.mem.page import PAGE_SIZE
 from repro.mem.pagetable import PageTable
@@ -44,15 +47,8 @@ def size_class(size: int) -> int:
     return -(-size // CLASS_DELTA) * CLASS_DELTA
 
 
-def zspage_geometry(cls: int) -> tuple[int, int]:
-    """Choose (pages, objects) for a zspage of class ``cls``.
-
-    Picks the page count in 1..4 minimising wasted bytes per object, exactly
-    the kernel's ``get_pages_per_zspage`` logic.
-
-    Returns:
-        Tuple ``(pages_per_zspage, objects_per_zspage)``.
-    """
+def _kernel_geometry(cls: int) -> tuple[int, int]:
+    """The kernel's ``get_pages_per_zspage`` choice for class ``cls``."""
     best = (1, PAGE_SIZE // cls)
     best_waste = PAGE_SIZE - best[1] * cls
     for pages in range(2, MAX_PAGES_PER_ZSPAGE + 1):
@@ -64,6 +60,26 @@ def zspage_geometry(cls: int) -> tuple[int, int]:
             best = (pages, objs)
             best_waste = waste
     return best
+
+
+#: ``(pages, objects)`` per zspage, indexed by ``cls // CLASS_DELTA``
+#: (the rows below ``MIN_CLASS`` repeat its geometry; no class maps there).
+_GEOMETRY = [
+    _kernel_geometry(max(cls, MIN_CLASS))
+    for cls in range(0, PAGE_SIZE + 1, CLASS_DELTA)
+]
+
+
+def zspage_geometry(cls: int) -> tuple[int, int]:
+    """Choose (pages, objects) for a zspage of class ``cls``.
+
+    Picks the page count in 1..4 minimising wasted bytes per object, exactly
+    the kernel's ``get_pages_per_zspage`` logic (precomputed per class).
+
+    Returns:
+        Tuple ``(pages_per_zspage, objects_per_zspage)``.
+    """
+    return _GEOMETRY[cls // CLASS_DELTA]
 
 
 @dataclass(slots=True)
@@ -80,6 +96,16 @@ class _Zspage:
         return len(self.objects) >= self.capacity
 
 
+#: Per-zspage slot columns and their dtypes (``_zs_pfn``'s is per arena).
+_SLOT_COLUMNS = {
+    "_zs_pfn": None,
+    "_zs_pages": np.int8,
+    "_zs_capacity": np.int16,
+    "_zs_count": np.int16,
+    "_zs_cls": np.int16,
+}
+
+
 class ZsmallocAllocator(PoolAllocator):
     """Dense size-class pool manager."""
 
@@ -94,12 +120,11 @@ class ZsmallocAllocator(PoolAllocator):
         # class size -> list of partially-filled zspage slots (kernel
         # semantics: stores fill the most recently touched partial).
         self._partial: dict[int, list[int]] = {}
-        # Parallel zspage slot columns; freed slots are recycled.
-        self._zs_pfn: list[int] = []
-        self._zs_pages: list[int] = []
-        self._zs_capacity: list[int] = []
-        self._zs_count: list[int] = []
-        self._zs_cls: list[int] = []
+        # Zspage slot columns; the first ``_n_slots`` rows are in use
+        # (live or on the free-slot stack, recycled LIFO).
+        for name, dtype in self._slot_dtypes().items():
+            setattr(self, name, np.zeros(64, dtype=dtype))
+        self._n_slots = 0
         self._zs_free_slots: list[int] = []
         # object id -> zspage slot, -1 when free.  Doubles on demand.
         self._obj_zspage = np.full(1024, -1, dtype=np.int32)
@@ -107,35 +132,64 @@ class ZsmallocAllocator(PoolAllocator):
 
     # -- slot helpers --------------------------------------------------------
 
-    def _open_zspage(self, cls: int) -> int:
-        """Allocate a fresh zspage for ``cls``; returns its slot."""
-        pages, capacity = zspage_geometry(cls)
-        pfn = self._buddy.alloc(pages)
+    def _slot_dtypes(self) -> dict[str, type]:
+        pfn = np.int32 if self._buddy.total_pages <= 1 << 31 else np.int64
+        return {name: dtype or pfn for name, dtype in _SLOT_COLUMNS.items()}
+
+    def _open_zspages(self, classes: list[int], ks: list[int]) -> np.ndarray:
+        """Open ``ks[i]`` fresh zspages of class ``classes[i]``, in order.
+
+        Exactly the sequential opens: buddy blocks class by class in
+        allocation order, freed slots reused most-recently-freed first,
+        then new slots.  Counts start at zero.
+
+        Returns:
+            The slots, class by class.
+        """
+        geometry = [_GEOMETRY[cls // CLASS_DELTA] for cls in classes]
+        pfns: list[int] = []
+        for (pages, _), k in zip(geometry, ks):
+            pfns += self._buddy.alloc_many(pages, k)
+        total = len(pfns)
+        pages = np.repeat([g[0] for g in geometry], ks)
         # The buddy allocator rounds to powers of two; charge only the
         # pages the zspage actually uses, as the kernel allocates
         # order-0 pages individually and links them.
-        self._pool_pages += pages
-        if self._zs_free_slots:
-            slot = self._zs_free_slots.pop()
-            self._zs_pfn[slot] = pfn
-            self._zs_pages[slot] = pages
-            self._zs_capacity[slot] = capacity
-            self._zs_count[slot] = 0
-            self._zs_cls[slot] = cls
-        else:
-            slot = len(self._zs_pfn)
-            self._zs_pfn.append(pfn)
-            self._zs_pages.append(pages)
-            self._zs_capacity.append(capacity)
-            self._zs_count.append(0)
-            self._zs_cls.append(cls)
-        return slot
+        self._pool_pages += int(pages.sum())
+        free = self._zs_free_slots
+        reused = min(total, len(free))
+        slots = np.empty(total, dtype=np.int64)
+        if reused:
+            slots[:reused] = free[: -reused - 1 : -1]
+            del free[-reused:]
+        n = self._n_slots
+        fresh = total - reused
+        if fresh:
+            slots[reused:] = np.arange(n, n + fresh)
+            self._n_slots = n + fresh
+            if n + fresh > self._zs_count.size:
+                self._grow_slots(n + fresh)
+        self._zs_pfn[slots] = pfns
+        self._zs_pages[slots] = pages
+        self._zs_capacity[slots] = np.repeat([g[1] for g in geometry], ks)
+        self._zs_count[slots] = 0
+        self._zs_cls[slots] = np.repeat(classes, ks)
+        return slots
 
-    def _release_zspage(self, slot: int) -> None:
-        """Return an emptied zspage's pages to the buddy allocator."""
-        self._buddy.free(self._zs_pfn[slot])
-        self._pool_pages -= self._zs_pages[slot]
-        self._zs_free_slots.append(slot)
+    def _grow_slots(self, upto: int) -> None:
+        size = max(upto, 2 * self._zs_count.size)
+        for name in _SLOT_COLUMNS:
+            old = getattr(self, name)
+            col = np.zeros(size, dtype=old.dtype)
+            col[: old.size] = old
+            setattr(self, name, col)
+
+    def _release_zspages(self, slots) -> None:
+        """Return emptied zspages' pages to the buddy allocator, in order."""
+        slots = np.asarray(slots, dtype=np.int64)
+        self._buddy.free_many(self._zs_pfn[slots].tolist())
+        self._pool_pages -= int(self._zs_pages[slots].sum())
+        self._zs_free_slots.extend(slots.tolist())
 
     def _ensure_ids(self, upto: int) -> None:
         """Grow the membership column to cover object ids below ``upto``."""
@@ -155,12 +209,12 @@ class ZsmallocAllocator(PoolAllocator):
         if partial:
             slot = partial[-1]
         else:
-            slot = self._open_zspage(cls)
+            slot = int(self._open_zspages([cls], [1])[0])
             partial.append(slot)
         handle = self._issue_handle(size)
         self._ensure_ids(handle.object_id + 1)
         self._obj_zspage[handle.object_id] = slot
-        count = self._zs_count[slot] + 1
+        count = int(self._zs_count[slot]) + 1
         self._zs_count[slot] = count
         if count >= self._zs_capacity[slot]:
             # The filling zspage is always the list tail.
@@ -178,15 +232,15 @@ class ZsmallocAllocator(PoolAllocator):
         if slot < 0:
             raise KeyError(object_id)
         self._obj_zspage[object_id] = -1
-        count = self._zs_count[slot]
+        count = int(self._zs_count[slot])
         was_full = count >= self._zs_capacity[slot]
         count -= 1
         self._zs_count[slot] = count
-        cls = self._zs_cls[slot]
+        cls = int(self._zs_cls[slot])
         if count == 0:
             if not was_full:
                 self._partial[cls].remove(slot)
-            self._release_zspage(slot)
+            self._release_zspages([slot])
         elif was_full:
             self._partial.setdefault(cls, []).append(slot)
 
@@ -198,12 +252,16 @@ class ZsmallocAllocator(PoolAllocator):
         Pool state is identical to sequential :meth:`store` calls: within
         each size class objects pack into zspages in input order, and
         classes create their partial lists in first-occurrence order.
-        (Only the buddy allocator's internal pfn assignment differs,
-        because fresh zspages for different classes are allocated grouped
-        rather than interleaved; pfns are not observable through any
-        handle or statistic, and the arena-exhaustion error path --
-        unreachable at simulated scales -- is the one place the mid-batch
-        state could diverge.)
+        Work is per size class, not per zspage: each class's partial
+        tail(s) fill first, then the fresh zspages every class needs
+        (``ceil(rest / capacity)`` each) open in one batch -- one
+        ``alloc_many`` per class, one fancy-indexed write per column and
+        one ``np.repeat`` for the membership.  Fresh zspages for
+        different classes are allocated grouped rather than interleaved,
+        so the buddy's pfn assignment differs from the sequential loop's;
+        pfns are not observable through any handle or statistic, and the
+        arena-exhaustion error path -- unreachable at simulated scales --
+        is the one place the mid-batch state could diverge.
         """
         arr = np.asarray(sizes, dtype=np.int64)
         n = arr.size
@@ -223,35 +281,52 @@ class ZsmallocAllocator(PoolAllocator):
         self.stored_bytes += int(arr.sum())
         self.stored_objects += n
         self._ensure_ids(first + n)
-        obj_zspage = self._obj_zspage
+        # Zspage slot of each new object, by input position.
+        member = np.empty(n, dtype=np.int32)
         partial_map = self._partial
-        zs_count = self._zs_count
-        zs_capacity = self._zs_capacity
+        # Classes needing fresh zspages: class, zspages, objects, positions.
+        opening: list[tuple[int, int, int, np.ndarray]] = []
         # Visit classes in first-occurrence order so partial-list creation
         # order matches the sequential loop.
         for cls, positions in PageTable.group_ordered(classes, first_seen=True):
-            ids = positions + first
-            m = ids.size
+            m = positions.size
             partial = partial_map.get(cls)
             if partial is None:
                 partial = partial_map[cls] = []
-            slots = np.empty(m, dtype=np.int32)
             pos = 0
-            while pos < m:
-                if partial:
-                    slot = partial[-1]
-                else:
-                    slot = self._open_zspage(cls)
-                    partial.append(slot)
-                count = zs_count[slot]
-                take = min(m - pos, zs_capacity[slot] - count)
-                slots[pos : pos + take] = slot
-                count += take
-                zs_count[slot] = count
+            while partial and pos < m:
+                slot = partial[-1]
+                count = int(self._zs_count[slot])
+                capacity = int(self._zs_capacity[slot])
+                take = min(m - pos, capacity - count)
+                member[positions[pos : pos + take]] = slot
+                self._zs_count[slot] = count + take
                 pos += take
-                if count >= zs_capacity[slot]:
+                if count + take >= capacity:
                     partial.pop()
-            obj_zspage[ids] = slots
+            if pos < m:
+                capacity = _GEOMETRY[cls // CLASS_DELTA][1]
+                rest = m - pos
+                opening.append((cls, -(-rest // capacity), rest, positions[pos:]))
+        if opening:
+            classes_open, ks, rests, rest_positions = zip(*opening)
+            slots = self._open_zspages(list(classes_open), list(ks))
+            # Every fresh zspage fills to capacity except each class's
+            # last, which takes the remainder.
+            fill = self._zs_capacity[slots].astype(np.int64)
+            last = np.cumsum(ks) - 1
+            fill[last] = np.array(rests) - (np.array(ks) - 1) * fill[last]
+            self._zs_count[slots] = fill
+            member[np.concatenate(rest_positions)] = np.repeat(slots, fill)
+            for cls, slot, capacity, left in zip(
+                classes_open,
+                slots[last].tolist(),
+                self._zs_capacity[slots[last]].tolist(),
+                fill[last].tolist(),
+            ):
+                if left < capacity:
+                    partial_map[cls].append(slot)
+        self._obj_zspage[first : first + n] = member
         return first
 
     def free_ids(self, object_ids, sizes) -> None:
@@ -262,8 +337,12 @@ class ZsmallocAllocator(PoolAllocator):
         (first-occurrence order), an emptied zspage leaves the list and
         returns its pages, and surviving zspages keep their relative
         order -- so the pool's future packing trajectory matches the
-        sequential calls.  Buddy frees are grouped per zspage (ordering
-        there is unobservable, as with pfns above).
+        sequential calls.  One ``np.unique`` over the freed objects'
+        slots updates every count at once; Python lists are touched only
+        for partial-list edits and released slots.  Emptied zspages are
+        released in first-occurrence order (the sequential loop releases
+        each at its *last* free; buddy ordering is unobservable, as with
+        pfns above).
         """
         ids = np.asarray(object_ids, dtype=np.int64)
         n = ids.size
@@ -271,9 +350,10 @@ class ZsmallocAllocator(PoolAllocator):
             return
         arr = np.asarray(sizes, dtype=np.int64)
         obj_zspage = self._obj_zspage
-        in_range = (ids >= 0) & (ids < obj_zspage.size)
-        slots = np.where(in_range, obj_zspage[np.clip(ids, 0, obj_zspage.size - 1)], -1)
-        if (slots < 0).any() or np.unique(ids).size != n:
+        slots = None
+        if ids.min() >= 0 and ids.max() < obj_zspage.size:
+            slots = obj_zspage[ids]
+        if slots is None or slots.min() < 0 or np.unique(ids).size != n:
             # Unknown or repeated ids: take the sequential path so the
             # mid-batch failure point (and committed prefix) match
             # per-call semantics exactly.
@@ -282,22 +362,31 @@ class ZsmallocAllocator(PoolAllocator):
         self.stored_bytes -= int(arr.sum())
         self.stored_objects -= n
         obj_zspage[ids] = -1
+        touched, first_at, freed = np.unique(
+            slots, return_index=True, return_counts=True
+        )
+        seen = np.argsort(first_at)
+        touched = touched[seen]
+        before = self._zs_count[touched].astype(np.int64)
+        after = before - freed[seen]
+        self._zs_count[touched] = after
+        was_full = before >= self._zs_capacity[touched]
+        emptied = after == 0
         partial_map = self._partial
-        zs_count = self._zs_count
-        zs_capacity = self._zs_capacity
-        zs_cls = self._zs_cls
-        for slot, positions in PageTable.group_ordered(slots, first_seen=True):
-            count = zs_count[slot]
-            was_full = count >= zs_capacity[slot]
-            count -= positions.size
-            zs_count[slot] = count
-            cls = zs_cls[slot]
-            if count == 0:
-                if not was_full:
-                    partial_map[cls].remove(slot)
-                self._release_zspage(slot)
-            elif was_full:
+        leave = emptied & ~was_full
+        if leave.any():
+            for slot, cls in zip(
+                touched[leave].tolist(), self._zs_cls[touched[leave]].tolist()
+            ):
+                partial_map[cls].remove(slot)
+        rejoin = was_full & ~emptied
+        if rejoin.any():
+            for slot, cls in zip(
+                touched[rejoin].tolist(), self._zs_cls[touched[rejoin]].tolist()
+            ):
                 partial_map.setdefault(cls, []).append(slot)
+        if emptied.any():
+            self._release_zspages(touched[emptied])
 
     def store_many(self, sizes: list[int]) -> list[Handle]:
         # Handle-based wrapper over the vectorized core; ids are minted
@@ -370,8 +459,8 @@ class ZsmallocAllocator(PoolAllocator):
                 zs_count[dst] += 1
                 objects_moved += 1
                 if zs_count[src] == 0:
-                    pages_reclaimed += self._zs_pages[src]
-                    self._release_zspage(src)
+                    pages_reclaimed += int(self._zs_pages[src])
+                    self._release_zspages([src])
                     src_idx -= 1
             # Rebuild the partial list: drop emptied/full zspages.
             self._partial[cls] = [
@@ -381,34 +470,58 @@ class ZsmallocAllocator(PoolAllocator):
 
     # -- pickling ------------------------------------------------------------
 
+    def __getstate__(self):
+        # Only the slot rows in use and the ids issued so far: growth
+        # slack is rebuilt on demand after restore.
+        state = self.__dict__.copy()
+        for name in _SLOT_COLUMNS:
+            state[name] = state[name][: self._n_slots]
+        state["_obj_zspage"] = self._obj_zspage[: self._next_id]
+        return state
+
     def __setstate__(self, state) -> None:
-        if "_zspage_of" not in state:
-            self.__dict__.update(state)
-            return
-        # Pre-SoA pickle: _Zspage objects with member sets, dict-backed
-        # membership.  Rebuild the slot columns.
-        self.stored_bytes = state["stored_bytes"]
-        self.stored_objects = state["stored_objects"]
-        self._next_id = state["_next_id"]
-        self._buddy = state["_buddy"]
-        self._pool_pages = state["_pool_pages"]
+        if "_zspage_of" in state:
+            state = self._columns_from_pre_soa(state)
+        elif isinstance(state["_zs_count"], list):
+            # Slot-list pickle: the same columns as Python lists.
+            state = dict(state, _n_slots=len(state["_zs_count"]))
+        self.__dict__.update(state)
+        for name, dtype in self._slot_dtypes().items():
+            setattr(self, name, np.array(state[name], dtype=dtype))
+
+    @staticmethod
+    def _columns_from_pre_soa(state) -> dict:
+        """Slot-list state from a pre-SoA pickle.
+
+        That layout kept ``_Zspage`` objects with member sets and
+        dict-backed membership (object id -> zspage, object id -> class).
+        """
+        columns = {name: [] for name in _SLOT_COLUMNS}
         class_of = state["_class_of"]
         slot_of: dict[int, int] = {}
-        self._zs_pfn, self._zs_pages = [], []
-        self._zs_capacity, self._zs_count, self._zs_cls = [], [], []
-        self._zs_free_slots = []
-        self._obj_zspage = np.full(max(self._next_id, 1024), -1, dtype=np.int32)
+        obj_zspage = np.full(max(state["_next_id"], 1024), -1, dtype=np.int32)
         for object_id, zspage in state["_zspage_of"].items():
             slot = slot_of.get(id(zspage))
             if slot is None:
-                slot = slot_of[id(zspage)] = len(self._zs_pfn)
-                self._zs_pfn.append(zspage.pfn)
-                self._zs_pages.append(zspage.pages)
-                self._zs_capacity.append(zspage.capacity)
-                self._zs_count.append(len(zspage.objects))
-                self._zs_cls.append(class_of[object_id])
-            self._obj_zspage[object_id] = slot
-        self._partial = {
-            cls: [slot_of[id(z)] for z in zspages]
-            for cls, zspages in state["_partial"].items()
+                slot = slot_of[id(zspage)] = len(slot_of)
+                columns["_zs_pfn"].append(zspage.pfn)
+                columns["_zs_pages"].append(zspage.pages)
+                columns["_zs_capacity"].append(zspage.capacity)
+                columns["_zs_count"].append(len(zspage.objects))
+                columns["_zs_cls"].append(class_of[object_id])
+            obj_zspage[object_id] = slot
+        return {
+            "stored_bytes": state["stored_bytes"],
+            "stored_objects": state["stored_objects"],
+            "_next_id": state["_next_id"],
+            "_buddy": state["_buddy"],
+            "_pool_pages": state["_pool_pages"],
+            "_partial": {
+                cls: [slot_of[id(z)] for z in zspages]
+                for cls, zspages in state["_partial"].items()
+            },
+            **columns,
+            "_n_slots": len(slot_of),
+            "_zs_free_slots": [],
+            "_obj_zspage": obj_zspage,
         }

@@ -83,19 +83,19 @@ class AnalyticalModel(PlacementModel):
 
     @staticmethod
     def _tier_capacities(system: TieredMemorySystem) -> np.ndarray:
-        """Per-tier capacity in regions (-1 encodes unbounded)."""
-        from repro.mem.page import PAGES_PER_REGION
-        from repro.mem.tier import CompressedTier
+        """Per-tier capacity in whole regions.
 
-        caps = np.empty(len(system.tiers), dtype=np.int64)
-        for t, tier in enumerate(system.tiers):
-            if isinstance(tier, CompressedTier):
-                # Pool pages hold ~2 regions per region of capacity at a
-                # typical 0.5 ratio; be conservative and assume ratio 1.
-                caps[t] = tier.capacity_pages // PAGES_PER_REGION
-            else:
-                caps[t] = tier.capacity_pages // PAGES_PER_REGION
-        return caps
+        Every tier, compressed ones included, counts ``capacity_pages``
+        at ratio 1: a compressed tier's pool could hold more pages than
+        that, but the bound stays conservative.  Always non-negative, so
+        every tier is bounded.
+        """
+        from repro.mem.page import PAGES_PER_REGION
+
+        pages = np.array(
+            [tier.capacity_pages for tier in system.tiers], dtype=np.int64
+        )
+        return pages // PAGES_PER_REGION
 
     def recommend(
         self, record: ProfileRecord, system: TieredMemorySystem

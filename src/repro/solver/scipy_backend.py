@@ -9,12 +9,77 @@ assignment-equality, budget and capacity rows described in
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
+from scipy.sparse import csc_array
 
 from repro.solver.problem import PlacementProblem, Solution
+
+
+@lru_cache(maxsize=64)
+def _model_structure(
+    num_regions: int, num_tiers: int, bounded: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC index structure of the constraint matrix, before zero-dropping.
+
+    Rows are ``[assignment rows (R); budget row; capacity rows (one per
+    bounded tier)]``; column ``r * T + t`` holds row ``r`` (1.0), the
+    budget row (``cost[r, t]``) and, when tier ``t`` is bounded, its
+    capacity row (1.0), in ascending row order as ``vstack`` emits them.
+
+    Returns:
+        ``(indptr, indices, budget_at)``, read-only (the cache shares
+        them); ``budget_at[j]`` is the position of column ``j``'s budget
+        entry in ``indices``.
+    """
+    tier = np.tile(np.arange(num_tiers), num_regions)
+    cap_row = np.full(num_tiers, -1)
+    cap_row[list(bounded)] = num_regions + 1 + np.arange(len(bounded))
+    cap_row = cap_row[tier]
+    capped = cap_row >= 0
+    indptr = np.zeros(tier.size + 1, dtype=np.int32)
+    np.cumsum(2 + capped, out=indptr[1:])
+    starts = indptr[:-1]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[starts] = np.repeat(np.arange(num_regions), num_tiers)
+    indices[starts + 1] = num_regions
+    indices[starts[capped] + 2] = cap_row[capped]
+    budget_at = starts + 1
+    for arr in (indptr, indices, budget_at):
+        arr.flags.writeable = False
+    return indptr, indices, budget_at
+
+
+def _constraints(problem: PlacementProblem) -> LinearConstraint:
+    """The ILP's rows as one CSC ``LinearConstraint``.
+
+    The matrix equals ``vstack([assignment, budget, capacity],
+    format="csc")`` of the per-block matrices, with zero costs dropped
+    exactly as ``csc_array`` drops them from the dense budget row, so
+    HiGHS receives the identical model.
+    """
+    num_regions, num_tiers = problem.num_regions, problem.num_tiers
+    bounded: tuple[int, ...] = ()
+    if problem.capacity is not None:
+        bounded = tuple(np.flatnonzero(problem.capacity >= 0).tolist())
+    indptr, indices, budget_at = _model_structure(num_regions, num_tiers, bounded)
+    cost = problem.cost.reshape(-1)
+    data = np.ones(indices.size)
+    data[budget_at] = cost
+    rows = num_regions + 1 + len(bounded)
+    lb = np.full(rows, -np.inf)
+    lb[:num_regions] = 1.0
+    ub = np.empty(rows)
+    ub[:num_regions] = 1.0
+    ub[num_regions] = problem.budget
+    if bounded:
+        ub[num_regions + 1 :] = problem.capacity[list(bounded)]
+    matrix = csc_array((data, indices.copy(), indptr.copy()), shape=(rows, cost.size))
+    # Zero costs leave the model, as csc_array drops them from a dense row.
+    matrix.eliminate_zeros()
+    return LinearConstraint(matrix, lb=lb, ub=ub)
 
 
 def solve_scipy(problem: PlacementProblem, time_limit_s: float = 30.0) -> Solution:
@@ -32,32 +97,9 @@ def solve_scipy(problem: PlacementProblem, time_limit_s: float = 30.0) -> Soluti
 
     c = problem.penalty.reshape(n)
 
-    rows: list[LinearConstraint] = []
-    # One-tier-per-region equality rows.
-    a_eq = lil_matrix((num_regions, n))
-    for r in range(num_regions):
-        a_eq[r, r * num_tiers : (r + 1) * num_tiers] = 1.0
-    rows.append(LinearConstraint(a_eq.tocsr(), lb=1.0, ub=1.0))
-    # Budget row.
-    rows.append(
-        LinearConstraint(
-            problem.cost.reshape(1, n), lb=-np.inf, ub=problem.budget
-        )
-    )
-    # Optional per-tier capacity rows.
-    if problem.capacity is not None:
-        bounded = [t for t in range(num_tiers) if problem.capacity[t] >= 0]
-        if bounded:
-            a_cap = lil_matrix((len(bounded), n))
-            ub = np.empty(len(bounded))
-            for row, t in enumerate(bounded):
-                a_cap[row, t::num_tiers] = 1.0
-                ub[row] = float(problem.capacity[t])
-            rows.append(LinearConstraint(a_cap.tocsr(), lb=-np.inf, ub=ub))
-
     result = milp(
         c=c,
-        constraints=rows,
+        constraints=_constraints(problem),
         integrality=np.ones(n),
         bounds=Bounds(0, 1),
         options={"time_limit": time_limit_s},

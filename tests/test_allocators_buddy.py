@@ -107,3 +107,93 @@ def test_random_alloc_free_invariants(sizes, data):
         buddy.free(pfn)
     assert buddy.allocated_pages == 0
     assert buddy.alloc(256) == 0  # fully coalesced
+
+
+def _reference_alloc(buddy: BuddyAllocator, num_pages: int) -> int:
+    """The classic one-block allocation, on ``buddy``'s own free lists."""
+    order = buddy.order_for(num_pages)
+    avail = order
+    while avail <= buddy.max_order and not buddy._free_lists[avail]:
+        avail += 1
+    if avail > buddy.max_order:
+        raise AllocationError("out of memory")
+    pfn = buddy._free_lists[avail].pop()
+    while avail > order:
+        avail -= 1
+        buddy._free_lists[avail].add(pfn + (1 << avail))
+    buddy._allocated[pfn] = order
+    buddy.allocated_pages += 1 << order
+    return pfn
+
+
+def _reference_free(buddy: BuddyAllocator, pfn: int) -> None:
+    """The classic one-block free with coalescing."""
+    order = buddy._allocated.pop(pfn)
+    buddy.allocated_pages -= 1 << order
+    while order < buddy.max_order:
+        mate = pfn ^ (1 << order)
+        if mate not in buddy._free_lists[order]:
+            break
+        buddy._free_lists[order].remove(mate)
+        pfn = min(pfn, mate)
+        order += 1
+    buddy._free_lists[order].add(pfn)
+
+
+def _buddy_state(buddy: BuddyAllocator):
+    # Iteration order included: the same pops and adds in the same
+    # order leave every set (and the allocated map) identically laid out.
+    return (
+        [list(free) for free in buddy._free_lists],
+        list(buddy._allocated.items()),
+        buddy.allocated_pages,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 8), st.integers(1, 12), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_alloc_many_free_many_match_sequential(rounds, rand):
+    """alloc_many/free_many leave the free lists, allocated map and page
+    count of the same sequence of single-block calls, exhaustion included."""
+    bulk, sequential = BuddyAllocator(64), BuddyAllocator(64)
+    live: list[int] = []
+    for num_pages, k, free_some in rounds:
+        try:
+            got = bulk.alloc_many(num_pages, k)
+        except AllocationError:
+            got = None
+        expected: list[int] = []
+        try:
+            for _ in range(k):
+                expected.append(_reference_alloc(sequential, num_pages))
+        except AllocationError:
+            assert got is None
+            # The blocks handed out before exhaustion stay allocated.
+            live.extend(expected)
+        else:
+            assert got == expected
+            live.extend(got)
+        assert _buddy_state(bulk) == _buddy_state(sequential)
+        if free_some and live:
+            rand.shuffle(live)
+            drop, live[:] = live[: len(live) // 2 + 1], live[len(live) // 2 + 1 :]
+            bulk.free_many(drop)
+            for pfn in drop:
+                _reference_free(sequential, pfn)
+            assert _buddy_state(bulk) == _buddy_state(sequential)
+
+
+def test_free_many_unknown_pfn_commits_prefix():
+    buddy = BuddyAllocator(16)
+    a, b = buddy.alloc_many(1, 2)
+    with pytest.raises(AllocationError):
+        buddy.free_many([a, 99, b])
+    assert buddy.allocated_pages == 1
+    assert b in buddy._allocated and a not in buddy._allocated

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.sparse import csc_array, vstack
+
 from repro.solver import (
     PlacementProblem,
     solve,
@@ -17,6 +19,7 @@ from repro.solver import (
     solve_greedy,
     solve_scipy,
 )
+from repro.solver.scipy_backend import _constraints
 
 
 def tierlike_problem(num_regions, rng, budget_factor=0.5, capacity=False):
@@ -174,12 +177,14 @@ class TestBackends:
     num_regions=st.integers(2, 9),
     budget_factor=st.floats(0.0, 1.0),
     seed=st.integers(0, 10_000),
+    capacity=st.booleans(),
 )
-def test_backend_agreement_property(num_regions, budget_factor, seed):
+def test_backend_agreement_property(num_regions, budget_factor, seed, capacity):
     """scipy must equal branch-and-bound; greedy must be feasible and no
-    better than the optimum."""
+    better than the optimum.  ``capacity`` draws exercise the scipy
+    model's capacity rows."""
     rng = np.random.default_rng(seed)
-    problem = tierlike_problem(num_regions, rng, budget_factor)
+    problem = tierlike_problem(num_regions, rng, budget_factor, capacity)
     exact = solve_branch_bound(problem)
     hi = solve_scipy(problem)
     greedy = solve_greedy(problem)
@@ -187,3 +192,51 @@ def test_backend_agreement_property(num_regions, budget_factor, seed):
     assert hi.objective == pytest.approx(exact.objective, rel=1e-6, abs=1e-9)
     assert greedy.objective >= exact.objective - 1e-9
     assert greedy.cost <= problem.budget + 1e-9
+
+
+def _blockwise_model(problem):
+    """The ILP rows built block by block and stacked, as a reference."""
+    num_regions, num_tiers = problem.num_regions, problem.num_tiers
+    blocks = [np.kron(np.eye(num_regions), np.ones(num_tiers))]
+    lb, ub = [np.ones(num_regions)], [np.ones(num_regions)]
+    blocks.append(problem.cost.reshape(1, -1))
+    lb.append([-np.inf])
+    ub.append([problem.budget])
+    if problem.capacity is not None:
+        bounded = [t for t in range(num_tiers) if problem.capacity[t] >= 0]
+        if bounded:
+            cap = np.zeros((len(bounded), num_regions * num_tiers))
+            for row, t in enumerate(bounded):
+                cap[row, t::num_tiers] = 1.0
+            blocks.append(cap)
+            lb.append(np.full(len(bounded), -np.inf))
+            ub.append(problem.capacity[bounded].astype(float))
+    matrix = vstack([csc_array(block) for block in blocks], format="csc")
+    return matrix, np.concatenate(lb), np.concatenate(ub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_regions=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+    capacity=st.sampled_from([None, "tierlike", "unbounded"]),
+    zero_costs=st.integers(0, 3),
+)
+def test_scipy_model_matches_blockwise_stack(num_regions, seed, capacity, zero_costs):
+    """The cached one-matrix model equals the block-stacked CSC matrix
+    entry for entry, zero costs dropped, with the same row bounds."""
+    rng = np.random.default_rng(seed)
+    problem = tierlike_problem(num_regions, rng, capacity=capacity is not None)
+    if capacity == "unbounded":
+        problem.capacity[:] = -1
+    for _ in range(zero_costs):
+        problem.cost[rng.integers(num_regions), rng.integers(4)] = 0.0
+    expected, lb, ub = _blockwise_model(problem)
+    constraint = _constraints(problem)
+    got = csc_array(constraint.A)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.indptr, expected.indptr)
+    np.testing.assert_array_equal(got.indices, expected.indices)
+    np.testing.assert_array_equal(got.data, expected.data)
+    np.testing.assert_array_equal(constraint.lb, lb)
+    np.testing.assert_array_equal(constraint.ub, ub)

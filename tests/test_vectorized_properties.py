@@ -146,35 +146,90 @@ def test_placement_counts_conserved_across_migration_waves(seed, data):
                 assert counts[idx] == tier.resident_pages
 
 
+def _packing_state(pool):
+    """Canonical pool state, independent of slot numbering.
+
+    Each live zspage is named by its member-id set: (count, capacity,
+    class) per zspage, each class's partial list as the order of those
+    zspages, plus pool and buddy page counts.  Slot numbers and pfns are
+    left out on purpose; bulk and sequential paths may recycle slots in
+    a different order.
+    """
+    state = (
+        pool.pool_pages,
+        pool._buddy.allocated_pages,
+        pool.stored_bytes,
+        pool.stored_objects,
+        pool._next_id,
+    )
+    if not isinstance(pool, ZsmallocAllocator):
+        return state
+    owner = pool._obj_zspage[: pool._next_id]
+    members: dict[int, set[int]] = {}
+    for object_id in np.flatnonzero(owner >= 0).tolist():
+        members.setdefault(int(owner[object_id]), set()).add(object_id)
+    name = {slot: frozenset(ids) for slot, ids in members.items()}
+    zspages = {
+        name[slot]: (
+            int(pool._zs_count[slot]),
+            int(pool._zs_capacity[slot]),
+            int(pool._zs_cls[slot]),
+        )
+        for slot in members
+    }
+    assert all(count == len(ids) for ids, (count, _, _) in zspages.items())
+    partial = {
+        cls: [name[slot] for slot in slots]
+        for cls, slots in pool._partial.items()
+        if slots
+    }
+    return state, zspages, partial
+
+
+#: Sizes sharing a handful of classes (zspage capacities 1 to 256), so
+#: rounds refill partial zspages and free several of one class at once.
+_REPEATED_SIZES = np.array([20, 33, 100, 700, 1500, 2900, 4096])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 4096), min_size=0, max_size=300),
-    free_seed=st.integers(0, 10_000),
+    rounds=st.lists(
+        st.tuples(st.integers(0, 300), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 10_000),
     allocator_cls=st.sampled_from([ZsmallocAllocator, ZbudAllocator]),
 )
-def test_store_many_free_many_match_sequential(sizes, free_seed, allocator_cls):
+def test_store_many_free_many_match_sequential(rounds, seed, allocator_cls):
+    """Interleaved bulk store/free rounds leave the packing state of the
+    same calls made one at a time, after every round."""
     bulk = allocator_cls(arena_pages=1 << 12)
     sequential = allocator_cls(arena_pages=1 << 12)
+    rng = np.random.default_rng(seed)
+    live: list = []
+    for num_stores, drop_fraction in rounds:
+        # Three in four sizes from the repeated classes, the rest anywhere.
+        sizes = np.where(
+            rng.random(num_stores) < 0.75,
+            rng.choice(_REPEATED_SIZES, num_stores),
+            rng.integers(1, 4097, num_stores),
+        ).tolist()
+        bulk_handles = bulk.store_many(sizes)
+        seq_handles = [sequential.store(size) for size in sizes]
+        assert bulk_handles == seq_handles
+        live.extend(bulk_handles)
+        assert _packing_state(bulk) == _packing_state(sequential)
 
-    bulk_handles = bulk.store_many(sizes)
-    seq_handles = [sequential.store(size) for size in sizes]
-    assert bulk_handles == seq_handles
-
-    assert bulk.pool_pages == sequential.pool_pages
-    assert bulk.stored_bytes == sequential.stored_bytes
-    assert bulk.stored_objects == sequential.stored_objects
-    assert bulk._next_id == sequential._next_id
-
-    # Free a random subset in bulk vs one at a time.
-    rng = np.random.default_rng(free_seed)
-    keep = rng.random(len(sizes)) < 0.5
-    drop = [h for h, k in zip(bulk_handles, keep) if not k]
-    bulk.free_many(drop)
-    for handle in drop:
-        sequential.free(handle)
-    assert bulk.pool_pages == sequential.pool_pages
-    assert bulk.stored_bytes == sequential.stored_bytes
-    assert bulk.stored_objects == sequential.stored_objects
+        # Free a random subset, in shuffled order, in bulk vs one at a time.
+        order = rng.permutation(len(live))
+        cut = int(round(drop_fraction * len(live)))
+        drop = [live[i] for i in order[:cut]]
+        live = [live[i] for i in sorted(order[cut:])]
+        bulk.free_many(drop)
+        for handle in drop:
+            sequential.free(handle)
+        assert _packing_state(bulk) == _packing_state(sequential)
 
 
 @settings(max_examples=25, deadline=None)
