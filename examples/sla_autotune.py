@@ -2,18 +2,20 @@
 """SLA-aware knob auto-tuning.
 
 The paper's abstract targets "the best SLA-aware performance per dollar";
-this example closes the loop the paper leaves to the operator: an
-:class:`~repro.core.slo.SLOController` watches each window's measured
-slowdown and retunes the analytical model's alpha to harvest as much TCO
-as the SLA tolerates.
+this example closes the loop the paper leaves to the operator: the
+``adaptive`` policy, run with its
+:data:`~repro.adaptive.controller.MIMD_CONFIG` preset, watches each
+window's measured slowdown and retunes the analytical model's alpha to
+harvest as much TCO as the SLA tolerates.
 
 Run:
     python examples/sla_autotune.py
 """
 
+from repro.adaptive import MIMD_CONFIG
 from repro.bench.configs import standard_mix
 from repro.bench.reporting import format_series, format_table
-from repro.core.slo import run_sla_tuned
+from repro.engine import ScenarioSpec, Session
 from repro.mem.address_space import AddressSpace
 from repro.mem.system import TieredMemorySystem
 from repro.workloads.kv import KVWorkload
@@ -28,9 +30,21 @@ def main() -> None:
         workload = KVWorkload.memcached_ycsb(num_pages=16384, seed=1)
         space = AddressSpace(workload.num_pages, "mixed", seed=1)
         system = TieredMemorySystem(standard_mix(space), space)
-        summary, controller, alphas = run_sla_tuned(
-            system, workload, target_slowdown=target, num_windows=15, seed=2
+        session = Session(
+            ScenarioSpec(
+                policy="adaptive",
+                adaptive=MIMD_CONFIG.with_(target_slowdown=target).to_dict(),
+                windows=15,
+                seed=2,
+                daemon_seed=2,
+            ),
+            workload=workload,
+            system=system,
         )
+        summary = session.run()
+        controller = session.policy.controller
+        # history holds (alpha the window ran at, its slowdown).
+        alphas = [alpha for alpha, _ in controller.history]
         rows.append(
             {
                 "sla_slowdown_pct": 100 * target,

@@ -6,7 +6,9 @@ workload (§6.3); this package closes the loop.  Three pieces:
 * :class:`~repro.adaptive.controller.AdaptiveController` -- the
   windowed multi-knob MIMD controller (alpha + waterfall demotion
   percentile) driven by obs-sourced signals, with hysteresis, cooldown
-  and a seeded deterministic decision trace;
+  and a seeded deterministic decision trace; its
+  :data:`~repro.adaptive.controller.MIMD_CONFIG` preset is the plain
+  SLA auto-tuning walk;
 * :class:`~repro.adaptive.forecast.HotnessForecaster` -- EWMA-slope +
   per-region Markov transitions over discretized hotness states,
   vectorized over the SoA region columns, predicting which regions
@@ -19,7 +21,11 @@ workload (§6.3); this package closes the loop.  Three pieces:
 Operator guide: docs/TUNING.md.  Architecture: DESIGN.md §15.
 """
 
-from repro.adaptive.controller import AdaptiveConfig, AdaptiveController
+from repro.adaptive.controller import (
+    MIMD_CONFIG,
+    AdaptiveConfig,
+    AdaptiveController,
+)
 from repro.adaptive.forecast import HotnessForecaster
 from repro.adaptive.policy import (
     ALPHA_METRIC,
@@ -36,6 +42,7 @@ __all__ = [
     "AdaptivePolicy",
     "DEMOTION_METRIC",
     "HotnessForecaster",
+    "MIMD_CONFIG",
     "SPECULATIVE_METRIC",
     "STEPS_METRIC",
 ]

@@ -1,8 +1,13 @@
-"""Windowed multi-knob controller: the MIMD alpha loop, generalized.
+"""Windowed multi-knob controller: the repo's one alpha feedback loop.
 
-:class:`~repro.core.slo.SLOController` closes the loop on one knob
-(alpha) from one signal (mean slowdown).  :class:`AdaptiveController`
-generalizes it into the controller the serving stack runs:
+The paper's alpha knob (§6.3) trades TCO for performance but leaves
+choosing it to the operator.  :class:`AdaptiveController` closes that
+loop.  Its simplest form is a damped MIMD walk on one knob (alpha) from
+one signal (mean slowdown): back off sharply toward 1.0 on an SLA
+violation, harvest gently toward 0.0 under headroom.  That walk is the
+:data:`MIMD_CONFIG` preset, which SLA auto-tuning (``exp_sla``) and the
+fleet scheduler's rebalance step run.  The full controller, the one the
+serving stack runs, adds:
 
 * **two knobs** -- alpha (the paper's TCO-vs-performance dial) and the
   waterfall demotion percentile (how much of the cold tail the policy
@@ -71,8 +76,9 @@ class AdaptiveConfig:
         hysteresis_windows: Consecutive comfortable windows before a
             harvest fires.
         cooldown_windows: Mandatory hold windows after any step.
-        history_limit: Ring-buffer cap on the observation history (the
-            PR-10 fix for the unbounded ``SLOController.history``).
+        history_limit: Ring-buffer cap on the observation history (long
+            serve runs observe once per window forever, and every drain
+            checkpoint carries the history).
         trace_limit: Ring-buffer cap on the decision trace.
         forecast: Enable the predictive hotness forecaster.
         forecast_states: Markov states the forecaster discretizes
@@ -169,6 +175,27 @@ class AdaptiveConfig:
 
     def with_(self, **changes) -> "AdaptiveConfig":
         return replace(self, **changes)
+
+
+#: The single-knob MIMD walk: react to every window on the mean
+#: slowdown, back off alpha halfway to 1.0 on a violation, harvest a
+#: fixed 0.05 below 80 % of the target, never hold for cooldown.  The
+#: demotion percentile still walks, but only the forecaster consumes it,
+#: and the preset leaves the forecaster off.
+MIMD_CONFIG = AdaptiveConfig(
+    signal="mean",
+    comfort_ratio=0.8,
+    backoff_gain=0.5,
+    harvest_step=0.05,
+    harvest_jitter=0.0,
+    min_alpha=0.05,
+    start_alpha=0.9,
+    violation_windows=1,
+    hysteresis_windows=1,
+    cooldown_windows=0,
+    history_limit=256,
+    forecast=False,
+)
 
 
 class AdaptiveController:

@@ -195,6 +195,8 @@ class AdaptivePolicy(PlacementModel):
         config = self.config
         self.model.knob = Knob.clamped(self.controller.alpha)
         moves = self.model.recommend(record, system)
+        if not config.forecast:
+            return moves
         if self.forecaster is None:
             self.forecaster = HotnessForecaster(
                 len(record.hotness),
@@ -206,8 +208,6 @@ class AdaptivePolicy(PlacementModel):
         # every other column consumer does.
         hotness = system.space.page_table.region_hotness
         predicted = self.forecaster.observe(hotness)
-        if not config.forecast:
-            return moves
 
         last_tier = len(system.tiers) - 1
         _, _, _, m_speculative = self._metrics()
@@ -266,12 +266,7 @@ class AdaptivePolicy(PlacementModel):
         read_ns = system.dram.media.read_ns
         p99 = getattr(record, "p99_latency_ns", 0.0)
         p99_slowdown = max(0.0, p99 / read_ns - 1.0) if read_ns else 0.0
-        optimal_ns = record.accesses * read_ns
-        mean_slowdown = (
-            max(0.0, (record.access_ns - optimal_ns) / optimal_ns)
-            if optimal_ns
-            else 0.0
-        )
+        mean_slowdown = max(0.0, record.slowdown(read_ns))
         savings_rate = (
             max(0.0, record.tco_savings)
             * DEFAULT_DRAM_PRICE

@@ -147,17 +147,11 @@ def _run_cell(
         # (static alphas included) so the leaderboard can answer "best
         # dollars among SLA-meeting cells", not just "best dollars".
         read_ns = session.system.dram.media.read_ns
-        violations = 0
-        for rec in session.records:
-            optimal_ns = rec.accesses * read_ns
-            window_slowdown = (
-                (rec.access_ns - optimal_ns) / optimal_ns
-                if optimal_ns
-                else 0.0
-            )
-            if window_slowdown > target_slowdown:
-                violations += 1
-        result.row["sla_violations"] = violations
+        result.row["sla_violations"] = sum(
+            1
+            for rec in session.records
+            if rec.slowdown(read_ns) > target_slowdown
+        )
     tuner = getattr(inner, "controller", None)
     if tuner is not None and hasattr(tuner, "alpha"):
         # Adaptive cells publish their trajectory endpoints so the

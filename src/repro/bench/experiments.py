@@ -421,7 +421,7 @@ def exp_sla(
     targets=(0.02, 0.05, 0.15), windows: int = 15, seed: int = 0
 ) -> list[dict]:
     """SLA-aware knob auto-tuning: harvested TCO per slowdown budget."""
-    from repro.core.slo import run_sla_tuned
+    from repro.adaptive import MIMD_CONFIG
     from repro.engine.build import build_system
     from repro.workloads.registry import make_workload
 
@@ -429,15 +429,24 @@ def exp_sla(
     for target in targets:
         workload = make_workload("memcached-ycsb", seed=seed)
         system = build_system(workload, mix="standard", seed=seed)
-        summary, controller, alphas = run_sla_tuned(
-            system, workload, target_slowdown=target, num_windows=windows,
-            seed=seed + 1,
+        session = Session(
+            ScenarioSpec(
+                policy="adaptive",
+                adaptive=MIMD_CONFIG.with_(target_slowdown=target).to_dict(),
+                windows=windows,
+                seed=seed + 1,
+                daemon_seed=seed + 1,
+            ),
+            workload=workload,
+            system=system,
         )
+        summary = session.run()
+        controller = session.policy.controller
         rows.append({
             "sla_slowdown_pct": 100 * target,
             "achieved_slowdown_pct": 100 * summary.slowdown,
             "tco_savings_pct": 100 * summary.tco_savings,
-            "final_alpha": alphas[-1],
+            "final_alpha": controller.history[-1][0],
             "violations": controller.violations,
         })
     return rows

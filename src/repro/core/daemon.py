@@ -70,6 +70,14 @@ class WindowRecord:
     hotness: np.ndarray
     p99_latency_ns: float = 0.0
 
+    def slowdown(self, read_ns: float) -> float:
+        """Fractional mean slowdown vs serving every access at
+        ``read_ns`` (all-DRAM); ``0.0`` for a window with no accesses."""
+        optimal_ns = self.accesses * read_ns
+        return (
+            (self.access_ns - optimal_ns) / optimal_ns if optimal_ns else 0.0
+        )
+
 
 def window_percentile(
     histogram: list[tuple[float, int]], p: float

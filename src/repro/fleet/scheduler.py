@@ -13,18 +13,20 @@ budget across nodes:
   ``[min_alpha, max_alpha]`` with the clamp slack redistributed over the
   unclamped nodes until the memory-weighted mean hits the budget.
 
-:meth:`rebalance` closes the loop across fleet runs by reusing the
-single-node :class:`~repro.core.slo.SLOController` semantics per node
-(back off violators sharply, harvest from comfortable nodes), then
-re-projecting onto the budget.
+:meth:`rebalance` closes the loop across fleet runs by taking one step
+of the single-node alpha controller per node -- an
+:class:`~repro.adaptive.controller.AdaptiveController` running the
+:data:`~repro.adaptive.controller.MIMD_CONFIG` preset (back off
+violators sharply, harvest from comfortable nodes) -- then re-projecting
+onto the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.adaptive.controller import MIMD_CONFIG, AdaptiveController
 from repro.core.knob import Knob
-from repro.core.slo import SLOController
 from repro.fleet.spec import NodeSpec
 
 #: Default per-workload-class priorities: interactive KV serving ranks
@@ -159,13 +161,18 @@ class FleetScheduler:
         for nid in sorted(alphas):
             if nid not in fleet_weights:
                 continue  # stale node: not part of this fleet anymore
-            controller = SLOController(
-                target_slowdown=target_slowdown,
-                alpha=alphas[nid],
-                min_alpha=self.min_alpha,
-                max_alpha=self.max_alpha,
+            controller = AdaptiveController(
+                MIMD_CONFIG.with_(
+                    target_slowdown=target_slowdown,
+                    start_alpha=min(
+                        self.max_alpha, max(self.min_alpha, alphas[nid])
+                    ),
+                    min_alpha=self.min_alpha,
+                    max_alpha=self.max_alpha,
+                )
             )
-            proposed[nid] = controller.observe(slowdowns.get(nid, 0.0)).alpha
+            controller.observe(0.0, mean_slowdown=slowdowns.get(nid, 0.0))
+            proposed[nid] = controller.alpha
         if not proposed:
             return {}
         # Project back onto the budget over the nodes actually being

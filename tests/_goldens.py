@@ -5,6 +5,9 @@ drivers (the seed commit's hand-wired ``bench/experiments.py``) at fixed
 seeds.  ``normalise`` maps a driver result to plain JSON types with full
 float precision so "byte-identical" can be asserted on the serialized
 form; ``golden_text`` produces the exact bytes stored on disk.
+``exp_sla.json`` was captured the same way from ``exp_sla`` before SLA
+tuning moved onto the adaptive controller (``python tests/_goldens.py
+sla``).
 """
 
 from __future__ import annotations
@@ -104,6 +107,52 @@ def golden_text(result) -> str:
     return json.dumps(normalise(result), indent=2, sort_keys=True) + "\n"
 
 
+#: The pinned ``exp_sla`` run, stored in ``goldens/exp_sla.json`` with
+#: each target's per-window alpha trajectory beside the rows.
+SLA_KWARGS = {"windows": 15, "seed": 0}
+
+
+def sla_result() -> dict:
+    """``exp_sla`` rows plus the alpha every window ran at, per target.
+
+    The trajectory is read off the session policy's knob just before
+    each :meth:`~repro.engine.session.Session.run_window`, so it pins
+    what the placement solved at without depending on which controller
+    chose it.
+    """
+    from repro.bench import experiments
+    from repro.engine.session import Session
+
+    trajectories: list[list[float]] = []
+    original = Session.run_window
+
+    def spy(self, *args, **kwargs):
+        if not self.daemon.records:
+            trajectories.append([])
+        trajectories[-1].append(self.policy.knob.alpha)
+        return original(self, *args, **kwargs)
+
+    Session.run_window = spy
+    try:
+        rows = experiments.exp_sla(**SLA_KWARGS)
+    finally:
+        Session.run_window = original
+    return {
+        "rows": rows,
+        "alphas": {
+            repr(row["sla_slowdown_pct"]): alphas
+            for row, alphas in zip(rows, trajectories)
+        },
+    }
+
+
+def capture_sla() -> None:
+    """Write ``goldens/exp_sla.json`` from the current ``exp_sla``."""
+    path = GOLDEN_DIR / "exp_sla.json"
+    path.write_text(golden_text(sla_result()))
+    print(f"captured {path}")
+
+
 def capture() -> None:
     """Write goldens from the *current* drivers (run once, pre-refactor)."""
     from repro.bench import experiments
@@ -123,4 +172,9 @@ def capture() -> None:
 
 
 if __name__ == "__main__":
-    capture()
+    import sys
+
+    if sys.argv[1:] == ["sla"]:
+        capture_sla()
+    else:
+        capture()

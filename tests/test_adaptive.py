@@ -2,7 +2,9 @@
 
 Covers the pieces in isolation -- config validation, the hysteresis
 controller (including a hypothesis property that the knobs never leave
-their clamp ranges under adversarial signal sequences), the Markov
+their clamp ranges under adversarial signal sequences, and one that the
+MIMD preset walks alpha exactly like the original single-knob SLA
+controller), the Markov
 hotness forecaster against a pinned golden trajectory -- and the loop
 end to end: a session whose alpha trajectory is a pure function of the
 seed, the arena's adaptive row extras, and a drained-and-resumed serve
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.adaptive import (
     ALPHA_METRIC,
+    MIMD_CONFIG,
     STEPS_METRIC,
     AdaptiveConfig,
     AdaptiveController,
@@ -27,11 +30,11 @@ from repro.adaptive import (
     HotnessForecaster,
 )
 from repro.arena import ArenaSpec, run_arena
-from repro.core.slo import SLOController
 from repro.engine.session import Session
 from repro.engine.spec import ScenarioSpec
 from repro.obs import Observability
 from repro.serve import ServeDaemon, ServeOptions
+from repro.workloads.masim import MasimWorkload
 
 ADAPTIVE_SPEC = ScenarioSpec(
     workload="diurnal-kv",
@@ -72,6 +75,7 @@ class TestConfig:
             {"forecast_ewma": 0.0},
             {"promote_threshold": 1.5},
             {"max_speculative": -1},
+            {"backoff_gain": 1.5},
         ],
     )
     def test_validation(self, changes):
@@ -86,6 +90,30 @@ class TestConfig:
     def test_scenario_spec_rejects_bad_block(self):
         with pytest.raises(ValueError, match="unknown adaptive keys"):
             ScenarioSpec(adaptive={"nope": 1})
+
+
+def _reference_mimd_step(alpha, signal, target, lo, hi):
+    """The original single-knob SLA controller's step, kept as oracle."""
+    if signal > target:
+        alpha += (1.0 - alpha) * 0.5
+    elif signal < 0.8 * target:
+        alpha -= 0.05
+    return min(hi, max(lo, alpha))
+
+
+@st.composite
+def _mimd_cases(draw):
+    """(alpha, lo, hi, target, signals) with boundary-hugging signals."""
+    lo = draw(st.floats(min_value=0.0, max_value=1.0))
+    hi = draw(st.floats(min_value=lo, max_value=1.0))
+    alpha = draw(st.floats(min_value=0.0, max_value=1.0))
+    target = draw(st.floats(min_value=0.0, max_value=5.0))
+    signal = st.one_of(
+        st.floats(min_value=-1.0, max_value=10.0, allow_nan=False),
+        st.sampled_from([target, 0.8 * target, 0.0, -1e-12]),
+    )
+    signals = draw(st.lists(signal, min_size=1, max_size=12))
+    return alpha, lo, hi, target, signals
 
 
 class TestControllerProperties:
@@ -139,6 +167,29 @@ class TestControllerProperties:
             return controller.decision_trace()
 
         assert run() == run()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mimd_cases())
+    def test_mimd_preset_matches_reference_step(self, case):
+        """The MIMD preset is the original SLA controller, step for step."""
+        alpha, lo, hi, target, signals = case
+        start = min(hi, max(lo, alpha))
+        controller = AdaptiveController(
+            MIMD_CONFIG.with_(
+                target_slowdown=target,
+                start_alpha=start,
+                min_alpha=lo,
+                max_alpha=hi,
+            )
+        )
+        expected = start
+        for signal in signals:
+            controller.observe(0.0, mean_slowdown=signal)
+            expected = _reference_mimd_step(expected, signal, target, lo, hi)
+            assert controller.alpha == expected
+            assert controller.history[-1][1] == signal
+        assert controller.violations == sum(s > target for s in signals)
+        assert len(controller.history) == len(signals)
 
 
 class TestControllerBehaviour:
@@ -194,6 +245,35 @@ class TestControllerBehaviour:
         assert len(controller.history) == 8
         assert len(controller.trace) == 5
         assert controller.violations == 40  # survives the ring buffer
+
+    # The MIMD preset reacts to a single window: no hysteresis and no
+    # cooldown between steps.
+    MIMD = MIMD_CONFIG.with_(target_slowdown=0.05, start_alpha=0.5)
+
+    @pytest.mark.parametrize(
+        "signal, action",
+        [(0.20, "backoff"), (0.001, "harvest"), (0.045, "hold")],
+        ids=["violation", "headroom", "near-target"],
+    )
+    def test_mimd_single_step(self, signal, action):
+        controller = AdaptiveController(self.MIMD)
+        controller.observe(0.0, mean_slowdown=signal)
+        assert controller.trace[-1]["action"] == action
+        if action == "backoff":
+            assert controller.alpha > 0.5
+        elif action == "harvest":
+            assert controller.alpha < 0.5
+        else:  # within the 80 % comfort band
+            assert controller.alpha == 0.5
+
+    def test_mimd_clamping(self):
+        controller = AdaptiveController(self.MIMD.with_(start_alpha=0.06))
+        for _ in range(10):
+            controller.observe(0.0, mean_slowdown=0.0)
+        assert controller.alpha == pytest.approx(0.05)
+        for _ in range(10):
+            controller.observe(0.0, mean_slowdown=1.0)
+        assert controller.alpha <= 1.0
 
 
 class TestForecasterGolden:
@@ -252,25 +332,27 @@ class TestForecasterGolden:
 
 
 class TestSLOControllerRegression:
-    """Satellite 4: the unbounded-history leak, pinned fixed."""
+    """The unbounded-history leak, pinned fixed on the MIMD preset."""
+
+    MIMD = MIMD_CONFIG.with_(target_slowdown=0.05)
 
     def test_history_ring_capped(self):
-        controller = SLOController(target_slowdown=0.05, history_limit=16)
+        controller = AdaptiveController(self.MIMD.with_(history_limit=16))
         for _ in range(100):
-            controller.observe(0.2)
+            controller.observe(0.0, mean_slowdown=0.2)
         assert len(controller.history) == 16
         assert controller.violations == 100
 
     def test_checkpoint_roundtrip_keeps_counts(self):
         import pickle
 
-        controller = SLOController(target_slowdown=0.05, history_limit=4)
+        controller = AdaptiveController(self.MIMD.with_(history_limit=4))
         for _ in range(10):
-            controller.observe(0.2)
+            controller.observe(0.0, mean_slowdown=0.2)
         clone = pickle.loads(pickle.dumps(controller))
         assert clone.violations == 10
         assert clone.history == controller.history
-        assert clone.history_limit == 4
+        assert clone.config.history_limit == 4
 
 
 class TestEndToEnd:
@@ -293,6 +375,42 @@ class TestEndToEnd:
             return session.policy.decision_trace()
 
         assert run() == run()
+
+    def test_mimd_preset_harvests_tco_within_sla(self, system):
+        workload = MasimWorkload(
+            num_pages=system.space.num_pages, ops_per_window=20_000, seed=3
+        )
+        spec = ScenarioSpec(
+            policy="adaptive",
+            adaptive=MIMD_CONFIG.with_(target_slowdown=0.10).to_dict(),
+            windows=8,
+            seed=1,
+            daemon_seed=1,
+        )
+        session = Session(spec, workload=workload, system=system)
+        summary = session.run()
+        controller = session.policy.controller
+        alphas = [alpha for alpha, _ in controller.history]
+        # The controller explores downward from its safe start.
+        assert min(alphas) < alphas[0]
+        assert summary.tco_savings > 0.05
+        # Violations are transient, not persistent.
+        assert controller.violations < len(alphas)
+
+    def test_forecast_off_builds_no_forecaster(self):
+        spec = ADAPTIVE_SPEC.with_(
+            adaptive={**ADAPTIVE_SPEC.adaptive, "forecast": False}
+        )
+        session = Session(spec, obs=Observability())
+        session.run()
+        policy = session.policy
+        assert policy.forecaster is None
+        assert policy.speculative_promotions == 0
+        assert policy.extra_demotions == 0
+        # The default (forecast on) run does build one.
+        session = Session(ADAPTIVE_SPEC, obs=Observability())
+        session.run()
+        assert session.policy.forecaster is not None
 
     def test_spec_alpha_seeds_start_alpha(self):
         spec = ScenarioSpec(

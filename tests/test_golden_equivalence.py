@@ -27,6 +27,7 @@ from tests._goldens import (
     golden_text,
     latency_entries,
     normalise,
+    sla_result,
 )
 
 
@@ -56,3 +57,11 @@ def test_latency_stats_within_tolerance(name, driver_results):
         assert got[path] == pytest.approx(value, rel=LATENCY_RTOL), (
             f"{name}:{path} drifted beyond {LATENCY_RTOL:.1%}"
         )
+
+
+def test_exp_sla_matches_golden():
+    """SLA auto-tuning rows and every target's per-window alpha
+    trajectory (harvests, holds and backoffs) stay byte-identical."""
+    got = golden_text(sla_result())
+    want = (GOLDEN_DIR / "exp_sla.json").read_text()
+    assert got == want, "exp_sla diverged from its golden"

@@ -1,5 +1,5 @@
-"""Tests for the SLO controller, swap-entry encoding, zsmalloc compaction
-and the diurnal workload wrapper."""
+"""Tests for swap-entry encoding, zsmalloc compaction and the diurnal
+workload wrapper.  (SLA auto-tuning is tested in ``test_adaptive.py``.)"""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocators.zsmalloc import ZsmallocAllocator
-from repro.core.slo import SLOController, run_sla_tuned
 from repro.mem.swapentry import (
     FLAG_ACCESSED,
     FLAG_DIRTY,
@@ -17,62 +16,6 @@ from repro.mem.swapentry import (
 )
 from repro.workloads.diurnal import DiurnalWorkload
 from repro.workloads.masim import MasimWorkload
-
-
-class TestSLOController:
-    def test_violation_raises_alpha(self):
-        controller = SLOController(target_slowdown=0.05, alpha=0.5)
-        knob = controller.observe(0.20)
-        assert knob.alpha > 0.5
-
-    def test_headroom_lowers_alpha(self):
-        controller = SLOController(target_slowdown=0.05, alpha=0.5)
-        knob = controller.observe(0.001)
-        assert knob.alpha < 0.5
-
-    def test_near_target_holds(self):
-        controller = SLOController(target_slowdown=0.05, alpha=0.5)
-        knob = controller.observe(0.045)  # within the 80 % comfort band
-        assert knob.alpha == pytest.approx(0.5)
-
-    def test_clamping(self):
-        controller = SLOController(
-            target_slowdown=0.05, alpha=0.06, min_alpha=0.05
-        )
-        for _ in range(10):
-            knob = controller.observe(0.0)
-        assert knob.alpha == pytest.approx(0.05)
-        for _ in range(10):
-            knob = controller.observe(1.0)
-        assert knob.alpha <= 1.0
-
-    def test_violations_counted(self):
-        controller = SLOController(target_slowdown=0.05)
-        controller.observe(0.2)
-        controller.observe(0.01)
-        controller.observe(0.3)
-        assert controller.violations == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SLOController(target_slowdown=-1.0)
-        with pytest.raises(ValueError):
-            SLOController(target_slowdown=0.1, backoff_gain=1.5)
-        with pytest.raises(ValueError):
-            SLOController(target_slowdown=0.1, min_alpha=0.9, max_alpha=0.1)
-
-    def test_end_to_end_harvests_tco_within_sla(self, system):
-        workload = MasimWorkload(
-            num_pages=system.space.num_pages, ops_per_window=20_000, seed=3
-        )
-        summary, controller, alphas = run_sla_tuned(
-            system, workload, target_slowdown=0.10, num_windows=8, seed=1
-        )
-        # The controller explores downward from its safe start.
-        assert min(alphas) < alphas[0]
-        assert summary.tco_savings > 0.05
-        # Violations are transient, not persistent.
-        assert controller.violations < len(alphas)
 
 
 class TestSwapEntry:

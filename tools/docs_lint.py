@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint: link integrity and CLI-reference freshness.
 
-Two checks, run by the CI ``docs-lint`` job:
+Four checks, run by the CI ``docs-lint`` job:
 
 1. **Links** — every relative markdown link in the maintained docs
    (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md) points at a file
@@ -17,6 +17,11 @@ Two checks, run by the CI ``docs-lint`` job:
    must keep their load-bearing headings (see ``REQUIRED_ANCHORS``);
    renaming one breaks every cross-reference silently, so the lint
    fails loudly instead.
+4. **Code references** — every backticked dotted path into the package
+   (e.g. ``repro.engine.session.Session``) outside fenced blocks
+   resolves: the longest importable module prefix, then ``getattr``
+   for the rest.  Deleting or renaming a class fails here instead of
+   leaving the docs pointing at nothing.
 
 ``--write`` regenerates the README block in place instead of failing.
 
@@ -28,6 +33,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import sys
@@ -57,6 +63,7 @@ REQUIRED_ANCHORS: dict[str, tuple[str, ...]] = {
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^()\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 _FENCE_RE = re.compile(r"^\s*(```|~~~)")
+_CODE_REF_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def doc_paths() -> list[Path]:
@@ -157,6 +164,42 @@ def check_required_anchors() -> list[str]:
     return errors
 
 
+def resolve_code_ref(dotted: str) -> str | None:
+    """Why ``dotted`` does not resolve, or ``None`` when it does."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        name = ".".join(parts[:i])
+        try:
+            obj = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if exc.name and (name + ".").startswith(exc.name + "."):
+                continue  # not a module: try a shorter prefix
+            return f"importing {name} failed: {exc}"
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return f"{name} has no attribute {attr!r}"
+            obj = getattr(obj, attr)
+            name = f"{name}.{attr}"
+        return None
+    return f"no module {parts[0]!r}"
+
+
+def check_code_refs(paths: list[Path]) -> list[str]:
+    sys.path.insert(0, str(ROOT / "src"))
+    errors: list[str] = []
+    for path in paths:
+        rel = path.relative_to(ROOT)
+        for lineno, line in _unfenced_lines(path.read_text()):
+            for dotted in _CODE_REF_RE.findall(line):
+                reason = resolve_code_ref(dotted)
+                if reason:
+                    errors.append(
+                        f"{rel}:{lineno}: dangling code reference "
+                        f"`{dotted}` ({reason})"
+                    )
+    return errors
+
+
 def generate_cli_reference() -> str:
     """The README CLI block, from the live parser at a pinned width."""
     os.environ["COLUMNS"] = "80"
@@ -211,13 +254,14 @@ def main(argv: list[str] | None = None) -> int:
     paths = doc_paths()
     errors = check_links(paths)
     errors += check_required_anchors()
+    errors += check_code_refs(paths)
     errors += check_cli_reference(write=args.write)
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:
         print(
             f"docs OK: {len(paths)} files, links + anchors + "
-            "CLI reference clean"
+            "code references + CLI reference clean"
         )
     return 1 if errors else 0
 
