@@ -79,3 +79,10 @@ def test_ablation_solver(benchmark):
     ) < 10.0
     # And solves faster.
     assert by_backend["greedy"]["solver_ms"] <= by_backend["scipy"]["solver_ms"]
+    # The exact frontier DP matches HiGHS's savings (they differ only in
+    # how ties resolve) and solves no slower.
+    assert abs(
+        by_backend["frontier"]["tco_savings_pct"]
+        - by_backend["scipy"]["tco_savings_pct"]
+    ) < 0.5
+    assert by_backend["frontier"]["solver_ms"] <= by_backend["scipy"]["solver_ms"]

@@ -14,8 +14,8 @@ provides:
 * ``repro.telemetry`` -- PEBS-style sampled access telemetry with per-region
   hotness tracking and EWMA cooling.
 * ``repro.solver`` -- the ILP formulation of the analytical placement model
-  and three interchangeable backends (scipy/HiGHS, exact branch-and-bound,
-  MCKP greedy).
+  and three interchangeable backends (exact Pareto-frontier DP,
+  scipy/HiGHS, MCKP greedy).
 * ``repro.core`` -- the TierScape cost models (TCO and performance overhead),
   the Waterfall and analytical placement models, the migration filter and the
   TS-Daemon orchestration loop.

@@ -174,14 +174,13 @@ FLEET_PROFILES: dict[str, tuple[tuple[str, dict], ...]] = {
     "micro": (
         ("masim", {"num_pages": 1024, "ops_per_window": 20_000}),
     ),
-    # Solver-bound fleet: one masim shape sized to the largest instance
-    # the exact branch-and-bound backend accepts (24 regions x 4 tiers),
-    # where an exact solve costs ~100x the per-window simulation.  Used
-    # by the fleet-scale benchmark with ``backend="branch_bound"`` and a
-    # homogeneous fleet: identical workload streams make quantized
-    # problem signatures collide across nodes and windows, so this
-    # profile shows the solve cache at its best (and the fleet's
-    # uncached exact-solver wall-clock tax without it).
+    # ILP fleet: one masim shape of 24 regions x 4 tiers.  Used by the
+    # fleet-scale benchmark with ``backend="scipy"`` and a homogeneous
+    # fleet: identical workload streams make quantized problem
+    # signatures collide across nodes and windows, so this profile shows
+    # the solve cache at its best hit rate.  An exact solve here costs
+    # ~7 ms, so on host wall time the cache does not pay for itself
+    # (see BENCH_fleet.json); its saving is the modeled solver tax.
     "ilp": (
         ("masim", {"num_pages": 12288, "ops_per_window": 50_000}),
     ),

@@ -593,7 +593,7 @@ def exp_colocation(windows: int = 10, seed: int = 0) -> list[dict]:
 def ablation_solver(windows: int = 6, seed: int = 0) -> list[dict]:
     """Solver backend comparison on identical runs."""
     rows = []
-    for backend in ("greedy", "scipy"):
+    for backend in ("greedy", "scipy", "frontier"):
         summary, _ = _run(ScenarioSpec(solver_backend=backend, windows=windows, seed=seed))
         rows.append(_pct_row(summary, backend=backend, solver_ms=summary.solver_ns / 1e6))
     return rows

@@ -3,12 +3,15 @@
 Two benches quantify what :mod:`repro.fleet.solvecache` buys a fleet
 operator:
 
-* **fleet_scale** -- a homogeneous solver-bound fleet (the ``ilp``
-  profile: 24-region masim instances solved exactly by branch-and-bound)
-  run twice, cache off vs cache on.  Off, every node pays an exact solve
-  per window; on, quantized signatures collide across nodes and windows
-  so the fleet's ILP load collapses to a handful of canonical solves.
-  The headline number is the fleet wall-clock speedup.
+* **fleet_scale** -- a homogeneous ILP fleet (the ``ilp`` profile:
+  24-region masim instances solved by scipy/HiGHS, the OR-Tools
+  stand-in) run twice, cache off vs cache on.  Off, every node pays an
+  exact solve per window; on, quantized signatures collide across nodes
+  and windows so the fleet's ILP load collapses to a handful of
+  canonical solves.  The headline number is the fleet wall-clock ratio;
+  with a ~7 ms exact solve the cache's own bookkeeping costs more host
+  time than it saves, so the ratio sits below 1 (the modeled solver-tax
+  saving is reported beside it).
 * **hyperscale** -- a 1000-node micro fleet with the cache on,
   demonstrating that a four-digit fleet completes end to end and that
   the merged registry carries the modeled shared-cache hit rate
@@ -58,12 +61,12 @@ def bench_fleet_scale(
     jobs: int = 1,
     seed: int = 7,
 ) -> dict:
-    """Fleet wall-clock, cache off vs on, on a homogeneous ILP-bound fleet.
+    """Fleet wall-clock, cache off vs on, on a homogeneous ILP fleet.
 
-    The service backend is pinned to ``branch_bound`` (exact, ~100x the
-    per-window simulation cost at 24 regions) so the uncached run is
-    dominated by solver wall time -- the regime the solve cache exists
-    for.  Both runs share one spec; the only difference is the cache.
+    The service backend is pinned to ``scipy`` (HiGHS, the paper's
+    OR-Tools stand-in) rather than ``auto``, so the measured solve is
+    the exact MILP a fleet operator would run.  Both runs share one
+    spec; the only difference is the cache.
     """
     from repro.fleet import (
         FleetRunner,
@@ -85,7 +88,7 @@ def bench_fleet_scale(
         deployment="remote",
         servers=4,
         timeout_ms=2000.0,
-        backend="branch_bound",
+        backend="scipy",
     )
 
     def _run(cache):

@@ -32,8 +32,8 @@ class AnalyticalModel(PlacementModel):
 
     Args:
         knob: The alpha knob; see :mod:`repro.core.knob`.
-        backend: Solver backend name (``"auto"``, ``"scipy"``, ``"greedy"``,
-            ``"branch_bound"``).
+        backend: Solver backend name (``"auto"``, ``"frontier"``,
+            ``"scipy"``, ``"greedy"``).
         name: Display name; defaults to ``AM(alpha=..)``.
         use_capacity: Whether to pass per-tier capacities into the ILP.
             The paper deliberately leaves capacity handling to the
@@ -71,6 +71,8 @@ class AnalyticalModel(PlacementModel):
         # Tie-break: a region with zero observed hotness has zero modelled
         # penalty in every tier; prefer faster tiers on ties so alpha = 1
         # yields the paper's "everything in DRAM" endpoint (Figure 5).
+        # The frontier backend applies it exactly; HiGHS's default 1e-6
+        # absolute gap may not.
         penalties = penalties + 1e-6 * np.arange(len(system.tiers))[None, :]
         costs = tco.cost_matrix(system.tiers, region_comp)
         budget = self.knob.budget(tco.tco_min(costs), tco.tco_max(costs))

@@ -9,9 +9,10 @@ the knob (Eq. 2).
 OR-Tools is not available offline, so three interchangeable backends are
 provided (DESIGN.md §2):
 
-* :mod:`repro.solver.scipy_backend` -- scipy's HiGHS-based ``milp`` (exact),
-* :mod:`repro.solver.branch_bound` -- from-scratch exact branch-and-bound
-  (small instances; used to validate the others),
+* :mod:`repro.solver.frontier` -- exact Pareto-frontier DP for budget-only
+  instances (the default for the paper-scale ILP),
+* :mod:`repro.solver.scipy_backend` -- scipy's HiGHS-based ``milp``
+  (capacity rows and mid-size instances),
 * :mod:`repro.solver.greedy` -- LP-dominance greedy for multiple-choice
   knapsack (near-optimal, very fast; the default for large runs).
 
@@ -19,7 +20,7 @@ provided (DESIGN.md §2):
 (:func:`~repro.solver.registry.resolve_backend`).
 """
 
-from repro.solver.branch_bound import solve_branch_bound
+from repro.solver.frontier import solve_frontier
 from repro.solver.greedy import solve_greedy
 from repro.solver.problem import PlacementProblem, Solution
 from repro.solver.registry import SOLVERS, solve
@@ -30,7 +31,7 @@ __all__ = [
     "SOLVERS",
     "Solution",
     "solve",
-    "solve_branch_bound",
+    "solve_frontier",
     "solve_greedy",
     "solve_scipy",
 ]

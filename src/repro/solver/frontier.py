@@ -1,0 +1,125 @@
+"""Exact Pareto-frontier solver for the budget-only placement knapsack.
+
+Without capacity rows the placement ILP (:mod:`repro.solver.problem`) is
+a multiple-choice knapsack with one budget row, which a dynamic program
+over *partial placements* solves exactly.  Regions are folded in one at a
+time; after each fold the program keeps only the Pareto frontier of
+partial ``(cost, penalty)`` sums: a partial placement that another
+matches or beats on both cost and penalty cannot complete to a better
+placement than that other one.  Two admissible bounds keep the frontier
+small:
+
+* **budget bound**: a point whose cost plus the remaining regions'
+  minimum costs exceeds the budget cannot complete feasibly,
+* **incumbent bound**: a point whose penalty plus the remaining regions'
+  minimum penalties exceeds the greedy solution's objective cannot
+  complete optimally.
+
+The answer is canonical: minimum penalty, then minimum cost, then the
+lexicographically smallest placement.  The last rule comes from folding
+regions in reverse index order and keeping, of candidates with equal
+``(cost, penalty)``, the one with the lowest ``(tier, parent)`` -- equal
+as the fold accumulates the sums, so the result is a pure function of
+``(penalty, cost, budget)``.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.solver.greedy import solve_greedy
+from repro.solver.problem import PlacementProblem, Solution
+
+
+def solve_frontier(problem: PlacementProblem) -> Solution:
+    """Solve a budget-only instance exactly by Pareto-frontier DP."""
+    if problem.capacity is not None:
+        raise ValueError(
+            "the frontier backend solves budget-only instances; "
+            "use scipy for capacity rows"
+        )
+    t_start = time.perf_counter_ns()
+    penalty, cost = problem.penalty, problem.cost
+    num_regions = penalty.shape[0]
+    limit = problem.budget + 1e-9  # the budget slack the other backends use
+
+    # Regions fold in order R-1 .. 0, so before folding region r the
+    # regions still to come are 0 .. r-1: their bound is a prefix sum.
+    min_cost_before = np.concatenate(([0.0], np.cumsum(cost.min(axis=1))))
+    min_pen_before = np.concatenate(([0.0], np.cumsum(penalty.min(axis=1))))
+
+    if min_cost_before[-1] > limit:
+        return _cheapest(problem, t_start)
+
+    # The greedy placement bounds the optimum; the relative slack covers
+    # its objective being summed in another order than the folds sum.
+    greedy = solve_greedy(problem)
+    incumbent = np.inf
+    if greedy.feasible:
+        incumbent = greedy.objective + 1e-9 * max(1.0, abs(greedy.objective))
+
+    front_cost = np.zeros(1)
+    front_pen = np.zeros(1)
+    parents: list[np.ndarray] = []
+    options: list[np.ndarray] = []
+    for r in range(num_regions - 1, -1, -1):
+        # Candidates laid out tier-major: index = tier * width + parent.
+        width = front_cost.size
+        cand_cost = (cost[r][:, None] + front_cost[None, :]).ravel()
+        cand_pen = (penalty[r][:, None] + front_pen[None, :]).ravel()
+        keep = (cand_cost + min_cost_before[r] <= limit) & (
+            cand_pen + min_pen_before[r] <= incumbent
+        )
+        idx = np.flatnonzero(keep)
+        if idx.size == 0:  # rounding against the up-front budget check
+            return _cheapest(problem, t_start)
+        # Stable sort: exact (cost, penalty) ties keep the lowest index,
+        # i.e. the lowest tier for region r.
+        idx = idx[np.lexsort((cand_pen[idx], cand_cost[idx]))]
+        pen_sorted = cand_pen[idx]
+        pareto = np.empty(idx.size, dtype=bool)
+        pareto[0] = True
+        pareto[1:] = pen_sorted[1:] < np.minimum.accumulate(pen_sorted)[:-1]
+        idx = idx[pareto]
+        front_cost = cand_cost[idx]
+        front_pen = cand_pen[idx]
+        tier, parent = np.divmod(idx, width)
+        options.append(tier)
+        parents.append(parent)
+
+    # The last frontier point has the minimum penalty and, among equal
+    # penalties, the minimum cost; walk its parents back.  Fold k placed
+    # region R-1-k, so region r's choice sits in fold R-1-r.
+    assignment = np.empty(num_regions, dtype=np.int64)
+    point = front_cost.size - 1
+    for r in range(num_regions):
+        fold = num_regions - 1 - r
+        assignment[r] = options[fold][point]
+        point = parents[fold][point]
+    objective, total_cost = problem.evaluate(assignment)
+    return Solution(
+        assignment=assignment,
+        objective=objective,
+        cost=total_cost,
+        feasible=True,
+        backend="frontier",
+        solve_wall_ns=time.perf_counter_ns() - t_start,
+        optimal=True,
+    )
+
+
+def _cheapest(problem: PlacementProblem, t_start: int) -> Solution:
+    """Budget infeasible: the cheapest placement, flagged."""
+    cheapest = np.asarray(problem.cost.argmin(axis=1), dtype=np.int64)
+    objective, total_cost = problem.evaluate(cheapest)
+    return Solution(
+        assignment=cheapest,
+        objective=objective,
+        cost=total_cost,
+        feasible=False,
+        backend="frontier",
+        solve_wall_ns=time.perf_counter_ns() - t_start,
+        optimal=False,
+    )

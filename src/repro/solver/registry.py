@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.solver.branch_bound import MAX_REGIONS, solve_branch_bound
+from repro.solver.frontier import solve_frontier
 from repro.solver.greedy import solve_greedy
 from repro.solver.problem import PlacementProblem, Solution
 from repro.solver.scipy_backend import solve_scipy
 
 SOLVERS: dict[str, Callable[[PlacementProblem], Solution]] = {
     "scipy": solve_scipy,
-    "branch_bound": solve_branch_bound,
+    "frontier": solve_frontier,
     "greedy": solve_greedy,
 }
 
@@ -19,10 +19,14 @@ SOLVERS: dict[str, Callable[[PlacementProblem], Solution]] = {
 def resolve_backend(problem: PlacementProblem, backend: str = "auto") -> str:
     """The concrete backend ``solve`` will run for this instance.
 
-    ``"auto"`` picks branch-and-bound for tiny instances (exact, no scipy
-    dependency in the hot path), scipy/HiGHS for mid-size instances and the
-    greedy heuristic beyond that -- mirroring how the paper runs the ILP
-    locally for simple instances and remotely for heavy ones (§8.4).
+    ``"auto"`` is a size rule:
+
+    * ``frontier`` for budget-only instances with ``R * T <= 512`` (exact;
+      faster than HiGHS through R = 256 at T = 4, and the cutoff leaves
+      margin for the frontier's superlinear growth in R),
+    * scipy/HiGHS for every capacity instance and for ``R * T <= 4096``,
+    * the greedy heuristic beyond that -- mirroring how the paper runs the
+      ILP locally for simple instances and remotely for heavy ones (§8.4).
     """
     if backend != "auto":
         if backend not in SOLVERS:
@@ -31,9 +35,10 @@ def resolve_backend(problem: PlacementProblem, backend: str = "auto") -> str:
                 f"available: {sorted(SOLVERS)} or 'auto'"
             )
         return backend
-    if problem.num_regions <= min(12, MAX_REGIONS):
-        return "branch_bound"
-    if problem.num_regions * problem.num_tiers <= 4096:
+    size = problem.num_regions * problem.num_tiers
+    if problem.capacity is None and size <= 512:
+        return "frontier"
+    if size <= 4096:
         return "scipy"
     return "greedy"
 

@@ -4,6 +4,11 @@ Plays the role of Google OR-Tools in the paper's implementation (§7.3): an
 exact mixed-integer solver fed the flattened ``x[r, t]`` binaries with the
 assignment-equality, budget and capacity rows described in
 :mod:`repro.solver.problem`.
+
+``optimal`` means optimal within HiGHS's default MIP gaps (absolute
+1e-6), which is the size of the analytical model's ``1e-6 * tier``
+tie-break: HiGHS may stop at a placement that ignores it.  Only the
+``frontier`` backend applies that tie-break exactly.
 """
 
 from __future__ import annotations
@@ -88,7 +93,8 @@ def solve_scipy(problem: PlacementProblem, time_limit_s: float = 30.0) -> Soluti
     Args:
         problem: The placement instance.
         time_limit_s: HiGHS wall-clock limit; on timeout the incumbent is
-            returned with ``optimal=False``.
+            returned with ``optimal=False``.  ``optimal=True`` is within
+            HiGHS's default gaps (see the module docstring).
     """
     t_start = time.perf_counter_ns()
     num_regions = problem.num_regions

@@ -81,12 +81,12 @@ class TestWaterfall:
 
 class TestAnalyticalModel:
     def test_alpha_one_keeps_everything_in_dram(self, system):
-        model = AnalyticalModel(Knob(1.0), backend="branch_bound")
+        model = AnalyticalModel(Knob(1.0), backend="frontier")
         moves = model.recommend(record([5.0, 3.0, 1.0, 0.0]), system)
         assert all(dst == 0 for dst in moves.values())
 
     def test_alpha_zero_empties_dram(self, system):
-        model = AnalyticalModel(Knob(0.0), backend="branch_bound")
+        model = AnalyticalModel(Knob(0.0), backend="frontier")
         moves = model.recommend(record([5.0, 3.0, 1.0, 0.0]), system)
         assert all(dst != 0 for dst in moves.values())
 
@@ -94,13 +94,13 @@ class TestAnalyticalModel:
         rec = record([50.0, 10.0, 1.0, 0.0])
         costs = {}
         for alpha in (0.2, 0.8):
-            model = AnalyticalModel(Knob(alpha), backend="branch_bound")
+            model = AnalyticalModel(Knob(alpha), backend="frontier")
             model.recommend(rec, system)
             costs[alpha] = model.last_solution.cost
         assert costs[0.2] < costs[0.8]
 
     def test_hottest_region_last_to_leave_dram(self, system):
-        model = AnalyticalModel(Knob(0.5), backend="branch_bound")
+        model = AnalyticalModel(Knob(0.5), backend="frontier")
         moves = model.recommend(record([100.0, 0.0, 0.0, 0.0]), system)
         assert moves[0] == 0  # hottest stays in DRAM
         assert any(dst != 0 for r, dst in moves.items() if r != 0)

@@ -1,9 +1,12 @@
 """Tests for the placement ILP and its three backends.
 
 The crucial guarantees: every backend respects the budget (or flags
-infeasibility), branch-and-bound is exact, scipy matches branch-and-bound,
-and the greedy heuristic is near-optimal.
+infeasibility), frontier and scipy match a brute-force enumeration, the
+frontier's tie-break is canonical, and the greedy heuristic is
+near-optimal.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,10 +18,11 @@ from scipy.sparse import csc_array, vstack
 from repro.solver import (
     PlacementProblem,
     solve,
-    solve_branch_bound,
+    solve_frontier,
     solve_greedy,
     solve_scipy,
 )
+from repro.solver.registry import resolve_backend
 from repro.solver.scipy_backend import _constraints
 
 
@@ -42,6 +46,30 @@ def tierlike_problem(num_regions, rng, budget_factor=0.5, capacity=False):
         else None,
     )
     return problem
+
+
+def brute_force(problem):
+    """Every feasible assignment enumerated: ``(min penalty, min cost
+    among placements tying on it)``, or ``None`` when none fits.
+
+    Penalties within 1e-9 relative count as ties, absorbing the float
+    reassociation between summation orders.
+    """
+    num_regions, num_tiers = problem.penalty.shape
+    grid = np.array(list(itertools.product(range(num_tiers), repeat=num_regions)))
+    rows = np.arange(num_regions)
+    penalty = problem.penalty[rows, grid].sum(axis=1)
+    cost = problem.cost[rows, grid].sum(axis=1)
+    fits = cost <= problem.budget + 1e-9
+    if problem.capacity is not None:
+        for t in range(num_tiers):
+            if problem.capacity[t] >= 0:
+                fits &= (grid == t).sum(axis=1) <= problem.capacity[t]
+    if not fits.any():
+        return None
+    best = penalty[fits].min()
+    ties = fits & (penalty <= best + 1e-9 * max(1.0, abs(best)))
+    return float(best), float(cost[ties].min())
 
 
 class TestProblem:
@@ -75,7 +103,7 @@ class TestBackends:
     def test_trivial_all_dram_when_budget_max(self):
         rng = np.random.default_rng(0)
         problem = tierlike_problem(6, rng, budget_factor=1.0)
-        for solver in (solve_branch_bound, solve_scipy, solve_greedy):
+        for solver in (solve_frontier, solve_scipy, solve_greedy):
             solution = solver(problem)
             assert solution.objective == pytest.approx(0.0)
             assert (solution.assignment == 0).all()
@@ -83,9 +111,10 @@ class TestBackends:
     def test_tight_budget_forces_cheapest(self):
         rng = np.random.default_rng(1)
         problem = tierlike_problem(6, rng, budget_factor=0.0)
-        solution = solve_branch_bound(problem)
-        assert solution.feasible
-        assert solution.cost == pytest.approx(problem.min_cost(), rel=1e-9)
+        for solver in (solve_frontier, solve_scipy):
+            solution = solver(problem)
+            assert solution.feasible
+            assert solution.cost == pytest.approx(problem.min_cost(), rel=1e-9)
 
     def test_infeasible_flagged(self):
         problem = PlacementProblem(
@@ -93,24 +122,26 @@ class TestBackends:
             cost=np.array([[2.0, 1.0]]),
             budget=0.5,
         )
-        for solver in (solve_branch_bound, solve_scipy, solve_greedy):
+        for solver in (solve_frontier, solve_scipy, solve_greedy):
             solution = solver(problem)
             assert not solution.feasible
+            assert list(solution.assignment) == [1]  # the cheapest placement
 
     def test_scipy_matches_exact(self):
         rng = np.random.default_rng(2)
         for trial in range(5):
-            problem = tierlike_problem(8, rng, budget_factor=0.3 + 0.1 * trial)
-            exact = solve_branch_bound(problem)
+            problem = tierlike_problem(32, rng, budget_factor=0.3 + 0.1 * trial)
+            exact = solve_frontier(problem)
             hi = solve_scipy(problem)
+            assert exact.optimal and exact.feasible and hi.feasible
+            assert exact.objective <= hi.objective * (1 + 1e-12)
             assert hi.objective == pytest.approx(exact.objective, rel=1e-6)
-            assert hi.feasible
 
     def test_greedy_near_optimal(self):
         rng = np.random.default_rng(3)
         for trial in range(8):
             problem = tierlike_problem(10, rng, budget_factor=0.2 + 0.08 * trial)
-            exact = solve_branch_bound(problem)
+            exact = solve_frontier(problem)
             greedy = solve_greedy(problem)
             assert greedy.cost <= problem.budget + 1e-9
             # MCKP greedy is within one region's swap of optimal.
@@ -120,7 +151,7 @@ class TestBackends:
     def test_capacity_respected(self):
         rng = np.random.default_rng(4)
         problem = tierlike_problem(8, rng, budget_factor=0.9, capacity=True)
-        for solver in (solve_branch_bound, solve_scipy, solve_greedy):
+        for solver in (solve_scipy, solve_greedy):
             solution = solver(problem)
             counts = np.bincount(solution.assignment, minlength=4)
             assert counts[1] <= 4  # capacity num_regions // 2
@@ -152,46 +183,99 @@ class TestBackends:
         assert counts[0] <= 1
         assert list(solution.assignment[1:]) == [1, 1, 1]
 
-    def test_branch_bound_region_cap(self):
-        problem = PlacementProblem(np.zeros((30, 2)), np.zeros((30, 2)), 1.0)
-        with pytest.raises(ValueError, match="limited"):
-            solve_branch_bound(problem)
+    def test_frontier_refuses_capacity_rows(self):
+        rng = np.random.default_rng(4)
+        problem = tierlike_problem(4, rng, capacity=True)
+        with pytest.raises(ValueError, match="capacity"):
+            solve_frontier(problem)
+
+    def test_zero_hotness_tie_break_picks_faster_tier(self):
+        """With no observed hotness only the model's ``1e-6 * tier``
+        term separates tiers; at the all-DRAM budget every region must
+        land in tier 0.  HiGHS's default 1e-6 absolute gap need not
+        apply it; the routed frontier backend does."""
+        num_regions, num_tiers = 32, 4
+        penalty = np.zeros((num_regions, num_tiers)) + 1e-6 * np.arange(num_tiers)
+        cost = np.tile([1.0, 0.4, 0.3, 0.1], (num_regions, 1))
+        problem = PlacementProblem(penalty, cost, budget=float(cost[:, 0].sum()))
+        solution = solve(problem)
+        assert solution.backend == "frontier"
+        assert (solution.assignment == 0).all()
+        assert solution.objective == 0.0
+
+    def test_frontier_ties_resolve_lexicographically(self):
+        """Identical regions that can split two tiers either way: the
+        lower-indexed region gets the lower (faster) tier."""
+        penalty = np.array([[0.0, 1.0]] * 3)
+        cost = np.array([[2.0, 1.0]] * 3)
+        # Budget for exactly one region in tier 0: all three placements
+        # tie on (penalty 2, cost 4).
+        problem = PlacementProblem(penalty, cost, budget=4.0)
+        solution = solve_frontier(problem)
+        assert list(solution.assignment) == [0, 1, 1]
 
     def test_registry_auto_and_errors(self):
+        # (regions, capacity rows?, expected backend) at T = 4, one case
+        # on each side of every cutoff.
+        routes = [
+            (4, False, "frontier"),
+            (128, False, "frontier"),  # R * T = 512
+            (129, False, "scipy"),
+            (4, True, "scipy"),  # capacity rows always go to HiGHS
+            (1024, False, "scipy"),  # R * T = 4096
+            (1025, False, "greedy"),
+            (1025, True, "greedy"),
+        ]
+        for num_regions, capacity, expected in routes:
+            problem = PlacementProblem(
+                np.zeros((num_regions, 4)),
+                np.zeros((num_regions, 4)),
+                1.0,
+                capacity=np.full(4, num_regions) if capacity else None,
+            )
+            assert resolve_backend(problem) == expected, (num_regions, capacity)
+            assert resolve_backend(problem, "greedy") == "greedy"
         rng = np.random.default_rng(5)
         problem = tierlike_problem(4, rng)
-        solution = solve(problem, backend="auto")
-        assert solution.backend == "branch_bound"  # tiny -> exact
+        assert solve(problem, backend="auto").backend == "frontier"
+        capped = tierlike_problem(4, rng, capacity=True)
+        assert solve(capped, backend="auto").backend == "scipy"
         with pytest.raises(KeyError, match="available"):
             solve(problem, backend="cplex")
 
     def test_solve_times_recorded(self):
         rng = np.random.default_rng(6)
         problem = tierlike_problem(6, rng)
-        for name in ("scipy", "branch_bound", "greedy"):
+        for name in ("scipy", "frontier", "greedy"):
             assert solve(problem, backend=name).solve_wall_ns > 0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    num_regions=st.integers(2, 9),
+    num_regions=st.integers(1, 6),
     budget_factor=st.floats(0.0, 1.0),
     seed=st.integers(0, 10_000),
     capacity=st.booleans(),
 )
 def test_backend_agreement_property(num_regions, budget_factor, seed, capacity):
-    """scipy must equal branch-and-bound; greedy must be feasible and no
-    better than the optimum.  ``capacity`` draws exercise the scipy
-    model's capacity rows."""
+    """Against a full enumeration (T**R <= 4**6): frontier finds the
+    minimum penalty and the cheapest placement among its ties; scipy
+    finds the minimum penalty, capacity rows included; greedy is
+    feasible and no better than the optimum."""
     rng = np.random.default_rng(seed)
     problem = tierlike_problem(num_regions, rng, budget_factor, capacity)
-    exact = solve_branch_bound(problem)
+    best_penalty, best_cost = brute_force(problem)
     hi = solve_scipy(problem)
     greedy = solve_greedy(problem)
-    assert exact.feasible and hi.feasible and greedy.feasible
-    assert hi.objective == pytest.approx(exact.objective, rel=1e-6, abs=1e-9)
-    assert greedy.objective >= exact.objective - 1e-9
+    assert hi.feasible and greedy.feasible
+    assert hi.objective == pytest.approx(best_penalty, rel=1e-6, abs=1e-9)
+    assert greedy.objective >= best_penalty - 1e-9
     assert greedy.cost <= problem.budget + 1e-9
+    if not capacity:
+        exact = solve_frontier(problem)
+        assert exact.feasible and exact.optimal
+        assert exact.objective == pytest.approx(best_penalty, rel=1e-9, abs=1e-12)
+        assert exact.cost == pytest.approx(best_cost, rel=1e-9, abs=1e-12)
 
 
 def _blockwise_model(problem):
