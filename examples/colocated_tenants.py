@@ -14,9 +14,9 @@ Run:
 
 from repro.bench.configs import spectrum_mix
 from repro.bench.reporting import format_table
-from repro.core.daemon import TSDaemon
 from repro.core.knob import Knob
 from repro.core.placement.analytical import AnalyticalModel
+from repro.engine import ScenarioSpec, Session
 from repro.mem.address_space import AddressSpace
 from repro.mem.system import TieredMemorySystem
 from repro.workloads import (
@@ -39,8 +39,10 @@ def main() -> None:
         compressibility=composite_compressibility(tenants, profiles, seed=0),
     )
     system = TieredMemorySystem(spectrum_mix(space), space)
-    daemon = TSDaemon(system, AnalyticalModel(Knob(0.35)), sampling_rate=100)
-    summary = daemon.run(workload, num_windows=10)
+    spec = ScenarioSpec(windows=10, sampling_rate=100, daemon_seed=0)
+    model = AnalyticalModel(Knob(0.35))
+    session = Session(spec, workload=workload, system=system, policy=model)
+    summary = session.run()
 
     print("Co-located tenants on DRAM + C1/C2/C4/C7/C12\n")
     rows = []

@@ -13,9 +13,9 @@ Run:
 
 from repro.bench.configs import standard_mix
 from repro.bench.reporting import format_table
-from repro.core.daemon import TSDaemon
 from repro.core.knob import Knob
 from repro.core.placement.analytical import AnalyticalModel
+from repro.engine import ScenarioSpec, Session
 from repro.mem.address_space import AddressSpace
 from repro.mem.system import TieredMemorySystem
 from repro.workloads.kv import KVWorkload
@@ -36,10 +36,13 @@ def main() -> None:
 
     # 4. TierScape's analytical placement model with a mid-range knob.
     model = AnalyticalModel(Knob(0.5))
-    daemon = TSDaemon(system, model, sampling_rate=100, seed=7)
 
     # 5. Run ten profile windows: profile -> solve ILP -> filter -> migrate.
-    summary = daemon.run(workload, num_windows=10)
+    #    The spec sets the loop (windows, PEBS sampling, daemon seed); the
+    #    objects built above override its workload, system and policy.
+    spec = ScenarioSpec(windows=10, sampling_rate=100, daemon_seed=7)
+    session = Session(spec, workload=workload, system=system, policy=model)
+    summary = session.run()
 
     print("TierScape quickstart")
     print("====================\n")

@@ -709,44 +709,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_perfbench(args) -> int:
-    from repro.bench.perfbench import report_rows, run_perfbench
-
-    if args.out is None:
-        # A smoke run's rates are not comparable with full runs: never
-        # let the preset clobber the default report path unless the user
-        # pointed --out somewhere explicitly.
-        out = None if args.smoke else "BENCH_hotpath.json"
-    else:
-        out = None if args.out == "-" else args.out
-    report = run_perfbench(
-        out=out,
-        baseline=args.baseline,
-        smoke=args.smoke,
-        rebaseline=args.rebaseline,
-        seed=args.seed,
-    )
-    print(format_table(report_rows(report), title="Hot-path benchmarks"))
-    speedups = [
-        s for s in report["speedup_vs_reference"].values() if s is not None
-    ]
-    if speedups:
-        e2e = report["speedup_vs_reference"].get("fig08_e2e")
-        if e2e is not None:
-            print(f"end-to-end fig08 windows/sec: {e2e:.2f}x vs reference")
-    obs_overhead = report.get("obs_overhead")
-    if obs_overhead:
-        print(
-            f"obs overhead on fig08: {obs_overhead['overhead_pct']:.2f}% "
-            f"({obs_overhead['windows_per_s_disabled']:.1f} disabled vs "
-            f"{obs_overhead['windows_per_s_enabled']:.1f} enabled windows/s; "
-            f"gate < 3%)"
-        )
-    if out:
-        print(f"report written to {out}")
-    return 0
-
-
 def cmd_fleetbench(args) -> int:
     from repro.bench.fleetbench import fleet_report_rows, run_fleetbench
 
@@ -1111,33 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("path", help="event export from run --out / fleet --out")
     report.set_defaults(func=cmd_report)
-
-    perfbench = sub.add_parser(
-        "perfbench", help="run the hot-path performance benchmarks"
-    )
-    perfbench.add_argument(
-        "--out",
-        default=None,
-        help="report path (default BENCH_hotpath.json, or unwritten with "
-        "--smoke); '-' skips writing",
-    )
-    perfbench.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline report to compare against (default: --out if present)",
-    )
-    perfbench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI smoke preset: tiny sizes, asserts the benches finish",
-    )
-    perfbench.add_argument(
-        "--rebaseline",
-        action="store_true",
-        help="store this run as the new reference",
-    )
-    perfbench.add_argument("--seed", type=int, default=0)
-    perfbench.set_defaults(func=cmd_perfbench)
 
     fleetbench = sub.add_parser(
         "fleetbench", help="run the fleet-scale solve-cache benchmarks"

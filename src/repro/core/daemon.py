@@ -29,7 +29,6 @@ from repro.mem.migration import MigrationEngine
 from repro.mem.stats import tier_rollup
 from repro.mem.system import TieredMemorySystem
 from repro.obs import NULL_OBS, Observability
-from repro.workloads.base import Workload
 
 
 @dataclass
@@ -354,18 +353,6 @@ class TSDaemon:
         self._m_tco.set(100.0 * window_record.tco_savings)
         self._m_solver_ns.observe(solver_ns)
         return window_record
-
-    def run(self, workload: Workload, num_windows: int) -> RunSummary:
-        """Drive ``num_windows`` profile windows of a workload."""
-        if workload.num_pages > self.system.space.num_pages:
-            raise ValueError(
-                f"workload touches {workload.num_pages} pages but the "
-                f"address space has {self.system.space.num_pages}"
-            )
-        for _ in range(num_windows):
-            page_ids = workload.next_window()
-            self.run_window(page_ids, write_fraction=workload.write_fraction)
-        return self.summary(workload.name)
 
     def latency_percentile(self, p: float) -> float:
         """Run-level access-latency percentile from the log-binned

@@ -36,6 +36,16 @@ def make_tiers(space: AddressSpace):
     ]
 
 
+def run_windows(daemon, workload, windows: int):
+    """Drive ``windows`` profile windows of ``workload`` through a
+    hand-built daemon's ``run_window``; returns the run summary."""
+    for _ in range(windows):
+        daemon.run_window(
+            workload.next_window(), write_fraction=workload.write_fraction
+        )
+    return daemon.summary(workload.name)
+
+
 @pytest.fixture
 def system(space: AddressSpace) -> TieredMemorySystem:
     """A 3-tier system over the small address space."""

@@ -1,0 +1,93 @@
+"""Tests for the paired benchmark gate's decision rule (tools/bench_gate.py).
+
+``decide`` is a pure function over parsed ``repobench/run.py`` results,
+so these cases need no benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_GATE_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_gate.py"
+
+
+@pytest.fixture(scope="module")
+def gate():
+    spec = importlib.util.spec_from_file_location("bench_gate", _GATE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(correct=True, **metrics):
+    return {
+        "correct": correct,
+        "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()},
+    }
+
+
+def _side(windows_per_s=60.0, apply_ms=3.2, pages=2000.0, incorrect_run=None):
+    """One tree's parsed results: five identical runs of each run name."""
+    ycsb = [_result(windows_per_s=windows_per_s) for _ in range(5)]
+    xsbench = [_result(windows_per_s=90.0) for _ in range(5)]
+    traced = [
+        _result(
+            **{
+                "migration.apply_ms": apply_ms,
+                "migration.pages_per_window": pages,
+            }
+        )
+        for _ in range(5)
+    ]
+    if incorrect_run is not None:
+        traced[incorrect_run]["correct"] = False
+    return {
+        "ycsb-waterfall --trace 0": ycsb,
+        "xsbench-ckpt --trace 0": xsbench,
+        "xsbench-ckpt --trace 1": traced,
+    }
+
+
+def test_identical_sides_pass(gate):
+    ok, lines = gate.decide(_side(), _side())
+    assert ok
+    assert len(lines) == len(gate.GATES)
+    assert all(line.startswith("ok") for line in lines)
+
+
+def test_windows_per_s_drop_of_15_pct_fails(gate):
+    ok, lines = gate.decide(_side(), _side(windows_per_s=60.0 * 0.85))
+    assert not ok
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "ycsb-waterfall --trace 0 windows_per_s" in failed[0]
+
+
+def test_slower_migration_per_page_fails(gate):
+    # +40 % ms per migrated page is past the 1/0.75 bound.
+    ok, lines = gate.decide(_side(), _side(apply_ms=3.2 * 1.40))
+    assert not ok
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "xsbench-ckpt --trace 1 migrated_pages_per_apply_ms" in failed[0]
+
+
+def test_one_incorrect_run_fails(gate):
+    ok, lines = gate.decide(_side(), _side(incorrect_run=2))
+    assert not ok
+    assert "FAIL change xsbench-ckpt --trace 1 run 2: correct is false" in lines
+    # The remaining correct runs still feed the metric medians.
+    assert sum(line.startswith("ok") for line in lines) == len(gate.GATES)
+
+
+def test_bounds_match_the_gates_they_replace(gate):
+    bounds = {(run, metric): bound for run, metric, _, bound in gate.GATES}
+    assert bounds == {
+        ("ycsb-waterfall --trace 0", "windows_per_s"): 0.10,
+        ("xsbench-ckpt --trace 0", "windows_per_s"): 0.10,
+        ("xsbench-ckpt --trace 1", "migrated_pages_per_apply_ms"): 0.25,
+    }
+    assert {run for run, *_ in gate.GATES} == {
+        gate.run_name(*run) for run in gate.RUNS
+    }

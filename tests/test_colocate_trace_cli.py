@@ -9,6 +9,7 @@ from repro.mem.page import PAGES_PER_REGION
 from repro.workloads.colocate import CompositeWorkload, composite_compressibility
 from repro.workloads.masim import MasimWorkload
 from repro.workloads.trace import TraceWorkload, record_trace
+from tests.conftest import run_windows
 
 
 def two_tenants():
@@ -134,7 +135,7 @@ class TestTrace:
         )
         path = record_trace(workload, 3, tmp_path / "d.npz")
         daemon = TSDaemon(system, WaterfallModel(50.0), sampling_rate=1)
-        summary = daemon.run(TraceWorkload(path), 3)
+        summary = run_windows(daemon, TraceWorkload(path), 3)
         assert summary.windows == 3
 
 

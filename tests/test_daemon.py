@@ -8,8 +8,10 @@ from repro.core.knob import Knob
 from repro.core.placement.analytical import AnalyticalModel
 from repro.core.placement.static_threshold import StaticThresholdPolicy
 from repro.core.placement.waterfall import WaterfallModel
+from repro.engine import ScenarioSpec, Session
 from repro.mem.migration import MigrationEngine
 from repro.workloads.masim import MasimWorkload
+from tests.conftest import run_windows
 
 
 class _NullModel:
@@ -33,7 +35,7 @@ class TestWindowLoop:
     def test_null_model_moves_nothing(self, system):
         daemon = make_daemon(system)
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 3)
+        summary = run_windows(daemon, workload, 3)
         assert summary.windows == 3
         assert summary.slowdown == pytest.approx(0.0, abs=1e-9)
         assert summary.tco_savings == pytest.approx(0.0, abs=1e-9)
@@ -42,7 +44,7 @@ class TestWindowLoop:
     def test_records_per_window(self, system):
         daemon = make_daemon(system, StaticThresholdPolicy("CT", 50.0))
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 4)
+        run_windows(daemon, workload, 4)
         assert len(daemon.records) == 4
         for i, rec in enumerate(daemon.records):
             assert rec.window == i
@@ -53,7 +55,7 @@ class TestWindowLoop:
     def test_tiering_saves_tco(self, system):
         daemon = make_daemon(system, StaticThresholdPolicy("CT", 50.0))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 5)
+        summary = run_windows(daemon, workload, 5)
         assert summary.final_tco_savings > 0.05
 
     def test_faults_tracked(self, system):
@@ -61,21 +63,27 @@ class TestWindowLoop:
             system, StaticThresholdPolicy("CT", 75.0), recency_windows=0
         )
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 5)
+        summary = run_windows(daemon, workload, 5)
         window_faults = sum(int(r.faults.sum()) for r in daemon.records)
         assert summary.total_faults == window_faults
         assert summary.total_faults > 0
 
     def test_workload_too_big_rejected(self, system):
-        daemon = make_daemon(system)
-        workload = small_workload(system.space.num_pages * 2)
+        # The capacity check lives in Session.run (validate_capacity).
+        session = Session(
+            ScenarioSpec(windows=1),
+            workload=small_workload(system.space.num_pages * 2),
+            system=system,
+            policy=_NullModel(),
+        )
         with pytest.raises(ValueError, match="address space"):
-            daemon.run(workload, 1)
+            session.run()
+        assert session.records == []
 
     def test_hotness_propagated_to_regions(self, system):
         daemon = make_daemon(system)
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 2)
+        run_windows(daemon, workload, 2)
         hotness = [r.hotness for r in system.space.regions]
         assert max(hotness) > 0
         assert hotness == [
@@ -85,14 +93,14 @@ class TestWindowLoop:
     def test_analytical_records_solver_time(self, system):
         daemon = make_daemon(system, AnalyticalModel(Knob(0.5), backend="greedy"))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 3)
+        summary = run_windows(daemon, workload, 3)
         assert summary.solver_ns > 0
         assert all(r.solver_ns > 0 for r in daemon.records)
 
     def test_latency_percentiles_ordered(self, system):
         daemon = make_daemon(system, StaticThresholdPolicy("CT", 75.0))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 5)
+        summary = run_windows(daemon, workload, 5)
         # Percentiles are ordered; the mean can exceed p95 on this
         # heavy-tailed distribution (rare multi-microsecond faults among
         # 33 ns DRAM hits), so only bound it by the extremes.
@@ -105,7 +113,7 @@ class TestWindowLoop:
     def test_summary_extras(self, system):
         daemon = make_daemon(system, WaterfallModel(50.0))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 3)
+        summary = run_windows(daemon, workload, 3)
         assert summary.extras["accesses"] == 3 * workload.ops_per_window
         assert summary.extras["app_ns"] > 0
 
@@ -158,7 +166,7 @@ class TestFaultDeltaAccounting:
     def test_deltas_sum_to_cumulative(self, system):
         daemon = self._forced_fault_daemon(system)
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 4)
+        run_windows(daemon, workload, 4)
         assert len(daemon.records) >= 3
         per_window = np.stack([r.faults for r in daemon.records])
         cumulative = np.array([t.stats.faults for t in system.tiers])
@@ -185,7 +193,7 @@ class TestFaultDeltaAccounting:
     def test_prev_faults_tracks_cumulative(self, system):
         daemon = self._forced_fault_daemon(system)
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 3)
+        run_windows(daemon, workload, 3)
         assert (
             daemon._prev_faults
             == np.array([t.stats.faults for t in system.tiers])

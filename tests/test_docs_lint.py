@@ -40,3 +40,28 @@ def test_check_code_refs_flags_only_the_dangling_one(
     assert len(errors) == 1
     assert errors[0].startswith("README.md:2: dangling code reference")
     assert "repro.engine.session.Gone" in errors[0]
+
+
+def test_check_repo_paths_flags_only_the_missing_one(
+    docs_lint, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(docs_lint, "ROOT", tmp_path)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "bench_gate.py").write_text("")
+    doc = tmp_path / "README.md"
+    doc.write_text(
+        "Run `python tools/bench_gate.py ../parent`.\n"
+        "Gone: `python tools/old_gate.py REPORT.json` and `BENCH_old.json`.\n"
+        "Patterns are not files: `tools/*.py`, `BENCH_*.json`.\n"
+        "Unquoted tools/gone.py is prose, not a path.\n"
+        "```\n"
+        "`tools/fenced_is_ignored.py`\n"
+        "```\n"
+    )
+    errors = docs_lint.check_repo_paths([doc])
+    assert errors == [
+        "README.md:2: dangling path `tools/old_gate.py` "
+        "(no such file or directory)",
+        "README.md:2: dangling path `BENCH_old.json` "
+        "(no such file or directory)",
+    ]

@@ -22,6 +22,7 @@ from repro.mem.page import PAGES_PER_REGION
 from repro.mem.system import TieredMemorySystem
 from repro.mem.tier import ByteAddressableTier, CompressedTier
 from repro.workloads.masim import MasimWorkload
+from tests.conftest import run_windows
 
 
 def system_with_twin_cts(same_algo: bool):
@@ -153,7 +154,7 @@ class TestSpatialPrefetcher:
             workload = MasimWorkload(
                 num_pages=space.num_pages, ops_per_window=3000, seed=5
             )
-            return daemon.run(workload, 6)
+            return run_windows(daemon, workload, 6)
 
         without = run(None)
         with_pf = run(8)

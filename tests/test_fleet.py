@@ -30,6 +30,7 @@ from repro.fleet.service import (
 )
 from repro.mem.page import PAGES_PER_REGION
 from repro.workloads.masim import MasimWorkload
+from tests.conftest import run_windows
 
 
 class TestSeeding:
@@ -155,7 +156,7 @@ def _run_serviced(system, config, node_id, windows=2):
     workload = MasimWorkload(
         num_pages=system.space.num_pages, ops_per_window=5000, seed=3
     )
-    summary = daemon.run(workload, windows)
+    summary = run_windows(daemon, workload, windows)
     return model, summary
 
 

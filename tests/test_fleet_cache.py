@@ -41,6 +41,7 @@ from repro.fleet.solvecache import (
     reset_worker_cache,
 )
 from repro.solver import PlacementProblem
+from tests.conftest import run_windows
 
 
 def _problem(seed=0, regions=6, tiers=3, budget_frac=0.5):
@@ -627,7 +628,7 @@ class TestCachedServiceModel:
         workload = MasimWorkload(
             num_pages=system.space.num_pages, ops_per_window=5000, seed=3
         )
-        daemon.run(workload, 4)
+        run_windows(daemon, workload, 4)
         hits = [e for e in model.events if e.cached]
         assert model.stats.cache_hits == len(hits) > 0
         expected = modeled_hit_ns(

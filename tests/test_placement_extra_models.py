@@ -6,6 +6,7 @@ import pytest
 from repro.core.placement.memtis import MemtisPolicy
 from repro.core.placement.tpp import TPPPolicy
 from repro.telemetry.window import ProfileRecord
+from tests.conftest import run_windows
 
 
 def record(hotness, window=0):
@@ -139,5 +140,5 @@ class TestMemtis:
             workload = MasimWorkload(
                 num_pages=space.num_pages, ops_per_window=3000, seed=2
             )
-            results[budget] = daemon.run(workload, 5).tco_savings
+            results[budget] = run_windows(daemon, workload, 5).tco_savings
         assert results[0.25] > results[0.75]

@@ -16,6 +16,7 @@ from repro.mem.swapentry import (
 )
 from repro.workloads.diurnal import DiurnalWorkload
 from repro.workloads.masim import MasimWorkload
+from tests.conftest import run_windows
 
 
 class TestSwapEntry:
@@ -169,6 +170,6 @@ class TestDiurnalWorkload:
         ]
         workload = DiurnalWorkload(phases, windows_per_phase=3)
         daemon = TSDaemon(system, WaterfallModel(50.0), sampling_rate=1)
-        summary = daemon.run(workload, 9)
+        summary = run_windows(daemon, workload, 9)
         assert summary.windows == 9
         assert summary.tco_savings > 0

@@ -11,6 +11,7 @@ from repro.telemetry import (
     Profiler,
     make_profiler,
 )
+from tests.conftest import run_windows
 
 
 def hot_cold_batch(hot_region=0, accesses=5000, num_regions=4, rng=None):
@@ -133,6 +134,6 @@ class TestDaemonIntegration:
         workload = MasimWorkload(
             num_pages=system.space.num_pages, ops_per_window=5000, seed=2
         )
-        summary = daemon.run(workload, 4)
+        summary = run_windows(daemon, workload, 4)
         assert summary.windows == 4
         assert summary.final_tco_savings > 0  # all backends find the cold set

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint: link integrity and CLI-reference freshness.
 
-Four checks, run by the CI ``docs-lint`` job:
+Five checks, run by the CI ``docs-lint`` job:
 
 1. **Links** — every relative markdown link in the maintained docs
    (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md) points at a file
@@ -22,6 +22,11 @@ Four checks, run by the CI ``docs-lint`` job:
    resolves: the longest importable module prefix, then ``getattr``
    for the rest.  Deleting or renaming a class fails here instead of
    leaving the docs pointing at nothing.
+5. **Repo paths** — every backticked repo-relative path under
+   ``tools/``, ``benchmarks/``, ``examples/``, ``tests/``, ``docs/`` or
+   ``src/``, and every ``BENCH_*.json`` name, outside fenced blocks
+   exists, so deleting a file cannot leave a command in the docs that
+   names it.
 
 ``--write`` regenerates the README block in place instead of failing.
 
@@ -64,6 +69,13 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^()\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 _FENCE_RE = re.compile(r"^\s*(```|~~~)")
 _CODE_REF_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+_CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+_REPO_PATH_RE = re.compile(
+    r"(?<![\w./-])"
+    r"((?:tools|benchmarks|examples|tests|docs|src)/[\w./*<>-]*|BENCH_[\w*]+\.json)"
+)
+#: A path with one of these is a pattern (``examples/*.py``), not a file.
+_GLOB_CHARS = frozenset("*<>")
 
 
 def doc_paths() -> list[Path]:
@@ -200,6 +212,23 @@ def check_code_refs(paths: list[Path]) -> list[str]:
     return errors
 
 
+def check_repo_paths(paths: list[Path]) -> list[str]:
+    errors: list[str] = []
+    for path in paths:
+        rel = path.relative_to(ROOT)
+        for lineno, line in _unfenced_lines(path.read_text()):
+            for span in _CODE_SPAN_RE.findall(line):
+                for target in _REPO_PATH_RE.findall(span):
+                    if _GLOB_CHARS.isdisjoint(target) and not (
+                        ROOT / target
+                    ).exists():
+                        errors.append(
+                            f"{rel}:{lineno}: dangling path `{target}` "
+                            "(no such file or directory)"
+                        )
+    return errors
+
+
 def generate_cli_reference() -> str:
     """The README CLI block, from the live parser at a pinned width."""
     os.environ["COLUMNS"] = "80"
@@ -255,13 +284,14 @@ def main(argv: list[str] | None = None) -> int:
     errors = check_links(paths)
     errors += check_required_anchors()
     errors += check_code_refs(paths)
+    errors += check_repo_paths(paths)
     errors += check_cli_reference(write=args.write)
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:
         print(
             f"docs OK: {len(paths)} files, links + anchors + "
-            "code references + CLI reference clean"
+            "code references + repo paths + CLI reference clean"
         )
     return 1 if errors else 0
 
