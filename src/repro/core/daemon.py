@@ -3,9 +3,9 @@
 Each profile window the daemon:
 
 1. lets the application run -- the workload generator produces the
-   window's access batch, which the memory system serves (charging the
-   virtual clock and faulting compressed pages on demand) while the PEBS
-   sampler observes the same stream,
+   window's per-page access counts, which the memory system serves
+   (charging the virtual clock and faulting compressed pages on demand)
+   while the PEBS sampler observes the same accesses,
 2. closes the telemetry window into a hotness profile,
 3. asks the placement model for a recommendation,
 4. passes the recommendation through the migration filter,
@@ -277,8 +277,8 @@ class TSDaemon:
         self._latencies = _LatencyAccumulator()
         self._prev_faults = np.zeros(len(system.tiers), dtype=np.int64)
 
-    def run_window(self, page_ids: np.ndarray, write_fraction: float = 0.0) -> WindowRecord:
-        """Execute one profile window over the given access batch."""
+    def run_window(self, counts: np.ndarray, write_fraction: float = 0.0) -> WindowRecord:
+        """Execute one profile window over the given per-page access counts."""
         system = self.system
         tracer = self.obs.tracer
         injector = self.injector
@@ -286,9 +286,7 @@ class TSDaemon:
             injector.begin_window(len(self.records), system)
         system.advance_window()
         with tracer.span("fault_path") as span:
-            batch = system.access_batch(
-                page_ids, write_fraction=write_fraction
-            )
+            batch = system.access_batch(counts, write_fraction=write_fraction)
             span.set(accesses=batch.accesses, faults=batch.faults)
         self._latencies.extend(batch.latency_histogram)
         if self.prefetcher is not None and batch.faulted_pages:
@@ -303,7 +301,7 @@ class TSDaemon:
                     "fault", len(self.records), kind="telemetry_dropout"
                 )
             else:
-                self.profiler.record(page_ids)
+                self.profiler.record(counts)
             record = self.profiler.end_window()
 
         # Update region hotness for models that read it off the regions:

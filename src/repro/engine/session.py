@@ -190,30 +190,30 @@ class Session:
     # -- the window loop -----------------------------------------------------
 
     def run_window(
-        self, page_ids=None, write_fraction: float | None = None
+        self, counts=None, write_fraction: float | None = None
     ) -> WindowRecord:
         """Run one profile window of the scenario's workload.
 
         Args:
-            page_ids: Prebuilt access batch for this window.  The batch
-                loop leaves this ``None`` and pulls the next window from
-                the workload generator; the live serving loop
-                (:mod:`repro.serve`) passes the page ids it accumulated
-                from the event stream instead, so online windows run
-                through exactly this code path.
+            counts: Prebuilt per-page access counts for this window.  The
+                batch loop leaves this ``None`` and pulls the next window
+                from the workload generator; the live serving loop
+                (:mod:`repro.serve`) passes the bincount of the page ids
+                it accumulated from the event stream instead, so online
+                windows run through exactly this code path.
             write_fraction: Store fraction for an injected batch;
                 defaults to the workload's.
         """
         window = len(self.daemon.records)
         with self.obs.tracer.span("window", window=window):
             self.log.emit("window_start", window)
-            if page_ids is None:
-                page_ids = self.workload.next_window()
+            if counts is None:
+                counts = self.workload.next_window()
             if write_fraction is None:
                 write_fraction = self.workload.write_fraction
             moved_before = self.daemon.engine.stats.pages_moved
             record = self.daemon.run_window(
-                page_ids, write_fraction=write_fraction
+                counts, write_fraction=write_fraction
             )
         if self.injector is not None:
             for kind, note_window, data in self.injector.drain():

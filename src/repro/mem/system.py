@@ -215,7 +215,7 @@ class TieredMemorySystem:
     # -- access path ----------------------------------------------------------
 
     def access_batch(
-        self, page_ids: np.ndarray, write_fraction: float = 0.0
+        self, counts: np.ndarray, write_fraction: float = 0.0
     ) -> BatchResult:
         """Simulate a batch of page accesses.
 
@@ -225,7 +225,9 @@ class TieredMemorySystem:
         charges as ``MemAcc_CT * (Lat_CT + Lat_TD)``.
 
         Args:
-            page_ids: 1-D integer array of accessed page ids (with repeats).
+            counts: Accesses per page, ``counts[p]`` to page ``p``; a
+                vector shorter than the address space leaves the pages
+                past its end untouched.
             write_fraction: Fraction of accesses that are stores.
 
         Returns:
@@ -233,15 +235,11 @@ class TieredMemorySystem:
             system's virtual clock.
         """
         result = BatchResult()
-        if len(page_ids) == 0:
+        counts = np.asarray(counts)
+        pages = np.flatnonzero(counts)
+        if not len(pages):
             return result
-        # bincount + nonzero produces the same sorted (pages, counts) as
-        # np.unique(..., return_counts=True) without the O(n log n) sort.
-        all_counts = np.bincount(
-            np.asarray(page_ids), minlength=self.space.num_pages
-        )
-        pages = np.nonzero(all_counts)[0]
-        counts = all_counts[pages]
+        counts = counts[pages]
         self.last_access_window[pages] = self.current_window
         total = int(counts.sum())
         result.accesses = total

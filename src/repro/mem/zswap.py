@@ -72,7 +72,9 @@ class ZswapFrontend:
         self.entries.remove(page_id)
         import numpy as np
 
-        result = self.system.access_batch(np.array([page_id]))
+        counts = np.zeros(page_id + 1, dtype=np.int64)
+        counts[page_id] = 1
+        result = self.system.access_batch(counts)
         return result.access_ns
 
     def invalidate(self, page_id: int) -> None:

@@ -5,10 +5,11 @@
 range(windows)`` loop with stream ingest: chunks arrive from a
 :mod:`~repro.serve.stream` source, a
 :class:`~repro.serve.windowing.WindowAccumulator` closes profile windows
-per the configured rule, and every closed window runs through
-``Session.run_window`` -- the *same* instrumented path the batch engine
-uses, so placement decisions, migrations, obs metrics/spans and engine
-events are identical for identical windows.
+per the configured rule, and every closed window's page ids are
+bincounted into per-page counts and run through ``Session.run_window``
+-- the *same* instrumented path the batch engine uses, so placement
+decisions, migrations, obs metrics/spans and engine events are
+identical for identical windows.
 
 On top of the loop:
 
@@ -36,6 +37,8 @@ import asyncio
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.chaos.checkpoint import (
     capture_session,
@@ -296,7 +299,8 @@ class ServeDaemon:
                 pass  # non-unix loops; rely on KeyboardInterrupt there
 
     def _run_pending(self, pending) -> None:
-        """Validate and run one closed window through the session."""
+        """Validate, bincount and run one closed window through the
+        session."""
         pages = pending.pages
         num_pages = self.session.system.space.num_pages
         if len(pages):
@@ -307,6 +311,7 @@ class ServeDaemon:
                 pages = pages[in_range]
         if not len(pages):
             return
+        counts = np.bincount(pages, minlength=num_pages)
         injector = self.session.injector
         if injector is not None:
             now = self.clock.now()
@@ -320,7 +325,7 @@ class ServeDaemon:
                     self.windows_done,
                 )
         self.session.run_window(
-            pages, write_fraction=pending.write_fraction
+            counts, write_fraction=pending.write_fraction
         )
         self._window_opened_s = self.clock.now()
 

@@ -6,7 +6,8 @@ stories (all selected by one ``StreamSpec`` string, see
 :meth:`StreamSpec.parse`):
 
 * ``generator`` -- drive the scenario's own workload generator
-  in-process, one chunk per generated window.  The "serve the synthetic
+  in-process, one chunk per generated window (its per-page counts
+  expanded to page ids in ascending order).  The "serve the synthetic
   service" mode: live diurnal/churn traffic with no external feeder.
 * ``replay:PATH`` -- replay a recorded ``.npz`` trace (from
   :func:`repro.workloads.trace.record_trace`), paced at a configurable
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.logs import get_logger
+from repro.workloads.base import expand_counts
 from repro.workloads.trace import open_trace, read_windows
 
 _log = get_logger("serve.stream")
@@ -135,7 +137,7 @@ class GeneratorSource:
         while not self._stopped:
             if self.windows is not None and emitted >= self.windows:
                 return
-            pages = self.workload.next_window()
+            pages = expand_counts(self.workload.next_window())
             emitted += 1
             yield Chunk(
                 pages,

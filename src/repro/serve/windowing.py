@@ -16,8 +16,9 @@ profile window is over:
   clocks.
 
 :class:`WindowAccumulator` applies a rule to a chunk stream and yields
-:class:`PendingWindow` batches ready for
-:meth:`repro.engine.session.Session.run_window`.
+:class:`PendingWindow` batches of page ids; the serving daemon bincounts
+each one into the per-page counts
+:meth:`repro.engine.session.Session.run_window` takes.
 """
 
 from __future__ import annotations

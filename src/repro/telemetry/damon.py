@@ -54,8 +54,8 @@ class DamonProfiler:
         self.overhead_ns = 0.0
         self.sampler = None  # interface parity with the PEBS profiler
 
-    def record(self, page_ids: np.ndarray) -> None:
-        self._accessed[np.asarray(page_ids)] = True
+    def record(self, counts: np.ndarray) -> None:
+        self._accessed[np.flatnonzero(counts)] = True
 
     def end_window(self) -> ProfileRecord:
         probes = self._rng.integers(

@@ -54,9 +54,9 @@ class IdleBitProfiler:
         self.overhead_ns = 0.0
         self.sampler = None  # interface parity with the PEBS profiler
 
-    def record(self, page_ids: np.ndarray) -> None:
+    def record(self, counts: np.ndarray) -> None:
         """Accumulate this batch's ACCESSED bits (free: hardware sets them)."""
-        self._accessed[np.asarray(page_ids)] = True
+        self._accessed[np.flatnonzero(counts)] = True
 
     def end_window(self) -> ProfileRecord:
         """Scan (a fraction of) the ACCESSED bits and fold into hotness."""

@@ -1,9 +1,10 @@
 """Per-window profiling pipeline: PEBS sampling into region hotness.
 
 The :class:`Profiler` is what TS-Daemon runs during each profile window
-(paper Figure 6): raw accesses stream through the sampler, the sampled
-subset accumulates into region hotness, and at the window boundary a
-:class:`ProfileRecord` snapshot feeds the placement model.
+(paper Figure 6): each window's per-page access counts go through the
+sampler, the sampled accesses accumulate into region hotness, and at the
+window boundary a :class:`ProfileRecord` snapshot feeds the placement
+model.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class Profiler:
         self._window = 0
         self._pending: list[np.ndarray] = []
 
-    def record(self, page_ids: np.ndarray) -> None:
-        """Feed a batch of raw accesses into the current window."""
-        sampled = self.sampler.sample(page_ids)
+    def record(self, counts: np.ndarray) -> None:
+        """Feed a batch of per-page access counts into the current window."""
+        sampled = self.sampler.sample(counts)
         if len(sampled):
             self._pending.append(sampled)
 

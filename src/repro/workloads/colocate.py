@@ -7,7 +7,7 @@ systems host diverse workloads with varying compression ratios").
 
 :class:`CompositeWorkload` co-locates any set of workload generators in
 one address space: tenant ``i``'s pages are mapped at a region-aligned
-offset, every window interleaves all tenants' access batches, and the
+offset, every window concatenates all tenants' per-page counts, and the
 per-tenant page ranges are exposed so the harness can report per-tenant
 TCO and placement (see ``repro.bench.experiments.exp_colocation``).
 
@@ -34,7 +34,8 @@ class CompositeWorkload(Workload):
             region-aligned number of pages; tenant ``i`` is mapped at the
             cumulative offset of its predecessors.
         name: Display name.
-        seed: RNG seed (for interleaving only; tenants keep their own).
+        seed: Accepted for symmetry with other workloads; every tenant
+            keeps its own stream.
     """
 
     def __init__(
@@ -65,15 +66,9 @@ class CompositeWorkload(Workload):
         start = self.offsets[index]
         return start, start + self.tenants[index].num_pages
 
-    def _generate(self, rng: np.random.Generator) -> np.ndarray:
-        batches = []
-        for tenant, offset in zip(self.tenants, self.offsets):
-            batches.append(tenant.next_window() + offset)
-        combined = np.concatenate(batches)
-        # Interleave: real co-located tenants' accesses are temporally
-        # mixed, which matters for within-window fault ordering.
-        rng.shuffle(combined)
-        return combined
+    def _generate_counts(self, rng: np.random.Generator) -> np.ndarray:
+        # Tenant i's pages sit at offsets[i], right after its predecessors.
+        return np.concatenate([tenant.next_window() for tenant in self.tenants])
 
     def reset(self) -> None:
         super().reset()

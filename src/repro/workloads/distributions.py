@@ -12,8 +12,13 @@
 Each generator draws *item ids* in ``[0, n)``; workloads map items to
 pages.  ``sample(size, rng, lut=table)`` returns ``table[item]`` instead,
 which lets a workload hand its item -> page table to the sampler: the
-samplers fold it into tables they already index (the Zipfian bucket
-table, the hot-rank rotation) rather than mapping every draw afterwards.
+samplers fold it into tables they already index (the hot-rank rotation)
+rather than mapping every draw afterwards.
+
+A profile window needs only how many accesses each page got, so the
+workloads call ``sample_counts(size, rng, lut, minlength)``: the
+bincount of ``sample``, which :class:`ZipfianGenerator` and
+:class:`HotWarmColdGenerator` draw directly with ``rng.multinomial``.
 """
 
 from __future__ import annotations
@@ -50,35 +55,59 @@ class TransientCaches:
         self._clear_transient()
 
 
-class ZipfianGenerator(TransientCaches):
+class Distribution:
+    """A popularity distribution over ``n`` items.
+
+    ``sample`` draws item ids (``lut[id]`` with a table); ``sample_counts``
+    draws how many of those ids land on each entry.  The default is the
+    bincount of :meth:`sample`; samplers that can draw the counts
+    directly (one ``rng.multinomial``) override it, which keeps the
+    counts equal in distribution but not in stream.
+    """
+
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+    ) -> np.ndarray:
+        raise NotImplementedError
+
+    def sample_counts(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+        minlength: int = 0,
+    ) -> np.ndarray:
+        """Per-entry counts of ``size`` draws, at least ``minlength`` long."""
+        return np.bincount(self.sample(size, rng, lut=lut), minlength=minlength)
+
+
+class ZipfianGenerator(TransientCaches, Distribution):
     """Rank-based Zipfian sampler (YCSB's zipfian constant 0.99).
 
-    Sampling inverts the CDF exactly the way ``rng.choice(n, p=...)``
-    does (one uniform draw per sample, ``searchsorted(..., 'right')``
-    semantics), so the output stream is bit-identical to the
-    ``rng.choice`` implementation this replaces -- but the CDF is
-    normalised once at construction and the binary search is replaced
-    by a sign-folded bucket table.  Bucket ``b`` of ``[0, 1)`` holds the
-    rank every draw in it maps to when no CDF step falls inside the
-    bucket (*exact* buckets), and ``~rank`` -- the smallest rank any draw
-    in it can map to -- when one does (*straddler* buckets).  One
-    ``take`` resolves the exact draws; only the few straddlers walk
-    forward along the CDF.
+    ``sample`` inverts the CDF exactly the way ``rng.choice(n, p=...)``
+    does -- one uniform draw per sample, ``searchsorted(..., 'right')``
+    -- so its stream is bit-identical to ``rng.choice``; the CDF is
+    normalised once at construction.  ``sample(..., lut=table)`` returns
+    ``table[rank]``.
 
-    ``sample(..., lut=table)`` returns ``table[rank]`` instead of the
-    rank.  The table is composed into the exact bucket entries once (and
-    again only when a different table object is passed), so mapping
-    ranks to pages costs no pass over the draws.  Tables are treated as
-    read-only and their entries must be non-negative.
+    ``sample_counts`` draws one ``rng.multinomial`` over the entries the
+    ranks map to: with a table, each entry's probability is the summed
+    probability of the ranks mapping to it (computed once per distinct
+    table object).  Tables are treated as read-only and their entries
+    must be non-negative.
 
     Args:
         n: Item-space size.
         theta: Skew; 0 = uniform, YCSB default 0.99.
     """
 
-    _TRANSIENT = ("_folded", "_straddlers", "_table", "_table_lut",
-                  "_scr_u", "_scr_b", "_scr_m")
-    _LEGACY = ("_bucket_lo", "_bucket_exact", "_scr_f")
+    _TRANSIENT = ("_pmf", "_pmf_entries", "_pmf_lut")
+    _LEGACY = ("_bucket_lo", "_bucket_exact", "_scr_f", "_buckets",
+               "_folded", "_straddlers", "_table", "_table_lut",
+               "_scr_u", "_scr_b", "_scr_m")
 
     def __init__(self, n: int, theta: float = 0.99) -> None:
         if n < 1:
@@ -95,47 +124,11 @@ class ZipfianGenerator(TransientCaches):
         cdf = self._probabilities.cumsum()
         cdf /= cdf[-1]
         self._cdf = cdf
-        # ~16 buckets per rank keeps the straddler fraction (and the walk
-        # below) short; capped so huge item spaces stay at a 1 MB table.
-        buckets = 1024
-        while buckets < 16 * n and buckets < (1 << 17):
-            buckets <<= 1
-        # rng.random returns multiples of 2**-53, so with a power-of-two
-        # bucket count u * buckets is exact and strictly below buckets:
-        # the bucket index needs no clamp and never overshoots its draw.
-        assert buckets & (buckets - 1) == 0
-        self._buckets = buckets
         self._clear_transient()
 
-    def _table_for(self, lut: np.ndarray | None) -> np.ndarray:
-        """The sign-folded bucket table, composed with ``lut`` if given."""
-        if self._folded is None:
-            buckets = self._buckets
-            edges = self._cdf.searchsorted(
-                np.arange(buckets + 1) / buckets, side="right"
-            )
-            folded = edges[:-1].copy()
-            self._straddlers = np.flatnonzero(edges[1:] != edges[:-1])
-            folded[self._straddlers] = ~folded[self._straddlers]
-            self._folded = folded
-        if lut is None:
-            return self._folded
-        if lut is not self._table_lut:
-            if lut.shape[0] < self.n:
-                raise ValueError(f"lut has {lut.shape[0]} entries, need {self.n}")
-            # Straddler entries are negative, which 'clip' maps to lut[0];
-            # they are restored right after.
-            table = lut.take(self._folded, mode="clip")
-            table[self._straddlers] = self._folded[self._straddlers]
-            self._table, self._table_lut = table, lut
-        return self._table
-
-    def _scratch(self, size: int) -> tuple[np.ndarray, ...]:
-        if self._scr_u is None or self._scr_u.size < size:
-            self._scr_u = np.empty(size)
-            self._scr_b = np.empty(size, dtype=np.int64)
-            self._scr_m = np.empty(size, dtype=bool)
-        return self._scr_u[:size], self._scr_b[:size], self._scr_m[:size]
+    def _check_lut(self, lut: np.ndarray) -> None:
+        if lut.shape[0] < self.n:
+            raise ValueError(f"lut has {lut.shape[0]} entries, need {self.n}")
 
     def sample(
         self,
@@ -145,30 +138,43 @@ class ZipfianGenerator(TransientCaches):
     ) -> np.ndarray:
         """Draw ``size`` item ids (``lut[id]`` when a table is given).
 
-        Item 0 is the most popular rank.  The returned array is freshly
-        allocated; internal scratch buffers are reused across calls.
+        Item 0 is the most popular rank.
         """
-        table = self._table_for(lut)
-        u, b, mask = self._scratch(size)
-        rng.random(out=u)
-        np.multiply(u, self._buckets, out=b, casting="unsafe")  # exact; trunc
-        out = table.take(b)
-        np.less(out, 0, out=mask)
-        hard = np.flatnonzero(mask)
-        if hard.size:
-            # Straddlers: walk forward to the first rank with cdf > u.
-            cdf = self._cdf
-            ranks = ~out[hard]
-            uh = u[hard]
-            wrong = np.flatnonzero(cdf[ranks] <= uh)
-            while wrong.size:
-                ranks[wrong] += 1
-                wrong = wrong[cdf[ranks[wrong]] <= uh[wrong]]
-            out[hard] = ranks if lut is None else lut.take(ranks)
-        return out
+        ranks = self._cdf.searchsorted(rng.random(size), side="right")
+        if lut is None:
+            return ranks
+        self._check_lut(lut)
+        return lut.take(ranks)
+
+    def _entry_pmf(self, lut: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Entries the ranks map to (ascending) and their probabilities."""
+        if self._pmf is None or self._pmf_lut is not lut:
+            if lut is None:
+                entries, pmf = np.arange(self.n), self._probabilities
+            else:
+                self._check_lut(lut)
+                mass = np.bincount(lut[: self.n], weights=self._probabilities)
+                entries = np.flatnonzero(mass)
+                pmf = mass[entries]
+            self._pmf_entries, self._pmf = entries, pmf / pmf.sum()
+            self._pmf_lut = lut
+        return self._pmf_entries, self._pmf
+
+    def sample_counts(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+        minlength: int = 0,
+    ) -> np.ndarray:
+        """Counts of ``size`` draws per entry: one ``rng.multinomial``."""
+        entries, pmf = self._entry_pmf(lut)
+        counts = np.zeros(max(minlength, int(entries[-1]) + 1), dtype=np.int64)
+        counts[entries] = rng.multinomial(size, pmf)
+        return counts
 
 
-class GaussianGenerator:
+class GaussianGenerator(Distribution):
     """Gaussian key popularity (memtier's ``--key-pattern=G:G``).
 
     Args:
@@ -205,7 +211,7 @@ class GaussianGenerator:
         return items if lut is None else lut.take(items)
 
 
-class HotspotGenerator:
+class HotspotGenerator(Distribution):
     """Hot-set popularity: ``hot_access_prob`` of accesses hit the hot set.
 
     Args:
@@ -245,7 +251,7 @@ class HotspotGenerator:
         return out if lut is None else lut.take(out)
 
 
-class UniformGenerator:
+class UniformGenerator(Distribution):
     """Uniform popularity over the item space."""
 
     def __init__(self, n: int) -> None:
@@ -310,7 +316,7 @@ class ChurningColdSet:
         self.offset = 0
 
 
-class HotWarmColdGenerator(TransientCaches):
+class HotWarmColdGenerator(TransientCaches, Distribution):
     """Three-population popularity: hot (Zipfian), warm, churning cold.
 
     Models the population structure data-center operators report (paper
@@ -322,8 +328,11 @@ class HotWarmColdGenerator(TransientCaches):
 
     The drift never touches the draws: each window's rotation (composed
     with the caller's ``lut``, if any) becomes one ``hot_items``-entry
-    rank table that the Zipfian sampler folds into its bucket table, so
-    hot draws come out already rotated and mapped.
+    rank table that the Zipfian sampler indexes, so hot draws come out
+    already rotated and mapped.  :meth:`sample_counts` splits the draws
+    into the three populations with one multinomial, draws the hot
+    counts with one multinomial over the pages that table touches, and
+    bincounts the warm and cold sliver from ids.
 
     Args:
         n: Item-space size.
@@ -335,8 +344,8 @@ class HotWarmColdGenerator(TransientCaches):
             rotates per window (0 = stationary).
     """
 
-    _TRANSIENT = ("_hot_table", "_hot_table_offset", "_hot_table_lut",
-                  "_scr_c", "_scr_hot", "_scr_nh")
+    _TRANSIENT = ("_hot_table", "_hot_table_offset", "_hot_table_lut")
+    _LEGACY = ("_scr_c", "_scr_hot", "_scr_nh")
 
     def __init__(
         self,
@@ -377,8 +386,8 @@ class HotWarmColdGenerator(TransientCaches):
 
         Rank ``r`` maps to item ``(r + offset) % hot_items`` and then to
         ``lut[item]``.  The table is rebuilt only when the offset or the
-        ``lut`` object changes, so the Zipfian sampler (which composes it
-        into its bucket table) rebuilds only then too.
+        ``lut`` object changes, so the Zipfian sampler (which caches its
+        per-page probabilities per table) recomputes only then too.
         """
         offset = self._hot_offset
         if self._hot_table_offset != offset or self._hot_table_lut is not lut:
@@ -398,21 +407,13 @@ class HotWarmColdGenerator(TransientCaches):
         rng: np.random.Generator,
         lut: np.ndarray | None = None,
     ) -> np.ndarray:
-        if self._scr_c is None or self._scr_c.size < size:
-            self._scr_c = np.empty(size)
-            self._scr_hot = np.empty(size, dtype=bool)
-            self._scr_nh = np.empty(size, dtype=bool)
-        component = self._scr_c[:size]
-        rng.random(out=component)
+        component = rng.random(size)
         out = np.empty(size, dtype=np.int64)
-        hot = self._scr_hot[:size]
-        np.less(component, self.hot_mass, out=hot)
+        hot = component < self.hot_mass
         # The non-hot remainder is a sliver (a few percent of the draws);
         # splitting it by integer index keeps the warm/cold work
         # proportional to that sliver instead of re-scanning every draw.
-        nh = self._scr_nh[:size]
-        np.logical_not(hot, out=nh)
-        not_hot = np.flatnonzero(nh)
+        not_hot = np.flatnonzero(~hot)
         warm_split = component[not_hot] < self.hot_mass + self.warm_mass
         warm_idx = not_hot[warm_split]
         cold_idx = not_hot[~warm_split]
@@ -429,6 +430,37 @@ class HotWarmColdGenerator(TransientCaches):
             items = self.hot_items + self.warm_items + self._cold.map(draws)
             out[cold_idx] = items if lut is None else lut.take(items)
         return out
+
+    def sample_counts(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        lut: np.ndarray | None = None,
+        minlength: int = 0,
+    ) -> np.ndarray:
+        """Counts of ``size`` draws per item (per ``lut`` entry).
+
+        Equal in distribution to ``bincount(sample(...))``: a draw is hot,
+        warm or cold with the population masses, a hot draw is a Zipfian
+        rank, and warm and cold draws are the same uniform ids
+        :meth:`sample` maps.
+        """
+        masses = np.array([self.hot_mass, self.warm_mass, 0.0])
+        masses[2] = max(0.0, 1.0 - masses[0] - masses[1])
+        n_hot, n_warm, n_cold = rng.multinomial(size, masses).tolist()
+        warm = self.hot_items + rng.integers(0, self.warm_items, size=n_warm)
+        cold = self.hot_items + self.warm_items + self._cold.map(
+            rng.integers(0, self.cold_items, size=n_cold)
+        )
+        items = np.concatenate((warm, cold))
+        rest = np.bincount(
+            items if lut is None else lut.take(items), minlength=minlength
+        )
+        counts = self._hot.sample_counts(
+            n_hot, rng, lut=self._hot_lut(lut), minlength=rest.size
+        )
+        counts[: rest.size] += rest
+        return counts
 
     def advance(self) -> None:
         """Per-window state update: cold churn rotates, hot set drifts."""

@@ -73,7 +73,7 @@ class DiurnalWorkload(Workload):
         """Index of the phase the *next* window will draw from."""
         return (self.window // self.windows_per_phase) % len(self.phases)
 
-    def _generate(self, rng: np.random.Generator) -> np.ndarray:
+    def _generate_counts(self, rng: np.random.Generator) -> np.ndarray:
         return self.phases[self.current_phase].next_window()
 
     def reset(self) -> None:

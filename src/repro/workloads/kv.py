@@ -36,7 +36,8 @@ class KVWorkload(TransientCaches, Workload):
         name: Display name, e.g. ``"memcached-ycsb"``.
         num_pages: Pages holding the dataset.
         ops_per_window: Requests per profile window.
-        distribution: Popularity sampler (has ``sample(size, rng, lut)``).
+        distribution: Popularity sampler (a
+            :class:`~repro.workloads.distributions.Distribution`).
         objects_per_page: Stored objects per 4 KB page (4 for 1 KB values).
         drift_per_window: Fraction of the keyspace the popularity ranking
             rotates by per window (0 = stationary).
@@ -96,8 +97,8 @@ class KVWorkload(TransientCaches, Workload):
         Item ``i`` is key ``(i + drift) % num_keys`` (drift rotates the
         rank -> key mapping so the hot set moves over time), stored on
         page ``_page_of_block[key // objects_per_page]``.  The sampler
-        indexes this table instead of the workload mapping every draw;
-        it is rebuilt only when the drift offset moves.
+        maps its items through this table; it is rebuilt only when the
+        drift offset moves.
         """
         offset = self._drift_offset
         if self._key_page_offset != offset:
@@ -106,9 +107,10 @@ class KVWorkload(TransientCaches, Workload):
             self._key_page_offset = offset
         return self._key_page
 
-    def _generate(self, rng: np.random.Generator) -> np.ndarray:
-        pages = self.distribution.sample(
-            self.ops_per_window, rng, lut=self._key_pages()
+    def _generate_counts(self, rng: np.random.Generator) -> np.ndarray:
+        counts = self.distribution.sample_counts(
+            self.ops_per_window, rng, lut=self._key_pages(),
+            minlength=self.num_pages,
         )
         self._drift_offset = int(
             (self._drift_offset + self.drift_per_window * self.num_keys)
@@ -117,7 +119,7 @@ class KVWorkload(TransientCaches, Workload):
         advance = getattr(self.distribution, "advance", None)
         if advance is not None:
             advance()
-        return pages
+        return counts
 
     def reset(self) -> None:
         """Rewind drift and distribution churn along with the RNG.

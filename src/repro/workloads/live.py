@@ -220,22 +220,24 @@ class FlashCrowdWorkload(Workload):
         """Whether a flash crowd is in progress."""
         return self._crowd_left > 0
 
-    def _generate(self, rng: np.random.Generator) -> np.ndarray:
+    def _generate_counts(self, rng: np.random.Generator) -> np.ndarray:
         if self._crowd_left == 0 and rng.random() < self.arrival_prob:
             self._crowd_start = int(
                 rng.integers(0, self.num_pages - self.crowd_pages + 1)
             )
             self._crowd_left = self.duration_windows
-        batch = self.base.next_window().copy()
+        counts = self.base.next_window()
         if self._crowd_left:
             self._crowd_left -= 1
-            redirect = rng.random(len(batch)) < self.crowd_share
-            n = int(redirect.sum())
-            if n:
-                batch[redirect] = self._crowd_start + rng.integers(
-                    0, self.crowd_pages, size=n
-                )
-        return batch
+            # Each access is redirected with probability crowd_share, to
+            # a uniform page of the band.
+            redirected = rng.binomial(counts, self.crowd_share)
+            counts -= redirected
+            start, band = self._crowd_start, self.crowd_pages
+            counts[start : start + band] += rng.multinomial(
+                int(redirected.sum()), np.full(band, 1.0 / band)
+            )
+        return counts
 
     def reset(self) -> None:
         super().reset()

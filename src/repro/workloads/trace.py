@@ -5,8 +5,9 @@ once and replay it deterministically across many policy runs, or (b)
 bring their *own* traces (e.g. converted from real PEBS dumps) into the
 simulator.  This module provides both directions:
 
-* :func:`record_trace` runs a generator for N windows and saves the
-  per-window page-id batches to a compressed ``.npz`` file,
+* :func:`record_trace` runs a generator for N windows and saves each
+  window's page ids to a compressed ``.npz`` file (a generated window
+  is per-page counts, so its ids are stored in ascending page order),
 * :func:`open_trace` reads a trace's header -- meta fields, per-window
   lengths and a content fingerprint -- without decompressing any window,
   and :func:`read_windows` decompresses the windows,
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, expand_counts
 
 
 class TraceMismatchError(ValueError):
@@ -73,7 +74,7 @@ def record_trace(workload: Workload, num_windows: int, path) -> Path:
     path = Path(path)
     arrays = {}
     for w in range(num_windows):
-        arrays[f"window_{w}"] = workload.next_window().astype(np.int64)
+        arrays[f"window_{w}"] = expand_counts(workload.next_window())
     arrays["meta"] = np.array(
         [
             workload.num_pages,

@@ -60,13 +60,15 @@ class XSBenchWorkload(Workload):
             cold_advance_fraction=0.03,
         )
 
-    def _generate(self, rng: np.random.Generator) -> np.ndarray:
+    def _generate_counts(self, rng: np.random.Generator) -> np.ndarray:
         lookups = self.ops_per_window
-        idx = rng.integers(
-            0, self.index_pages, size=lookups * self.index_accesses
+        index = self.index_pages
+        counts = np.empty(self.num_pages, dtype=np.int64)
+        counts[:index] = rng.multinomial(
+            lookups * self.index_accesses, np.full(index, 1.0 / index)
         )
-        data = self.index_pages + self._data_popularity.sample(
-            lookups * self.data_accesses, rng
+        counts[index:] = self._data_popularity.sample_counts(
+            lookups * self.data_accesses, rng, minlength=self.data_pages
         )
         self._data_popularity.advance()
-        return np.concatenate([idx, data])
+        return counts

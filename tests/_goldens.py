@@ -7,7 +7,10 @@ float precision so "byte-identical" can be asserted on the serialized
 form; ``golden_text`` produces the exact bytes stored on disk.
 ``exp_sla.json`` was captured the same way from ``exp_sla`` before SLA
 tuning moved onto the adaptive controller (``python tests/_goldens.py
-sla``).
+sla``).  Every golden was re-recorded once with these helpers when
+windows became per-page counts, which redraws the access stream and the
+PEBS samples.  ``python tests/_goldens.py fixtures`` writes the checkpoint
+fixtures captured from the counts-domain stream (``FIXTURE_SPECS``).
 """
 
 from __future__ import annotations
@@ -171,10 +174,61 @@ def capture() -> None:
     print(f"captured {stats_path}")
 
 
+#: Checkpoint fixtures re-captured from the counts-domain stream, each
+#: with the spec of the older fixture it stands beside and after the
+#: same window (3 of 6): file name -> (spec kwargs, rows carried).  The
+#: trace spec's path is relative to ``tests/fixtures``.
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+FIXTURE_SPECS = {
+    "checkpoint_counts.ckpt": {
+        "workload": "memcached-ycsb",
+        "workload_kwargs": {"num_pages": 4096, "ops_per_window": 20_000},
+        "policy": "waterfall",
+        "windows": 6,
+        "seed": 7,
+    },
+    "checkpoint_trace_ref.ckpt": {
+        "workload": "trace",
+        "workload_kwargs": {
+            "path": "checkpoint_trace_inline.npz",
+            "loop": False,
+        },
+        "policy": "waterfall",
+        "windows": 6,
+        "seed": 5,
+    },
+}
+FIXTURE_WINDOWS = 3
+
+
+def capture_fixtures() -> None:
+    """Write the re-captured checkpoint fixtures (run from any cwd)."""
+    import os
+
+    from repro.chaos.checkpoint import capture_session, save_checkpoint
+    from repro.engine.session import Session
+    from repro.engine.spec import ScenarioSpec
+
+    cwd = os.getcwd()
+    os.chdir(FIXTURE_DIR)
+    try:
+        for name, kwargs in FIXTURE_SPECS.items():
+            session = Session(ScenarioSpec(**kwargs))
+            for _ in range(FIXTURE_WINDOWS):
+                session.run_window()
+            rows = [{"w": w} for w in range(FIXTURE_WINDOWS)]
+            path = save_checkpoint(name, capture_session(session, rows))
+            print(f"captured {FIXTURE_DIR / path}")
+    finally:
+        os.chdir(cwd)
+
+
 if __name__ == "__main__":
     import sys
 
     if sys.argv[1:] == ["sla"]:
         capture_sla()
+    elif sys.argv[1:] == ["fixtures"]:
+        capture_fixtures()
     else:
         capture()

@@ -27,10 +27,17 @@ def _result(correct=True, **metrics):
     }
 
 
-def _side(windows_per_s=60.0, apply_ms=3.2, pages=2000.0, incorrect_run=None):
+def _side(
+    windows_per_s=60.0,
+    apply_ms=3.2,
+    pages=2000.0,
+    incorrect_run=None,
+    serve_windows_per_s=280.0,
+):
     """One tree's parsed results: five identical runs of each run name."""
     ycsb = [_result(windows_per_s=windows_per_s) for _ in range(5)]
     xsbench = [_result(windows_per_s=90.0) for _ in range(5)]
+    serve = [_result(windows_per_s=serve_windows_per_s) for _ in range(5)]
     traced = [
         _result(
             **{
@@ -46,6 +53,7 @@ def _side(windows_per_s=60.0, apply_ms=3.2, pages=2000.0, incorrect_run=None):
         "ycsb-waterfall --trace 0": ycsb,
         "xsbench-ckpt --trace 0": xsbench,
         "xsbench-ckpt --trace 1": traced,
+        "serve-flash-adaptive --trace 0": serve,
     }
 
 
@@ -62,6 +70,14 @@ def test_windows_per_s_drop_of_15_pct_fails(gate):
     failed = [line for line in lines if line.startswith("FAIL")]
     assert len(failed) == 1
     assert "ycsb-waterfall --trace 0 windows_per_s" in failed[0]
+
+
+def test_serve_windows_per_s_drop_of_15_pct_fails(gate):
+    ok, lines = gate.decide(_side(), _side(serve_windows_per_s=280.0 * 0.85))
+    assert not ok
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "serve-flash-adaptive --trace 0 windows_per_s" in failed[0]
 
 
 def test_slower_migration_per_page_fails(gate):
@@ -87,6 +103,7 @@ def test_bounds_match_the_gates_they_replace(gate):
         ("ycsb-waterfall --trace 0", "windows_per_s"): 0.10,
         ("xsbench-ckpt --trace 0", "windows_per_s"): 0.10,
         ("xsbench-ckpt --trace 1", "migrated_pages_per_apply_ms"): 0.25,
+        ("serve-flash-adaptive --trace 0", "windows_per_s"): 0.10,
     }
     assert {run for run, *_ in gate.GATES} == {
         gate.run_name(*run) for run in gate.RUNS

@@ -95,7 +95,7 @@ class TestSpatialPrefetcher:
         system.move_region(0, 1)
         prefetcher = SpatialPrefetcher(system, degree=3)
         # Fault page 10, then let the prefetcher react.
-        system.access_batch(np.array([10]))
+        system.access_batch(np.bincount(np.array([10])))
         ns = prefetcher.on_window([10])
         assert ns > 0
         assert prefetcher.stats.issued >= 1
@@ -108,7 +108,7 @@ class TestSpatialPrefetcher:
         system.move_region(0, 1)
         prefetcher = SpatialPrefetcher(system, degree=8)
         last = PAGES_PER_REGION - 2
-        system.access_batch(np.array([last]))
+        system.access_batch(np.bincount(np.array([last])))
         prefetcher.on_window([last])
         # Only the one in-region neighbour could be prefetched.
         assert prefetcher.stats.issued <= 1
@@ -118,11 +118,11 @@ class TestSpatialPrefetcher:
         system.move_region(0, 1)
         prefetcher = SpatialPrefetcher(system, degree=2)
         system.advance_window()
-        system.access_batch(np.array([10]))
+        system.access_batch(np.bincount(np.array([10])))
         prefetcher.on_window([10])
         # Next window, access one prefetched page.
         system.advance_window()
-        system.access_batch(np.array([11]))
+        system.access_batch(np.bincount(np.array([11])))
         prefetcher.on_window([])
         assert prefetcher.stats.useful >= 1
         assert 0.0 <= prefetcher.stats.accuracy <= 1.0

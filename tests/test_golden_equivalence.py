@@ -2,9 +2,10 @@
 
 The files under ``tests/goldens/`` were serialized from the seed
 commit's hand-wired ``bench/experiments.py`` (before the drivers were
-rerouted through ``repro.engine.Session``) at the pinned seeds.  These
-tests assert the refactored drivers reproduce them byte for byte --
-i.e. the engine layer changed the plumbing, not a single number.
+rerouted through ``repro.engine.Session``) at the pinned seeds, and
+re-recorded once when windows became per-page counts (a redrawn access
+stream).  These tests assert the drivers reproduce them byte for byte
+-- i.e. a refactor changes the plumbing, not a single number.
 
 Measured wall-clock fields (the solver times a real ILP solve) are
 zeroed on both sides, and the latency-statistic fields -- whose values

@@ -76,7 +76,7 @@ class TestConstruction:
 class TestAccessPath:
     def test_dram_access_cost(self):
         system = fresh_system()
-        result = system.access_batch(np.array([0, 1, 2, 0]))
+        result = system.access_batch(np.bincount(np.array([0, 1, 2, 0])))
         assert result.accesses == 4
         assert result.faults == 0
         assert result.access_ns == pytest.approx(4 * DRAM.read_ns)
@@ -85,13 +85,13 @@ class TestAccessPath:
 
     def test_empty_batch(self):
         system = fresh_system()
-        result = system.access_batch(np.array([], dtype=np.int64))
+        result = system.access_batch(np.bincount(np.array([], dtype=np.int64)))
         assert result.accesses == 0
 
     def test_nvmm_access_slower(self):
         system = fresh_system()
         system.move_page(0, 1)
-        result = system.access_batch(np.array([0]))
+        result = system.access_batch(np.bincount(np.array([0])))
         assert result.access_ns > DRAM.read_ns
         assert result.faults == 0
 
@@ -100,7 +100,7 @@ class TestAccessPath:
         ct_idx = system.tier_index("CT")
         system.move_page(0, ct_idx)
         assert system.page_location[0] == ct_idx
-        result = system.access_batch(np.array([0, 0, 0]))
+        result = system.access_batch(np.bincount(np.array([0, 0, 0])))
         assert result.faults == 1
         assert system.page_location[0] == 0  # promoted to DRAM
         assert system.tiers[ct_idx].stats.faults == 1
@@ -111,7 +111,7 @@ class TestAccessPath:
         system = fresh_system()
         ct_idx = system.tier_index("CT")
         system.move_page(0, ct_idx)
-        result = system.access_batch(np.array([0, 1]))
+        result = system.access_batch(np.bincount(np.array([0, 1])))
         latencies = sorted(lat for lat, _ in result.latency_histogram)
         assert latencies[0] == pytest.approx(DRAM.read_ns)
         assert latencies[-1] > 1000  # the fault
@@ -132,7 +132,7 @@ class TestAccessPath:
         # Fill DRAM up to 2 free pages (another tenant's allocation).
         dram = system.tiers[0]
         dram.add_pages(dram.free_pages - 2)
-        result = system.access_batch(np.array(faulting))
+        result = system.access_batch(np.bincount(np.array(faulting)))
         assert result.faults == len(faulting)
         # 2 pages promoted into DRAM, the remaining 3 spilled to NVMM.
         assert dram.free_pages == 0
@@ -154,14 +154,14 @@ class TestAccessPath:
         before_ns = system.clock.access_ns
         before_resident = system.tiers[ct_idx].resident_pages
         with pytest.raises(AllocationError, match="no byte-addressable"):
-            system.access_batch(np.array([0, 1, 2, 3]))
+            system.access_batch(np.bincount(np.array([0, 1, 2, 3])))
         assert system.clock.access_ns == before_ns
         assert system.tiers[ct_idx].resident_pages == before_resident
 
     def test_recency_tracking(self):
         system = fresh_system()
         system.advance_window()
-        system.access_batch(np.array([5]))
+        system.access_batch(np.bincount(np.array([5])))
         assert system.last_access_window[5] == 1
         assert system.last_access_window[6] < 0
 
@@ -245,7 +245,7 @@ class TestMigration:
         ct_idx = system.tier_index("CT")
         system.advance_window()
         touched = np.arange(0, 100)
-        system.access_batch(touched)
+        system.access_batch(np.bincount(touched))
         system.move_region(0, ct_idx, recency_windows=1)
         assert (system.page_location[:100] == 0).all()  # recent pages stayed
         assert (system.page_location[100:PAGES_PER_REGION] == ct_idx).sum() > 0
@@ -253,7 +253,7 @@ class TestMigration:
     def test_recency_skip_not_applied_to_byte_tiers(self):
         system = fresh_system()
         system.advance_window()
-        system.access_batch(np.arange(0, 100))
+        system.access_batch(np.bincount(np.arange(0, 100)))
         system.move_region(0, 1, recency_windows=1)
         assert (system.page_location[:PAGES_PER_REGION] == 1).all()
 
@@ -292,7 +292,7 @@ class TestConsistency:
         ct_idx = system.tier_index("CT")
         for _ in range(5):
             system.advance_window()
-            system.access_batch(rng.integers(0, system.space.num_pages, 2000))
+            system.access_batch(np.bincount(rng.integers(0, system.space.num_pages, 2000)))
             system.move_region(int(rng.integers(0, 4)), int(rng.integers(0, 3)))
         counts = system.placement_counts()
         assert counts.sum() == system.space.num_pages

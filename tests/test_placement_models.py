@@ -138,7 +138,7 @@ class TestMigrationFilter:
         system.move_region(0, ct)
         # Fault one page back to DRAM.
         pid = int(np.where(system.page_location[:512] == ct)[0][0])
-        system.access_batch(np.array([pid]))
+        system.access_batch(np.bincount(np.array([pid])))
         filt = MigrationFilter()
         wave = filt.apply({0: ct}, record([0.0, 1.0, 1.0, 1.0]), system)
         assert wave == {0: ct}  # not fully resident -> not a no-op
@@ -167,7 +167,7 @@ class TestMigrationFilter:
         filt.apply({}, rec, system)  # snapshot fault counts
         # Fault many pages to cross the pressure threshold.
         stored = np.where(system.page_location[:512] == ct)[0][:50]
-        system.access_batch(stored)
+        system.access_batch(np.bincount(stored))
         wave = filt.apply({1: ct}, rec, system)
         assert wave == {}
         assert filt.dropped_pressure == 1

@@ -131,7 +131,8 @@ class TestWindowingProperty:
         batch.validate_capacity()
         for start in range(0, total_events, window_events):
             batch.run_window(
-                pages[start : start + window_events], write_fraction=0.1
+                np.bincount(pages[start : start + window_events], minlength=1024),
+                write_fraction=0.1,
             )
         batch.finish()
 

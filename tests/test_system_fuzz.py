@@ -41,7 +41,7 @@ def test_random_operations_preserve_invariants(data):
         op = data.draw(st.sampled_from(["access", "move_page", "move_region", "window"]))
         if op == "access":
             batch = rng.integers(0, space.num_pages, size=200)
-            system.access_batch(batch, write_fraction=rng.random() * 0.5)
+            system.access_batch(np.bincount(batch), write_fraction=rng.random() * 0.5)
         elif op == "move_page":
             system.move_page(
                 int(rng.integers(0, space.num_pages)),

@@ -12,19 +12,19 @@ from repro.telemetry.window import Profiler
 class TestPEBSSampler:
     def test_rate_one_records_everything(self):
         sampler = PEBSSampler(rate=1)
-        batch = np.arange(1000)
-        assert len(sampler.sample(batch)) == 1000
+        batch = np.ones(1000, dtype=np.int64)  # one access to each page
+        assert np.array_equal(sampler.sample(batch), np.arange(1000))
 
     def test_thinning_is_approximately_unbiased(self):
         sampler = PEBSSampler(rate=10, seed=1)
-        batch = np.arange(100_000)
+        batch = np.ones(100_000, dtype=np.int64)
         sampled = sampler.sample(batch)
         assert 8_000 < len(sampled) < 12_000
         assert sampler.effective_rate == pytest.approx(10, rel=0.2)
 
     def test_sampled_subset_preserved(self):
         sampler = PEBSSampler(rate=5, seed=2)
-        batch = np.full(10_000, 7)
+        batch = np.bincount(np.full(10_000, 7))
         sampled = sampler.sample(batch)
         assert (sampled == 7).all()
 
@@ -34,7 +34,7 @@ class TestPEBSSampler:
 
     def test_overhead_accumulates(self):
         sampler = PEBSSampler(rate=1)
-        sampler.sample(np.arange(10))
+        sampler.sample(np.ones(10, dtype=np.int64))
         assert sampler.overhead_ns > 0
 
     def test_invalid_rate(self):
@@ -98,8 +98,8 @@ class TestRegionHotness:
 class TestProfiler:
     def test_window_lifecycle(self):
         profiler = Profiler(num_regions=2, sampling_rate=1)
-        profiler.record(np.array([0, 1, 2]))
-        profiler.record(np.array([PAGES_PER_REGION]))
+        profiler.record(np.bincount([0, 1, 2]))
+        profiler.record(np.bincount([PAGES_PER_REGION]))
         record = profiler.end_window()
         assert record.window == 0
         assert record.window_samples == 4
@@ -110,9 +110,9 @@ class TestProfiler:
 
     def test_hotness_snapshot_is_copy(self):
         profiler = Profiler(num_regions=1, sampling_rate=1)
-        profiler.record(np.array([0]))
+        profiler.record(np.bincount([0]))
         record = profiler.end_window()
-        profiler.record(np.array([0, 0]))
+        profiler.record(np.bincount([0, 0]))
         profiler.end_window()
         assert record.hotness[0] == 1.0  # unchanged by later windows
 

@@ -15,13 +15,13 @@ from tests.conftest import run_windows
 
 
 def hot_cold_batch(hot_region=0, accesses=5000, num_regions=4, rng=None):
-    """Batch hammering one region plus a sprinkle over another."""
+    """Per-page counts hammering one region plus a sprinkle over another."""
     rng = rng or np.random.default_rng(0)
     hot = hot_region * PAGES_PER_REGION + rng.integers(
         0, PAGES_PER_REGION, accesses
     )
     sprinkle = (num_regions - 1) * PAGES_PER_REGION + rng.integers(0, 8, 16)
-    return np.concatenate([hot, sprinkle])
+    return np.bincount(np.concatenate([hot, sprinkle]))
 
 
 class TestIdleBitProfiler:
@@ -36,14 +36,14 @@ class TestIdleBitProfiler:
 
     def test_bits_clear_after_scan(self):
         profiler = IdleBitProfiler(num_regions=2, cooling=1.0)
-        profiler.record(np.array([0, 1, 2]))
+        profiler.record(np.bincount([0, 1, 2]))
         profiler.end_window()
         record = profiler.end_window()  # nothing new recorded
         assert record.hotness.sum() == 0
 
     def test_partial_scan_persists_bits(self):
         profiler = IdleBitProfiler(num_regions=2, cooling=1.0, scan_fraction=0.5)
-        profiler.record(np.arange(0, 512))
+        profiler.record(np.ones(512, dtype=np.int64))
         first = profiler.end_window()
         second = profiler.end_window()  # unscanned bits still set
         assert first.hotness[0] + second.hotness[0] >= 256
@@ -90,7 +90,7 @@ class TestDamonProfiler:
                     samples_per_region=samples,
                     seed=trial,
                 )
-                profiler.record(batch)
+                profiler.record(np.bincount(batch))
                 estimates.append(profiler.end_window().hotness[0])
             truth = len(np.unique(batch))
             errors[samples] = np.mean([abs(e - truth) for e in estimates])
@@ -105,7 +105,7 @@ class TestRegistry:
     def test_all_kinds_constructible(self):
         for kind in PROFILER_KINDS:
             profiler = make_profiler(kind, num_regions=2)
-            profiler.record(np.array([0, 600]))
+            profiler.record(np.bincount([0, 600]))
             record = profiler.end_window()
             assert record.hotness.shape == (2,)
 

@@ -119,7 +119,7 @@ class TestLazyTrace:
         for want in windows:
             got = replay.next_window()
             assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, np.bincount(want, minlength=1024))
 
     def test_fingerprint_tracks_content(self, tmp_path):
         first = open_trace(_trace(tmp_path, 2, seed=1, name="a.npz"))
@@ -226,25 +226,45 @@ class TestInlineCheckpointCompat:
     """The fixture was captured before traces checkpointed by reference:
     512 pages, 400 accesses per window, 6 windows, checkpoint after
     window 3, waterfall, seed 5.  Its trace path is relative and absent
-    here; the companion trace is committed next to it."""
+    here; the companion trace is committed next to it.  Its PEBS sampler
+    thinned ids, so a fresh run of the counts-domain sampler no longer
+    reproduces its three windows; resume ≡ fresh run is pinned on
+    ``checkpoint_trace_ref.ckpt``, captured from the counts-domain
+    stream with the same spec (path relative to the fixtures) after the
+    same window."""
 
     def test_inline_windows_resume_without_the_file(
         self, tmp_path, monkeypatch
     ):
+        from repro.chaos.invariants import check_capacity
+
         monkeypatch.chdir(tmp_path)
         blob = load_checkpoint(FIXTURES / "checkpoint_trace_inline.ckpt")
         resumed, _rows, done = restore_session(blob)
         assert done == 3
         assert resumed.workload.info is None
         assert len(resumed.workload._windows) == 6
-        for _ in range(resumed.spec.windows - done):
-            resumed.run_window()
+        twin, _rows, _done = restore_session(blob)
+        for session in (resumed, twin):
+            for _ in range(session.spec.windows - done):
+                session.run_window()
+            check_capacity(session.system)
+        _assert_same_run(resumed, twin)
 
         # Re-checkpointing keeps the windows inline: still no file needed.
         again, _rows, _done = restore_session(capture_session(resumed))
         assert len(again.workload._windows) == 6
 
-        companion = FIXTURES / "checkpoint_trace_inline.npz"
+    def test_recaptured_reference_resumes_like_a_fresh_run(self, monkeypatch):
+        monkeypatch.chdir(FIXTURES)
+        blob = load_checkpoint("checkpoint_trace_ref.ckpt")
+        resumed, _rows, done = restore_session(blob)
+        assert done == 3
+        assert resumed.workload.info is not None
+        companion = Path("checkpoint_trace_inline.npz")
+        assert resumed.spec == _spec(companion, 6, seed=5)
+        for _ in range(resumed.spec.windows - done):
+            resumed.run_window()
         full = Session(_spec(companion, 6, seed=5))
         full.run()
         _assert_same_run(resumed, full)

@@ -8,6 +8,7 @@ both and compares the full observable state.
 """
 
 import copy
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,11 +18,14 @@ from repro.allocators import ZsmallocAllocator
 from repro.allocators.zbud import ZbudAllocator
 from repro.mem.address_space import AddressSpace
 from repro.mem.page import PAGES_PER_REGION
+from repro.mem.stats import tier_rollup
 from repro.mem.system import _PAGE_CHUNKS, TieredMemorySystem
 from repro.mem.tier import ByteAddressableTier
 from repro.workloads.distributions import ZipfianGenerator
 
 from tests.conftest import make_tiers
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _make_system(seed: int) -> TieredMemorySystem:
@@ -104,7 +108,7 @@ def test_access_batch_matches_scalar_reference(seed, batch_seed, write_fraction)
     rng = np.random.default_rng(batch_seed)
     batch = rng.integers(0, system.space.num_pages, size=int(rng.integers(1, 400)))
 
-    result = system.access_batch(batch, write_fraction)
+    result = system.access_batch(np.bincount(batch), write_fraction)
     ref_ns, ref_faults, ref_hist = _scalar_access_batch(
         reference, batch, write_fraction
     )
@@ -360,30 +364,56 @@ def test_memcached_checkpoint_carries_no_scratch():
     assert len(capture_session(session)) < 5_000_000
 
 
+def _records_equal(got, want) -> None:
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        for name in ("recommended", "placement", "pool_pages", "faults", "hotness"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for name in ("tco", "tco_savings", "access_ns", "accesses",
+                     "migration_wall_ns"):
+            assert getattr(a, name) == getattr(b, name), name
+    got_rollup = tier_rollup(got.system.tiers)
+    want_rollup = tier_rollup(want.system.tiers)
+    for name, col in got_rollup.items():
+        assert np.array_equal(col, want_rollup[name]), name
+
+
 def test_checkpoint_v1_fixture_loads_and_resumes_identically():
     """Backward compat: a pre-SoA (v1) checkpoint restores into the
-    columnar core and finishes byte-identically to a fresh run.
+    columnar core and resumes deterministically to completion.
 
     The fixture was captured with the pre-refactor object-layer code
-    after 3 of 6 windows of the spec below.
+    after 3 of 6 windows of the spec below.  Its three windows came from
+    the page-id stream, which counts-domain windows redraw, so a fresh
+    run no longer reproduces it; two restores of it must still finish
+    bit-identically.  Resume ≡ fresh run is pinned on
+    ``checkpoint_counts.ckpt``, captured from the counts-domain stream
+    with the same spec after the same window.
     """
-    from pathlib import Path
-
     from repro.chaos.checkpoint import load_checkpoint, restore_session
+    from repro.chaos.invariants import check_capacity
     from repro.engine.session import Session
     from repro.engine.spec import ScenarioSpec
-    from repro.mem.stats import tier_rollup
 
-    fixture = Path(__file__).parent / "fixtures" / "checkpoint_v1.ckpt"
-    sess, rows, done = restore_session(load_checkpoint(fixture))
-    assert done == 3
-    assert rows == [{"w": 0}, {"w": 1}, {"w": 2}]
+    def resume(name):
+        sess, rows, done = restore_session(load_checkpoint(FIXTURES / name))
+        assert done == 3
+        assert rows == [{"w": 0}, {"w": 1}, {"w": 2}]
+        return sess
+
+    sess = resume("checkpoint_v1.ckpt")
     # The fixture's samplers carry scratch and the unfolded bucket table;
-    # both are dropped on load and rebuilt on demand.
+    # both are dropped on load.
     hot = sess.workload.distribution._hot
-    assert not hasattr(hot, "_bucket_lo") and hot._scr_u is None
-    for _ in range(sess.spec.windows - done):
-        sess.run_window()
+    assert not hasattr(hot, "_bucket_lo") and not hasattr(hot, "_scr_u")
+    assert not hasattr(sess.daemon.profiler.sampler, "_scr_u")
+    again = resume("checkpoint_v1.ckpt")
+    for resumed in (sess, again):
+        for _ in range(resumed.spec.windows - 3):
+            resumed.run_window()
+        check_capacity(resumed.system)
+    assert len(sess.records) == 6
+    _records_equal(sess, again)
 
     spec = ScenarioSpec(
         workload="memcached-ycsb",
@@ -392,21 +422,15 @@ def test_checkpoint_v1_fixture_loads_and_resumes_identically():
         windows=6,
         seed=7,
     )
+    assert sess.spec == spec
+    recaptured = resume("checkpoint_counts.ckpt")
+    assert recaptured.spec == spec
+    for _ in range(spec.windows - 3):
+        recaptured.run_window()
     fresh = Session(spec)
     for _ in range(spec.windows):
         fresh.run_window()
-
-    assert len(sess.records) == len(fresh.records) == 6
-    for got, want in zip(sess.records, fresh.records):
-        for name in ("recommended", "placement", "pool_pages", "faults", "hotness"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        for name in ("tco", "tco_savings", "access_ns", "accesses",
-                     "migration_wall_ns"):
-            assert getattr(got, name) == getattr(want, name), name
-    got_rollup = tier_rollup(sess.system.tiers)
-    want_rollup = tier_rollup(fresh.system.tiers)
-    for name, col in got_rollup.items():
-        assert np.array_equal(col, want_rollup[name]), name
+    _records_equal(recaptured, fresh)
 
 
 @settings(max_examples=30, deadline=None)

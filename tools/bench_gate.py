@@ -4,11 +4,13 @@
 Runs each tree's own ``repobench/run.py`` for ``PAIRS`` pairs with a
 fixed seed and run length, alternating which side goes first so a host
 that speeds up or slows down during the job hits both sides alike.  One
-side of a pair is the three runs in ``RUNS``: ``ycsb-waterfall`` (the
-paper's Fig. 8 scenario) and ``xsbench-ckpt`` (migration waves and
-checkpoints) end to end, plus ``xsbench-ckpt`` with ``--trace 1`` for
-its per-layer migration time.  Both trees run on the same host in the
-same job, so no committed baseline is needed.
+side of a pair is the four runs in ``RUNS``: ``ycsb-waterfall`` (the
+paper's Fig. 8 scenario), ``xsbench-ckpt`` (migration waves and
+checkpoints) and ``serve-flash-adaptive`` (the serving path: trace
+replay, ingest and its id -> count conversion) end to end, plus
+``xsbench-ckpt`` with ``--trace 1`` for its per-layer migration time.
+Both trees run on the same host in the same job, so no committed
+baseline is needed.
 
 The gate fails (exit 1) when any of these holds:
 
@@ -41,7 +43,12 @@ SEED = 1
 SECONDS = 8.0
 
 #: ``(workload, --trace)`` runs that make up one side of a pair.
-RUNS = (("ycsb-waterfall", 0), ("xsbench-ckpt", 0), ("xsbench-ckpt", 1))
+RUNS = (
+    ("ycsb-waterfall", 0),
+    ("xsbench-ckpt", 0),
+    ("xsbench-ckpt", 1),
+    ("serve-flash-adaptive", 0),
+)
 
 
 def run_name(workload: str, trace: int) -> str:
@@ -72,6 +79,13 @@ GATES = (
     ),
     (
         run_name("xsbench-ckpt", 0),
+        "windows_per_s",
+        _metric("windows_per_s"),
+        0.10,
+    ),
+    # The serving path end to end.
+    (
+        run_name("serve-flash-adaptive", 0),
         "windows_per_s",
         _metric("windows_per_s"),
         0.10,
