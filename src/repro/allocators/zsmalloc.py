@@ -47,6 +47,14 @@ def size_class(size: int) -> int:
     return -(-size // CLASS_DELTA) * CLASS_DELTA
 
 
+def size_classes(sizes: np.ndarray) -> np.ndarray:
+    """:func:`size_class` over an integer array (floor division on the
+    negated array is a ceil)."""
+    return np.where(
+        sizes <= MIN_CLASS, MIN_CLASS, -(-sizes // CLASS_DELTA) * CLASS_DELTA
+    )
+
+
 def _kernel_geometry(cls: int) -> tuple[int, int]:
     """The kernel's ``get_pages_per_zspage`` choice for class ``cls``."""
     best = (1, PAGE_SIZE // cls)
@@ -272,11 +280,7 @@ class ZsmallocAllocator(PoolAllocator):
             # Invalid sizes raise mid-batch with the preceding stores
             # committed, exactly as sequential calls would.
             return super().store_ids(arr)
-        # Round every size up to its class in one pass (floor division on
-        # the negated array is a ceil, as in ``size_class``).
-        classes = np.where(
-            arr <= MIN_CLASS, MIN_CLASS, -(-arr // CLASS_DELTA) * CLASS_DELTA
-        )
+        classes = size_classes(arr)
         self._next_id = first + n
         self.stored_bytes += int(arr.sum())
         self.stored_objects += n

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.mem.page import PAGE_SIZE
 
 
@@ -76,6 +78,26 @@ class AlgorithmModel:
     def compressed_size(self, intrinsic: float) -> int:
         """Compressed object size in bytes for one 4 KB page."""
         return max(1, int(round(self.ratio(intrinsic) * PAGE_SIZE)))
+
+    def ratios(self, intrinsics) -> np.ndarray:
+        """:meth:`ratio` over an array, bit-identical element for element.
+
+        ``np.power`` is not bitwise equal to scalar ``**``, so each
+        element goes through the scalar law.  Callers with many repeated
+        values pass the distinct ones (the memory system's per-level
+        tables).
+        """
+        values = np.asarray(intrinsics, dtype=np.float64)
+        ratios = [self.ratio(c) for c in values.ravel().tolist()]
+        return np.array(ratios, dtype=np.float64).reshape(values.shape)
+
+    def compressed_sizes(self, intrinsics) -> np.ndarray:
+        """:meth:`compressed_size` over an array (``int64``), bit-identical.
+
+        ``np.rint`` rounds half to even, like ``round()``.
+        """
+        sizes = np.rint(self.ratios(intrinsics) * PAGE_SIZE).astype(np.int64)
+        return np.maximum(1, sizes)
 
     def compress_ns(self, num_pages: int = 1) -> float:
         """Compression cost for ``num_pages`` pages."""

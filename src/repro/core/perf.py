@@ -31,17 +31,13 @@ def per_access_penalty(
     from the backing medium.
     """
     region_compressibility = np.asarray(region_compressibility, dtype=np.float64)
-    num_regions = len(region_compressibility)
     dram_ns = tiers[0].media.read_ns
-    out = np.empty((num_regions, len(tiers)))
+    out = np.empty((len(region_compressibility), len(tiers)))
     for t, tier in enumerate(tiers):
         if isinstance(tier, ByteAddressableTier):
             out[:, t] = tier.media.read_ns - dram_ns
         elif isinstance(tier, CompressedTier):
-            for r in range(num_regions):
-                out[r, t] = tier.fault_latency_ns(
-                    intrinsic=float(region_compressibility[r])
-                )
+            out[:, t] = tier.fault_latencies_ns(region_compressibility)
         else:  # pragma: no cover - future tier kinds
             raise TypeError(f"unknown tier kind {type(tier).__name__}")
     if (out[:, 0] != 0).any():

@@ -103,6 +103,9 @@ class AnalyticalModel(PlacementModel):
         self, record: ProfileRecord, system: TieredMemorySystem
     ) -> dict[int, int]:
         problem = self.build_problem(record, system)
+        if self.last_solution is not None:
+            # Warm start: last window's answer bounds this window's solve.
+            problem.hint = self.last_solution.assignment
         solution = solve(problem, backend=self.backend, obs=self.obs)
         self.last_solution = solution
         self.solver_ns += solution.solve_wall_ns

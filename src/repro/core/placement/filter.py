@@ -63,23 +63,28 @@ class MigrationFilter:
         # pages; compressed tiers count free *pool* pages, converted at the
         # pessimistic 1:1 ratio (a region never needs more pool pages than
         # its page count).
-        remaining = np.array(
-            [tier.free_pages // PAGES_PER_REGION for tier in system.tiers],
-            dtype=np.int64,
-        )
+        remaining = [tier.free_pages // PAGES_PER_REGION for tier in system.tiers]
 
         # Coldest-first, so cold regions claim the scarce TCO-saving slots.
         ordered = sorted(
             moves.items(), key=lambda kv: record.hotness[kv[0]]
         )
-        for region_id, dst in ordered:
-            region = system.space.regions[region_id]
-            if dst == region.assigned_tier and self._fully_resident(
-                system, region_id, dst
-            ):
+        if not ordered:
+            return filtered
+        ids = np.array([region_id for region_id, _ in ordered], dtype=np.int64)
+        dsts = np.array([dst for _, dst in ordered], dtype=np.int64)
+        assigned = system.pt.region_assigned[ids]
+        # A move is a no-op when its region is assigned to, and every one
+        # of its pages sits in, the destination: one pass over all moves.
+        pages = system.page_location.reshape(-1, PAGES_PER_REGION)[ids]
+        noop = (dsts == assigned) & (pages == dsts[:, None]).all(axis=1)
+        for (region_id, dst), is_noop, assigned_tier in zip(
+            ordered, noop.tolist(), assigned.tolist()
+        ):
+            if is_noop:
                 self.dropped_noop += 1
                 continue
-            if dst in pressured and dst != region.assigned_tier:
+            if dst in pressured and dst != assigned_tier:
                 self.dropped_pressure += 1
                 continue
             if self.enforce_capacity:
@@ -89,14 +94,6 @@ class MigrationFilter:
                 remaining[dst] -= 1
             filtered[region_id] = dst
         return filtered
-
-    def _fully_resident(
-        self, system: TieredMemorySystem, region_id: int, tier_idx: int
-    ) -> bool:
-        """Whether every page of the region actually sits in ``tier_idx``."""
-        region = system.space.regions[region_id]
-        locations = system.page_location[region.start_page : region.end_page]
-        return bool((locations == tier_idx).all())
 
     def _pressured_tiers(self, system: TieredMemorySystem) -> set[int]:
         """Compressed tiers whose last-window fault rate crossed the bar."""

@@ -35,13 +35,11 @@ def cost_matrix(
         Array of shape ``(R, len(tiers))`` in relative $.
     """
     region_compressibility = np.asarray(region_compressibility, dtype=np.float64)
-    num_regions = len(region_compressibility)
-    out = np.empty((num_regions, len(tiers)))
+    out = np.empty((len(region_compressibility), len(tiers)))
     for t, tier in enumerate(tiers):
-        for r in range(num_regions):
-            out[r, t] = PAGES_PER_REGION * tier.expected_page_cost(
-                float(region_compressibility[r])
-            )
+        out[:, t] = PAGES_PER_REGION * tier.expected_page_costs(
+            region_compressibility
+        )
     return out
 
 

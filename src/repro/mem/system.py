@@ -30,11 +30,11 @@ from repro.mem.pagetable import PageTable
 from repro.mem.stats import ClockStats
 from repro.mem.tier import (
     CHUNK_BYTES,
-    REJECT_RATIO,
     ByteAddressableTier,
     CompressedTier,
     Tier,
 )
+from repro.transient import TransientCaches
 
 #: 4 KB page copy cost in streaming chunks.
 _PAGE_CHUNKS = PAGE_SIZE // CHUNK_BYTES
@@ -60,7 +60,7 @@ class BatchResult:
     faulted_pages: list[int] = field(default_factory=list)
 
 
-class TieredMemorySystem:
+class TieredMemorySystem(TransientCaches):
     """A set of tiers serving one application's address space.
 
     Args:
@@ -74,7 +74,22 @@ class TieredMemorySystem:
             of decompressing and recompressing.
 
     All pages start resident in ``tiers[0]``.
+
+    The compression law reaches the batched paths through per-level
+    tables: each page's index into the space's distinct compressibility
+    values, and per compressed tier a compressed size and an admission
+    flag per value.  Checkpoints leave them out.
     """
+
+    _TRANSIENT = (
+        "_level_source",
+        "_level_values",
+        "_page_level",
+        "_level_csizes",
+        "_level_accepts",
+    )
+    # Per-page memo arrays of earlier checkpoints.
+    _LEGACY = ("_csize_cache", "_accepts_cache")
 
     def __init__(
         self,
@@ -121,13 +136,7 @@ class TieredMemorySystem:
         #: page stays (is restored) at its source, uncharged at the
         #: destination.
         self.failed_stores = 0
-        # Lazy per-(tier, page) memoization of the compression model.
-        # Entries are filled by the *scalar* code path the first time a
-        # page meets a tier, so the batched paths reuse bit-identical
-        # values instead of re-deriving them (np.power is not bitwise
-        # equal to scalar ``**``).  0 / -1 mark unset slots.
-        self._csize_cache: dict[int, np.ndarray] = {}
-        self._accepts_cache: dict[int, np.ndarray] = {}
+        self._clear_transient()
 
     # -- small helpers -------------------------------------------------------
 
@@ -161,56 +170,42 @@ class TieredMemorySystem:
         """Application pages per tier, shape ``(len(tiers),)``."""
         return self.pt.placement_counts(len(self.tiers))
 
+    def _page_levels(self) -> np.ndarray:
+        """Per-page index into the distinct compressibility values.
+
+        Built on first use and keyed by the identity of
+        ``space.compressibility``: a replaced array rebuilds the index
+        and drops every per-level table.
+        """
+        comp = self.space.compressibility
+        if self._level_source is not comp:
+            self._level_values, self._page_level = np.unique(
+                comp, return_inverse=True
+            )
+            self._level_source = comp
+            self._level_csizes = {}
+            self._level_accepts = {}
+        return self._page_level
+
     def _tier_csizes(self, tier_idx: int, page_ids: np.ndarray) -> np.ndarray:
-        """Per-page compressed sizes at ``tiers[tier_idx]`` (memoized)."""
-        cache = self._csize_cache.get(tier_idx)
-        if cache is None:
-            cache = np.zeros(self.space.num_pages, dtype=np.int64)
-            self._csize_cache[tier_idx] = cache
-        missing = page_ids[cache[page_ids] == 0]
-        if missing.size:
-            algo = self.tiers[tier_idx].algorithm
-            values = self.space.compressibility[missing]
-            if (values <= 0.0).any() or (values > 1.0).any():
-                # Out-of-domain data: take the validating scalar path so
-                # the error surface matches compressed_size() exactly.
-                cache[missing] = [
-                    algo.compressed_size(float(c)) for c in values.tolist()
-                ]
-            else:
-                # Inlined compressed_size(): scalar ``**`` (np.power is
-                # not bit-identical) then vectorized clamp/round, which
-                # matches min/max/round() element for element.
-                s = algo.strength
-                ratios = np.array([c**s for c in values.tolist()])
-                sizes = np.rint(
-                    np.minimum(1.0, np.maximum(0.02, ratios)) * PAGE_SIZE
-                ).astype(np.int64)
-                cache[missing] = np.maximum(1, sizes)
-        return cache[page_ids]
+        """Per-page compressed sizes at ``tiers[tier_idx]``."""
+        levels = self._page_levels()
+        table = self._level_csizes.get(tier_idx)
+        if table is None:
+            table = self.tiers[tier_idx].algorithm.compressed_sizes(
+                self._level_values
+            )
+            self._level_csizes[tier_idx] = table
+        return table[levels[page_ids]]
 
     def _tier_accepts(self, tier_idx: int, page_ids: np.ndarray) -> np.ndarray:
-        """Per-page zswap admission at ``tiers[tier_idx]`` (memoized)."""
-        cache = self._accepts_cache.get(tier_idx)
-        if cache is None:
-            cache = np.full(self.space.num_pages, -1, dtype=np.int8)
-            self._accepts_cache[tier_idx] = cache
-        missing = page_ids[cache[page_ids] < 0]
-        if missing.size:
-            tier = self.tiers[tier_idx]
-            values = self.space.compressibility[missing]
-            if (values <= 0.0).any() or (values > 1.0).any():
-                cache[missing] = [
-                    tier.accepts(float(c)) for c in values.tolist()
-                ]
-            else:
-                # Inlined accepts(): ratio < REJECT_RATIO with scalar ``**``.
-                s = tier.algorithm.strength
-                ratios = np.array([c**s for c in values.tolist()])
-                cache[missing] = (
-                    np.minimum(1.0, np.maximum(0.02, ratios)) < REJECT_RATIO
-                )
-        return cache[page_ids] == 1
+        """Per-page zswap admission at ``tiers[tier_idx]``."""
+        levels = self._page_levels()
+        table = self._level_accepts.get(tier_idx)
+        if table is None:
+            table = self.tiers[tier_idx].accepts_many(self._level_values)
+            self._level_accepts[tier_idx] = table
+        return table[levels[page_ids]]
 
     # -- access path ----------------------------------------------------------
 
@@ -487,8 +482,6 @@ class TieredMemorySystem:
         """§7.1 fast path: stream the compressed object, no codec work."""
         import math
 
-        from repro.mem.tier import CHUNK_BYTES
-
         csize = src.algorithm.compressed_size(intrinsic)
         chunks = math.ceil(csize / CHUNK_BYTES)
         ns = (
@@ -651,17 +644,10 @@ class TieredMemorySystem:
 
         # -- vectorized latency model (identical ops to move_page)
         per_ns = np.zeros(n, dtype=np.float64)
-        removed_f = removed_cs.astype(np.float64)
         for t_idx, pos in src_groups:
             tier = tiers[t_idx]
             if tier.is_compressed:
-                fixed = (
-                    tier.allocator.mgmt_overhead_ns
-                    + tier.algorithm.decompress_ns()
-                )
-                per_ns[pos] = fixed + tier.media.read_ns * np.ceil(
-                    removed_f[pos] / CHUNK_BYTES
-                )
+                per_ns[pos] = tier.csize_fault_ns(removed_cs[pos])
             else:
                 per_ns[pos] = tier.media.read_ns * _PAGE_CHUNKS
         if isinstance(dst, CompressedTier):
@@ -701,7 +687,7 @@ class TieredMemorySystem:
         # dict entries a pre-SoA pickle carries so they never shadow-rot.
         page_location = state.pop("page_location", None)
         last_access = state.pop("last_access_window", None)
-        self.__dict__.update(state)
+        super().__setstate__(state)
         if "pt" in state:
             return
         # Pre-SoA pickle: adopt the space's (converted) table, copy the

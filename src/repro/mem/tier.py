@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.allocators.base import AllocationError, Handle, PoolAllocator
-from repro.allocators.zsmalloc import size_class
+from repro.allocators.zsmalloc import size_classes
 from repro.compression.model import AlgorithmModel
 from repro.mem.media import DRAM, MediaSpec
 from repro.mem.page import PAGE_SIZE
@@ -80,6 +80,10 @@ class Tier:
         """Modelled cost of placing one page here (for the ILP, Eq. 8)."""
         raise NotImplementedError
 
+    def expected_page_costs(self, intrinsics: np.ndarray) -> np.ndarray:
+        """:meth:`expected_page_cost` over an array, bit-identical."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"{type(self).__name__}({self.name}, "
@@ -126,6 +130,9 @@ class ByteAddressableTier(Tier):
 
     def expected_page_cost(self, intrinsic: float) -> float:
         return self.media.cost_per_page
+
+    def expected_page_costs(self, intrinsics: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(intrinsics), float(self.media.cost_per_page))
 
 
 class _StoredPage(NamedTuple):
@@ -237,6 +244,10 @@ class CompressedTier(Tier):
         """Whether zswap would admit a page of this compressibility."""
         return self.algorithm.ratio(intrinsic) < REJECT_RATIO
 
+    def accepts_many(self, intrinsics: np.ndarray) -> np.ndarray:
+        """:meth:`accepts` over an array of intrinsic ratios."""
+        return self.algorithm.ratios(intrinsics) < REJECT_RATIO
+
     # -- latency model ------------------------------------------------------
 
     def _media_stream_ns(self, nbytes: int, write: bool) -> float:
@@ -268,6 +279,18 @@ class CompressedTier(Tier):
             self.allocator.mgmt_overhead_ns
             + self.algorithm.decompress_ns()
             + self._media_stream_ns(csize, write=False)
+        )
+
+    def fault_latencies_ns(self, intrinsics: np.ndarray) -> np.ndarray:
+        """:meth:`fault_latency_ns` for planning, over an array of
+        intrinsic ratios; bit-identical element for element."""
+        return self.csize_fault_ns(self.algorithm.compressed_sizes(intrinsics))
+
+    def csize_fault_ns(self, csizes: np.ndarray) -> np.ndarray:
+        """Fault latency of objects of the given compressed sizes."""
+        fixed = self.allocator.mgmt_overhead_ns + self.algorithm.decompress_ns()
+        return fixed + self.media.read_ns * np.ceil(
+            csizes.astype(np.float64) / CHUNK_BYTES
         )
 
     def expected_fault_ns(self, intrinsic: float = 0.5) -> float:
@@ -457,10 +480,7 @@ class CompressedTier(Tier):
         self.stats.compressed_bytes -= int(cs.sum())
         if fault:
             self.stats.faults += n
-        fixed = self.allocator.mgmt_overhead_ns + self.algorithm.decompress_ns()
-        return fixed + self.media.read_ns * np.ceil(
-            cs.astype(np.float64) / CHUNK_BYTES
-        )
+        return self.csize_fault_ns(cs)
 
     # -- pickling ------------------------------------------------------------
 
@@ -488,15 +508,20 @@ class CompressedTier(Tier):
 
     def expected_page_cost(self, intrinsic: float) -> float:
         """Modelled pool cost of one page (Eq. 8's ``C_CT * USD_CT``)."""
-        ratio = self.algorithm.ratio(intrinsic)
-        effective = self._allocator_effective_ratio(ratio)
-        return effective * self.media.cost_per_page
+        return float(self.expected_page_costs(np.array([intrinsic]))[0])
 
-    def _allocator_effective_ratio(self, ratio: float) -> float:
-        """Packing-aware effective ratio (zbud floors at 1/2, etc.)."""
+    def expected_page_costs(self, intrinsics: np.ndarray) -> np.ndarray:
+        """:meth:`expected_page_cost` over an array.
+
+        The effective ratio is packing-aware: zbud/z3fold floor it at one
+        object slot, zsmalloc rounds the object up to its size class.
+        """
+        algorithm = self.algorithm
         max_per_page = getattr(self.allocator, "max_objects_per_page", None)
         if max_per_page is not None:
-            return max(ratio, 1.0 / max_per_page)
-        # zsmalloc: class rounding.
-        csize = max(1, int(round(ratio * PAGE_SIZE)))
-        return size_class(csize) / PAGE_SIZE
+            ratios = algorithm.ratios(intrinsics)
+            effective = np.maximum(ratios, 1.0 / max_per_page)
+        else:
+            csizes = algorithm.compressed_sizes(intrinsics)
+            effective = size_classes(csizes) / PAGE_SIZE
+        return effective * self.media.cost_per_page

@@ -12,8 +12,12 @@ small:
 * **budget bound**: a point whose cost plus the remaining regions'
   minimum costs exceeds the budget cannot complete feasibly,
 * **incumbent bound**: a point whose penalty plus the remaining regions'
-  minimum penalties exceeds the greedy solution's objective cannot
-  complete optimally.
+  minimum penalties exceeds a feasible placement's objective cannot
+  complete optimally.  The incumbent comes from the problem's ``hint``
+  (the previous window's answer, also re-dealt by this window's heat)
+  when it fits the budget, else from the greedy solution.  Any feasible
+  objective is an admissible bound, so the choice moves only the work,
+  never the answer.
 
 The answer is canonical: minimum penalty, then minimum cost, then the
 lexicographically smallest placement.  The last rule comes from folding
@@ -53,12 +57,13 @@ def solve_frontier(problem: PlacementProblem) -> Solution:
     if min_cost_before[-1] > limit:
         return _cheapest(problem, t_start)
 
-    # The greedy placement bounds the optimum; the relative slack covers
+    # A feasible placement bounds the optimum; the relative slack covers
     # its objective being summed in another order than the folds sum.
-    greedy = solve_greedy(problem)
-    incumbent = np.inf
-    if greedy.feasible:
-        incumbent = greedy.objective + 1e-9 * max(1.0, abs(greedy.objective))
+    bound = _hint_objective(problem, limit)
+    if bound is None:
+        greedy = solve_greedy(problem)
+        bound = greedy.objective if greedy.feasible else None
+    incumbent = np.inf if bound is None else bound + 1e-9 * max(1.0, abs(bound))
 
     front_cost = np.zeros(1)
     front_pen = np.zeros(1)
@@ -108,6 +113,38 @@ def solve_frontier(problem: PlacementProblem) -> Solution:
         solve_wall_ns=time.perf_counter_ns() - t_start,
         optimal=True,
     )
+
+
+def _hint_objective(problem: PlacementProblem, limit: float) -> float | None:
+    """The best objective of a placement derived from the hint that fits
+    the budget, or ``None`` when there is none.
+
+    Two placements are tried: the hint itself, and the hint's tiers
+    re-dealt by this window's heat (the hottest region, by total
+    penalty, gets the hint's fastest tier, and so on).  Hotness drifts
+    between windows, so the re-dealt hint is usually far tighter.
+    """
+    hint = problem.hint
+    if hint is None:
+        return None
+    hint = np.asarray(hint)
+    if hint.shape != (problem.num_regions,) or not (
+        (hint >= 0) & (hint < problem.num_tiers)
+    ).all():
+        return None
+    penalty = problem.penalty
+    dealt = np.empty_like(hint)
+    dealt[np.argsort(-penalty.sum(axis=1), kind="stable")] = hint[
+        np.argsort(penalty.mean(axis=0)[hint], kind="stable")
+    ]
+    best = None
+    for placement in (hint, dealt):
+        objective, total_cost = problem.evaluate(placement)
+        # The margin keeps the placement within the budget in any
+        # summation order, so the folds cannot prune it on cost.
+        if total_cost + 1e-9 * max(1.0, abs(total_cost)) <= limit:
+            best = objective if best is None else min(best, objective)
+    return best
 
 
 def _cheapest(problem: PlacementProblem, t_start: int) -> Solution:

@@ -34,12 +34,16 @@ class PlacementProblem:
         budget: TCO upper bound (Eq. 2's ``TCO_min + alpha * MTS``).
         capacity: Optional per-tier region capacity, shape ``(T,)``;
             ``None`` entries (encoded as a negative value) are unbounded.
+        hint: Optional assignment, shape ``(R,)``, expected to be near
+            the optimum (the previous window's answer).  A backend may
+            use it to prune; it never changes the answer.
     """
 
     penalty: np.ndarray
     cost: np.ndarray
     budget: float
     capacity: np.ndarray | None = None
+    hint: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.penalty = np.asarray(self.penalty, dtype=np.float64)

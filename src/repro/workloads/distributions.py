@@ -25,34 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class TransientCaches:
-    """Pickling for objects whose caches are rebuilt on demand.
-
-    Attributes named in ``_TRANSIENT`` (scratch buffers, derived tables)
-    are pickled as ``None`` and reset to ``None`` on load, so checkpoints
-    carry parameters and stream state only.  ``_LEGACY`` names attributes
-    older checkpoints carried that no longer exist; they are discarded.
-    """
-
-    _TRANSIENT: tuple[str, ...] = ()
-    _LEGACY: tuple[str, ...] = ()
-
-    def _clear_transient(self) -> None:
-        for name in self._TRANSIENT:
-            setattr(self, name, None)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for name in self._TRANSIENT:
-            state[name] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        for name in self._LEGACY:
-            self.__dict__.pop(name, None)
-        self._clear_transient()
+from repro.transient import TransientCaches
 
 
 class Distribution:

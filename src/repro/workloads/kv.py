@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.core.seeding import derive_rng
 from repro.workloads.base import Workload
+from repro.transient import TransientCaches
 from repro.workloads.distributions import (
     GaussianGenerator,
     HotWarmColdGenerator,
-    TransientCaches,
     ZipfianGenerator,
 )
 

@@ -33,9 +33,11 @@ def _side(
     pages=2000.0,
     incorrect_run=None,
     serve_windows_per_s=280.0,
+    amtco_windows_per_s=250.0,
 ):
     """One tree's parsed results: five identical runs of each run name."""
     ycsb = [_result(windows_per_s=windows_per_s) for _ in range(5)]
+    amtco = [_result(windows_per_s=amtco_windows_per_s) for _ in range(5)]
     xsbench = [_result(windows_per_s=90.0) for _ in range(5)]
     serve = [_result(windows_per_s=serve_windows_per_s) for _ in range(5)]
     traced = [
@@ -51,6 +53,7 @@ def _side(
         traced[incorrect_run]["correct"] = False
     return {
         "ycsb-waterfall --trace 0": ycsb,
+        "ycsb-amtco --trace 0": amtco,
         "xsbench-ckpt --trace 0": xsbench,
         "xsbench-ckpt --trace 1": traced,
         "serve-flash-adaptive --trace 0": serve,
@@ -80,6 +83,14 @@ def test_serve_windows_per_s_drop_of_15_pct_fails(gate):
     assert "serve-flash-adaptive --trace 0 windows_per_s" in failed[0]
 
 
+def test_amtco_windows_per_s_drop_of_15_pct_fails(gate):
+    ok, lines = gate.decide(_side(), _side(amtco_windows_per_s=250.0 * 0.85))
+    assert not ok
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "ycsb-amtco --trace 0 windows_per_s" in failed[0]
+
+
 def test_slower_migration_per_page_fails(gate):
     # +40 % ms per migrated page is past the 1/0.75 bound.
     ok, lines = gate.decide(_side(), _side(apply_ms=3.2 * 1.40))
@@ -101,6 +112,7 @@ def test_bounds_match_the_gates_they_replace(gate):
     bounds = {(run, metric): bound for run, metric, _, bound in gate.GATES}
     assert bounds == {
         ("ycsb-waterfall --trace 0", "windows_per_s"): 0.10,
+        ("ycsb-amtco --trace 0", "windows_per_s"): 0.10,
         ("xsbench-ckpt --trace 0", "windows_per_s"): 0.10,
         ("xsbench-ckpt --trace 1", "migrated_pages_per_apply_ms"): 0.25,
         ("serve-flash-adaptive --trace 0", "windows_per_s"): 0.10,

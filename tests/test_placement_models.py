@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.knob import Knob
 from repro.core.placement.analytical import AnalyticalModel
 from repro.core.placement.filter import MigrationFilter
 from repro.core.placement.static_threshold import StaticThresholdPolicy
 from repro.core.placement.waterfall import WaterfallModel
+from repro.mem.address_space import AddressSpace
+from repro.mem.page import PAGES_PER_REGION
+from repro.mem.system import TieredMemorySystem
 from repro.telemetry.window import ProfileRecord
+
+from tests.conftest import make_tiers
 
 
 def record(hotness, window=0, rate=100):
@@ -177,3 +184,77 @@ class TestMigrationFilter:
         ct = system.tier_index("CT")
         wave = filt.apply({1: ct}, record([1.0, 2.0, 3.0, 4.0]), system)
         assert wave == {1: ct}
+
+
+def _reference_filter(filt, moves, rec, system, pressured):
+    """The per-region filter loop ``MigrationFilter.apply`` replaced."""
+    filtered = {}
+    remaining = np.array(
+        [tier.free_pages // PAGES_PER_REGION for tier in system.tiers],
+        dtype=np.int64,
+    )
+    for region_id, dst in sorted(moves.items(), key=lambda kv: rec.hotness[kv[0]]):
+        region = system.space.regions[region_id]
+        locations = system.page_location[region.start_page : region.end_page]
+        if dst == region.assigned_tier and bool((locations == dst).all()):
+            filt.dropped_noop += 1
+            continue
+        if dst in pressured and dst != region.assigned_tier:
+            filt.dropped_pressure += 1
+            continue
+        if filt.enforce_capacity:
+            if remaining[dst] <= 0 and dst != 0:
+                filt.dropped_capacity += 1
+                continue
+            remaining[dst] -= 1
+        filtered[region_id] = dst
+    return filtered
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_filter_matches_per_region_reference(seed, data):
+    """The region-axis no-op check keeps the wave and drop counts of the
+    per-region loop: scattered pages, stale assignments, pressured
+    tiers and tight capacities included."""
+    rng = np.random.default_rng(seed)
+    num_regions = 6
+    space = AddressSpace(num_regions * PAGES_PER_REGION, "mixed", seed=seed)
+    system = TieredMemorySystem(make_tiers(space), space)
+    num_tiers = len(system.tiers)
+    for region in range(num_regions):
+        system.move_region(region, int(rng.integers(0, num_tiers)))
+    stray = rng.integers(0, space.num_pages, size=data.draw(st.integers(0, 12)))
+    for page in stray.tolist():
+        system.move_page(page, int(rng.integers(0, num_tiers)))
+    for region in range(num_regions):
+        if rng.random() < 0.3:  # a stale recommendation
+            space.regions[region].assigned_tier = int(rng.integers(0, num_tiers))
+    for tier in system.tiers[1:]:
+        spare = data.draw(st.integers(-1, 3)) * PAGES_PER_REGION
+        tier.capacity_pages = max(0, tier.used_pages + spare)
+
+    moves = {}
+    for region in rng.permutation(num_regions)[: data.draw(st.integers(0, num_regions))]:
+        region = int(region)
+        keep = rng.random() < 0.5
+        moves[region] = (
+            space.regions[region].assigned_tier
+            if keep
+            else int(rng.integers(0, num_tiers))
+        )
+    hotness = rng.integers(0, 3, num_regions).astype(np.float64)  # ties
+    rec = record(hotness)
+    pressured = set(
+        data.draw(st.sets(st.integers(0, num_tiers - 1), max_size=num_tiers))
+    )
+    enforce = data.draw(st.booleans())
+
+    got_filter = MigrationFilter(enforce_capacity=enforce)
+    got_filter._pressured_tiers = lambda system: pressured
+    want_filter = MigrationFilter(enforce_capacity=enforce)
+    got = got_filter.apply(moves, rec, system)
+    want = _reference_filter(want_filter, moves, rec, system, pressured)
+    assert list(got.items()) == list(want.items())
+    for name in ("dropped_noop", "dropped_pressure", "dropped_capacity"):
+        assert getattr(got_filter, name) == getattr(want_filter, name), name

@@ -324,3 +324,58 @@ def test_scipy_model_matches_blockwise_stack(num_regions, seed, capacity, zero_c
     np.testing.assert_array_equal(got.data, expected.data)
     np.testing.assert_array_equal(constraint.lb, lb)
     np.testing.assert_array_equal(constraint.ub, ub)
+
+
+@st.composite
+def budget_only_problems(draw):
+    """Random budget-only instances; integer-valued ones tie exactly."""
+    num_regions = draw(st.integers(1, 6))
+    num_tiers = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    shape = (num_regions, num_tiers)
+    if draw(st.booleans()):
+        penalty = rng.integers(0, 4, shape).astype(np.float64)
+        cost = rng.integers(0, 4, shape).astype(np.float64)
+    else:
+        penalty = rng.exponential(1.0, shape)
+        cost = rng.random(shape)
+    lo, hi = cost.min(axis=1).sum(), cost.max(axis=1).sum()
+    budget = lo + draw(st.floats(-0.1, 1.0)) * (hi - lo)
+    if draw(st.booleans()):
+        budget = float(np.floor(budget))
+    return PlacementProblem(penalty, cost, budget=budget), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=budget_only_problems())
+def test_frontier_hint_never_changes_the_answer(case):
+    """A hint (random, optimal, over budget or malformed) only bounds
+    the frontier: the placement is identical to the unhinted solve and
+    still optimal against full enumeration."""
+    problem, rng = case
+    num_regions, num_tiers = problem.penalty.shape
+    base = solve_frontier(problem)
+    hints = [
+        rng.integers(0, num_tiers, num_regions),
+        base.assignment.copy(),
+        problem.cost.argmax(axis=1),  # the most expensive placement
+        np.full(num_regions + 1, 0),  # wrong shape: ignored
+    ]
+    for hint in hints:
+        hinted = solve_frontier(
+            PlacementProblem(
+                problem.penalty, problem.cost, problem.budget, hint=hint
+            )
+        )
+        assert np.array_equal(hinted.assignment, base.assignment), hint
+        assert (hinted.objective, hinted.cost, hinted.feasible) == (
+            base.objective,
+            base.cost,
+            base.feasible,
+        )
+    best = brute_force(problem)
+    if best is None:
+        assert not base.feasible
+    else:
+        assert base.objective == pytest.approx(best[0], rel=1e-9, abs=1e-12)
+        assert base.cost == pytest.approx(best[1], rel=1e-9, abs=1e-12)

@@ -8,6 +8,7 @@ both and compares the full observable state.
 """
 
 import copy
+import io
 from pathlib import Path
 
 import numpy as np
@@ -260,14 +261,139 @@ def test_csize_and_accept_caches_match_scalar(seed, data):
         for i, tier in enumerate(system.tiers)
         if not isinstance(tier, ByteAddressableTier)
     )
-    tier = system.tiers[ct_idx]
     ids = rng.integers(0, n, size=64)
-    got_sizes = system._tier_csizes(ct_idx, ids)
-    got_accepts = system._tier_accepts(ct_idx, ids)
+    _assert_tables_match_scalar(system, ct_idx, ids)
+
+    # A second replacement (the level index is keyed by the array's
+    # identity) must rebuild the tables, not reuse the first ones.
+    comp = rng.random(n)
+    comp[rng.integers(0, n, size=len(values))] = values[::-1]
+    system.space.compressibility = np.clip(comp, 1e-9, 1.0)
+    _assert_tables_match_scalar(system, ct_idx, ids)
+
+
+def _assert_tables_match_scalar(system, tier_idx, ids) -> None:
+    """``_tier_csizes``/``_tier_accepts`` == the scalar law, page by page."""
+    tier = system.tiers[tier_idx]
+    got_sizes = system._tier_csizes(tier_idx, ids)
+    got_accepts = system._tier_accepts(tier_idx, ids)
     for pid, size, ok in zip(ids.tolist(), got_sizes.tolist(), got_accepts.tolist()):
         intrinsic = float(system.space.compressibility[pid])
         assert size == tier.algorithm.compressed_size(intrinsic)
         assert ok == tier.accepts(intrinsic)
+
+
+def test_restored_fixtures_rebuild_level_tables():
+    """Checkpoints from before the per-level tables carried per-page
+    memo arrays; a restore discards them and the rebuilt tables match
+    the scalar law for every page."""
+    from repro.chaos.checkpoint import load_checkpoint, restore_session
+
+    for name in ("checkpoint_counts.ckpt", "checkpoint_v1.ckpt"):
+        session, _, _ = restore_session(load_checkpoint(FIXTURES / name))
+        system = session.system
+        assert not hasattr(system, "_csize_cache")
+        assert not hasattr(system, "_accepts_cache")
+        ids = np.arange(system.space.num_pages)
+        for idx, tier in enumerate(system.tiers):
+            if tier.is_compressed:
+                _assert_tables_match_scalar(system, idx, ids)
+
+
+def test_checkpoint_carries_no_level_tables():
+    """A fresh capture pickles the system without its level index,
+    per-level tables or any per-page compression memo."""
+    import pickle
+
+    from repro.chaos.checkpoint import capture_session
+    from repro.engine.session import Session
+    from repro.engine.spec import ScenarioSpec
+    from repro.mem.pagetable import light_pickle
+
+    session = Session(
+        ScenarioSpec(
+            workload="memcached-ycsb",
+            workload_kwargs={"num_pages": 4 * PAGES_PER_REGION, "ops_per_window": 2000},
+            policy="waterfall",
+            windows=3,
+        )
+    )
+    for _ in range(3):
+        session.run_window()
+    assert session.system._page_level is not None  # the tables were used
+
+    class RawState:
+        def __setstate__(self, state):
+            self.state = state
+
+    class Probe(pickle.Unpickler):
+        def find_class(self, module, name):
+            if (module, name) == ("repro.mem.system", "TieredMemorySystem"):
+                return RawState
+            return super().find_class(module, name)
+
+    envelope = pickle.loads(capture_session(session))
+    with light_pickle():
+        graph = Probe(io.BytesIO(envelope["graph"])).load()
+    state = graph["system"].state
+    # Per-page state lives in the page table; the system itself pickles
+    # no array, directly or in a per-tier dict.
+    carried = [
+        name
+        for name, value in state.items()
+        if isinstance(value, np.ndarray)
+        or (
+            isinstance(value, dict)
+            and any(isinstance(v, np.ndarray) for v in value.values())
+        )
+    ]
+    assert carried == []
+    assert not {"_csize_cache", "_accepts_cache"} & set(state)
+
+
+def _scalar_page_cost(tier, intrinsic: float) -> float:
+    """The per-value planning cost law the array form replaced."""
+    from repro.allocators.zsmalloc import size_class
+    from repro.mem.page import PAGE_SIZE
+
+    ratio = tier.algorithm.ratio(intrinsic)
+    max_per_page = getattr(tier.allocator, "max_objects_per_page", None)
+    if max_per_page is not None:
+        effective = max(ratio, 1.0 / max_per_page)
+    else:
+        effective = size_class(max(1, int(round(ratio * PAGE_SIZE)))) / PAGE_SIZE
+    return effective * tier.media.cost_per_page
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(1e-9, 1.0, allow_nan=False),
+            st.integers(1, 16).map(lambda k: k / 16.0),  # quantized levels
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_planning_columns_match_scalar(values):
+    """The ILP's cost and penalty columns equal the per-value scalar law
+    bit for bit, for every Table 1 tier option."""
+    from repro.bench.configs import enumerate_tiers, make_compressed_tier
+    from repro.core import perf, tco
+
+    intrinsics = np.array(values)
+    tiers = [make_tiers(AddressSpace(PAGES_PER_REGION))[0]]
+    for algo, alloc, backing in enumerate_tiers():
+        tiers.append(
+            make_compressed_tier(f"{algo}/{alloc}/{backing}", algo, alloc, backing, 64)
+        )
+    costs = tco.cost_matrix(tiers, intrinsics)
+    penalties = perf.per_access_penalty(tiers, intrinsics)
+    for t, tier in enumerate(tiers[1:], start=1):
+        for r, c in enumerate(values):
+            assert costs[r, t] == PAGES_PER_REGION * _scalar_page_cost(tier, c)
+            assert penalties[r, t] == tier.fault_latency_ns(intrinsic=c)
 
 
 @settings(max_examples=20, deadline=None)

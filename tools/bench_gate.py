@@ -4,8 +4,9 @@
 Runs each tree's own ``repobench/run.py`` for ``PAIRS`` pairs with a
 fixed seed and run length, alternating which side goes first so a host
 that speeds up or slows down during the job hits both sides alike.  One
-side of a pair is the four runs in ``RUNS``: ``ycsb-waterfall`` (the
-paper's Fig. 8 scenario), ``xsbench-ckpt`` (migration waves and
+side of a pair is the five runs in ``RUNS``: ``ycsb-waterfall`` (the
+paper's Fig. 8 scenario), ``ycsb-amtco`` (the same stream under the
+am-tco ILP: the solve layer), ``xsbench-ckpt`` (migration waves and
 checkpoints) and ``serve-flash-adaptive`` (the serving path: trace
 replay, ingest and its id -> count conversion) end to end, plus
 ``xsbench-ckpt`` with ``--trace 1`` for its per-layer migration time.
@@ -45,6 +46,7 @@ SECONDS = 8.0
 #: ``(workload, --trace)`` runs that make up one side of a pair.
 RUNS = (
     ("ycsb-waterfall", 0),
+    ("ycsb-amtco", 0),
     ("xsbench-ckpt", 0),
     ("xsbench-ckpt", 1),
     ("serve-flash-adaptive", 0),
@@ -73,6 +75,13 @@ GATES = (
     # Fig. 8 end to end: windows/s may drop at most 10 %.
     (
         run_name("ycsb-waterfall", 0),
+        "windows_per_s",
+        _metric("windows_per_s"),
+        0.10,
+    ),
+    # The solve layer: the placement ILP every window.
+    (
+        run_name("ycsb-amtco", 0),
         "windows_per_s",
         _metric("windows_per_s"),
         0.10,
