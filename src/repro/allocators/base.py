@@ -137,6 +137,22 @@ class PoolAllocator(abc.ABC):
         ):
             self.free(Handle(name, int(object_id), int(size)))
 
+    def arena_fits(self, n_stores: int) -> bool:
+        """Whether ``n_stores`` stores provably cannot exhaust the arena.
+
+        A store opens at most one block of
+        :attr:`max_pool_pages_per_store` pages, and every such request
+        takes at most one of the buddy's
+        :meth:`~repro.allocators.buddy.BuddyAllocator.free_blocks` of
+        that order.  ``False`` when the allocator declares no per-store
+        bound.
+        """
+        growth = self.max_pool_pages_per_store
+        if growth is None:
+            return False
+        buddy = self._buddy
+        return n_stores <= buddy.free_blocks(buddy.order_for(growth))
+
     # -- shared helpers -----------------------------------------------------
 
     def _check_size(self, size: int) -> None:

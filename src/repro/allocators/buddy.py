@@ -68,6 +68,21 @@ class BuddyAllocator:
         """
         return self.alloc_many(num_pages, 1)[0]
 
+    def free_blocks(self, order: int) -> int:
+        """Blocks of ``order`` the free lists can still hand out.
+
+        Every free block of ``order`` or above counts as the blocks of
+        ``order`` it splits into.  A request of at most ``order`` takes
+        at most one of them (an exact smaller block takes none, and a
+        split leaves the rest of the block free), so that many such
+        requests always succeed, in any order.
+        """
+        free_lists = self._free_lists
+        return sum(
+            len(free_lists[o]) << (o - order)
+            for o in range(order, self.max_order + 1)
+        )
+
     def alloc_many(self, num_pages: int, k: int) -> list[int]:
         """Allocate ``k`` blocks of at least ``num_pages`` pages each.
 
@@ -80,18 +95,35 @@ class BuddyAllocator:
             The blocks' start PFNs, in allocation order.
         """
         order = self.order_for(num_pages)
-        max_order = self.max_order
-        if order > max_order:
+        if order > self.max_order:
             raise AllocationError(
                 f"request of {num_pages} pages exceeds arena of "
                 f"{self.total_pages} pages"
             )
+        return self.alloc_orders([order] * k)
+
+    def alloc_orders(self, orders: list[int]) -> list[int]:
+        """Allocate one block of each order in ``orders``, in order.
+
+        Exactly sequential :meth:`alloc` calls for blocks of those
+        orders, failure point included: an exhausted arena raises after
+        committing the blocks already handed out.
+
+        Returns:
+            The blocks' start PFNs, in allocation order.
+        """
+        max_order = self.max_order
+        if orders and max(orders) > max_order:
+            raise AllocationError(
+                f"block of order {max(orders)} exceeds arena of "
+                f"{self.total_pages} pages"
+            )
         free_lists = self._free_lists
         allocated = self._allocated
-        exact = free_lists[order]
         pfns: list[int] = []
         push = pfns.append
-        for _ in range(k):
+        for order in orders:
+            exact = free_lists[order]
             if exact:
                 push(exact.pop())
                 continue
@@ -99,8 +131,9 @@ class BuddyAllocator:
             while avail <= max_order and not free_lists[avail]:
                 avail += 1
             if avail > max_order:
-                allocated.update(dict.fromkeys(pfns, order))
-                self.allocated_pages += len(pfns) << order
+                done = orders[: len(pfns)]
+                allocated.update(zip(pfns, done))
+                self.allocated_pages += sum(1 << o for o in done)
                 raise AllocationError(
                     f"out of memory: no free block of order >= {order}"
                 )
@@ -110,8 +143,8 @@ class BuddyAllocator:
                 avail -= 1
                 free_lists[avail].add(pfn + (1 << avail))
             push(pfn)
-        allocated.update(dict.fromkeys(pfns, order))
-        self.allocated_pages += k << order
+        allocated.update(zip(pfns, orders))
+        self.allocated_pages += sum(1 << o for o in orders)
         return pfns
 
     def free(self, pfn: int) -> None:

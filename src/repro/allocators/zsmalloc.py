@@ -7,17 +7,24 @@ the best packing density of the three pool managers at the cost of the most
 complex management (paper §2), which we reflect in the highest per-operation
 overhead.
 
-Columnar internals: zspages are rows of five numpy slot columns (pfn,
-pages, capacity, live-object count, class; narrow dtypes, ``_n_slots``
-rows in use) and object membership is one int32 array mapping object
-id -> zspage slot (-1 when free).  The bulk paths work once per *size
-class* (store) or once per *batch* (free) rather than once per zspage:
-fresh zspages open in one batch and counts update by fancy index, so
-Python touches only the partial lists and released slots.  Object ids
-grow monotonically; the membership array doubles on demand (ids are
-never reused, so a very long-lived pool grows it linearly with total
-stores -- 4 bytes per object ever stored).  Pickles carry only the
-rows and ids in use.
+Columnar internals: zspages are rows of six numpy slot columns (pfn,
+pages, capacity, live-object count, class, stack sequence; narrow
+dtypes, ``_n_slots`` rows in use) and object membership is one int32
+array mapping object id -> zspage slot (-1 when free).  Each class's
+partial list -- the kernel's stack of partly filled zspages, filled
+from the top -- is the set of slots whose push sequence number is
+>= 0, in sequence order; ``_partial`` derives the ``{class: [slots]}``
+view.  The bulk paths are a fixed number of numpy passes per call
+however many classes and zspages a batch touches: ``store_ids`` fills
+every class's stack in one segmented cumulative-capacity pass and
+opens all fresh zspages in one batch, ``free_ids`` updates counts with
+one ``bincount`` over slots and re-pushes previously full zspages by
+sequence number.  Object ids grow monotonically; the membership array
+doubles on demand (ids are never reused, so a very long-lived pool
+grows it linearly with total stores -- 4 bytes per object ever
+stored).  Pickles carry only the rows and ids in use, and the stacks
+as their slots in push order; pickles from before the stack column (a
+dict of slot lists) load into it.
 """
 
 from __future__ import annotations
@@ -48,10 +55,14 @@ def size_class(size: int) -> int:
 
 
 def size_classes(sizes: np.ndarray) -> np.ndarray:
-    """:func:`size_class` over an integer array (floor division on the
-    negated array is a ceil)."""
-    return np.where(
-        sizes <= MIN_CLASS, MIN_CLASS, -(-sizes // CLASS_DELTA) * CLASS_DELTA
+    """:func:`size_class` over an integer array of sizes >= 1."""
+    return _class_indices(sizes) * CLASS_DELTA
+
+
+def _class_indices(sizes: np.ndarray) -> np.ndarray:
+    """``size_classes(sizes) // CLASS_DELTA``: the geometry-table row."""
+    return np.maximum(
+        (sizes + (CLASS_DELTA - 1)) // CLASS_DELTA, MIN_CLASS // CLASS_DELTA
     )
 
 
@@ -104,13 +115,22 @@ class _Zspage:
         return len(self.objects) >= self.capacity
 
 
+#: Per class index (``cls // CLASS_DELTA``): zspage pages, objects and
+#: buddy order.
+_GEOM_PAGES = np.array([g[0] for g in _GEOMETRY], dtype=np.int64)
+_GEOM_OBJECTS = np.array([g[1] for g in _GEOMETRY], dtype=np.int64)
+_GEOM_ORDER = np.array([(g[0] - 1).bit_length() for g in _GEOMETRY])
+
 #: Per-zspage slot columns and their dtypes (``_zs_pfn``'s is per arena).
+#: ``_zs_stack`` is the push sequence number of a zspage on its class's
+#: partial stack, -1 when off it.
 _SLOT_COLUMNS = {
     "_zs_pfn": None,
     "_zs_pages": np.int8,
     "_zs_capacity": np.int16,
     "_zs_count": np.int16,
     "_zs_cls": np.int16,
+    "_zs_stack": np.int64,
 }
 
 
@@ -125,18 +145,50 @@ class ZsmallocAllocator(PoolAllocator):
     def __init__(self, arena_pages: int = 1 << 20) -> None:
         super().__init__()
         self._buddy = BuddyAllocator(arena_pages)
-        # class size -> list of partially-filled zspage slots (kernel
-        # semantics: stores fill the most recently touched partial).
-        self._partial: dict[int, list[int]] = {}
         # Zspage slot columns; the first ``_n_slots`` rows are in use
         # (live or on the free-slot stack, recycled LIFO).
         for name, dtype in self._slot_dtypes().items():
             setattr(self, name, np.zeros(64, dtype=dtype))
         self._n_slots = 0
         self._zs_free_slots: list[int] = []
+        # Next partial-stack push sequence number.
+        self._stack_seq = 0
         # object id -> zspage slot, -1 when free.  Doubles on demand.
         self._obj_zspage = np.full(1024, -1, dtype=np.int32)
         self._pool_pages = 0
+
+    # -- partial stacks ------------------------------------------------------
+
+    @property
+    def _partial(self) -> dict[int, list[int]]:
+        """Each class's partial zspages, bottom of the stack first.
+
+        Derived from ``_zs_stack``; assigning a dict re-stacks the
+        listed slots in list order (and takes every other slot off).
+        """
+        n = self._n_slots
+        on = np.flatnonzero(self._zs_stack[:n] >= 0)
+        on = on[np.lexsort((self._zs_stack[on], self._zs_cls[on]))]
+        partial: dict[int, list[int]] = {}
+        for cls, slot in zip(self._zs_cls[on].tolist(), on.tolist()):
+            partial.setdefault(cls, []).append(slot)
+        return partial
+
+    @_partial.setter
+    def _partial(self, partial: dict[int, list[int]]) -> None:
+        self._restack([slot for stack in partial.values() for slot in stack])
+
+    def _restack(self, slots) -> None:
+        """Push ``slots`` in order onto emptied partial stacks."""
+        self._zs_stack[: self._n_slots] = -1
+        self._zs_stack[slots] = self._stack_seq + np.arange(len(slots))
+        self._stack_seq += len(slots)
+
+    def _top(self, cls: int) -> int:
+        """The slot on top of class ``cls``'s partial stack, -1 if none."""
+        n = self._n_slots
+        seq = np.where(self._zs_cls[:n] == cls, self._zs_stack[:n], -1)
+        return int(seq.argmax()) if n and seq.max() >= 0 else -1
 
     # -- slot helpers --------------------------------------------------------
 
@@ -144,22 +196,20 @@ class ZsmallocAllocator(PoolAllocator):
         pfn = np.int32 if self._buddy.total_pages <= 1 << 31 else np.int64
         return {name: dtype or pfn for name, dtype in _SLOT_COLUMNS.items()}
 
-    def _open_zspages(self, classes: list[int], ks: list[int]) -> np.ndarray:
-        """Open ``ks[i]`` fresh zspages of class ``classes[i]``, in order.
+    def _open_zspages(self, class_index: np.ndarray) -> np.ndarray:
+        """Open one fresh zspage per entry of ``class_index``, in order.
 
-        Exactly the sequential opens: buddy blocks class by class in
-        allocation order, freed slots reused most-recently-freed first,
-        then new slots.  Counts start at zero.
+        ``class_index`` holds ``cls // CLASS_DELTA`` per zspage.  Exactly
+        the sequential opens: buddy blocks in allocation order, freed
+        slots reused most-recently-freed first, then new slots.  Counts
+        start at zero, off the partial stacks.
 
         Returns:
-            The slots, class by class.
+            The slots, in order.
         """
-        geometry = [_GEOMETRY[cls // CLASS_DELTA] for cls in classes]
-        pfns: list[int] = []
-        for (pages, _), k in zip(geometry, ks):
-            pfns += self._buddy.alloc_many(pages, k)
+        pfns = self._buddy.alloc_orders(_GEOM_ORDER[class_index].tolist())
         total = len(pfns)
-        pages = np.repeat([g[0] for g in geometry], ks)
+        pages = _GEOM_PAGES[class_index]
         # The buddy allocator rounds to powers of two; charge only the
         # pages the zspage actually uses, as the kernel allocates
         # order-0 pages individually and links them.
@@ -179,9 +229,10 @@ class ZsmallocAllocator(PoolAllocator):
                 self._grow_slots(n + fresh)
         self._zs_pfn[slots] = pfns
         self._zs_pages[slots] = pages
-        self._zs_capacity[slots] = np.repeat([g[1] for g in geometry], ks)
+        self._zs_capacity[slots] = _GEOM_OBJECTS[class_index]
         self._zs_count[slots] = 0
-        self._zs_cls[slots] = np.repeat(classes, ks)
+        self._zs_cls[slots] = class_index * CLASS_DELTA
+        self._zs_stack[slots] = -1
         return slots
 
     def _grow_slots(self, upto: int) -> None:
@@ -197,6 +248,7 @@ class ZsmallocAllocator(PoolAllocator):
         slots = np.asarray(slots, dtype=np.int64)
         self._buddy.free_many(self._zs_pfn[slots].tolist())
         self._pool_pages -= int(self._zs_pages[slots].sum())
+        self._zs_stack[slots] = -1
         self._zs_free_slots.extend(slots.tolist())
 
     def _ensure_ids(self, upto: int) -> None:
@@ -213,20 +265,19 @@ class ZsmallocAllocator(PoolAllocator):
     def store(self, size: int) -> Handle:
         self._check_size(size)
         cls = size_class(size)
-        partial = self._partial.setdefault(cls, [])
-        if partial:
-            slot = partial[-1]
-        else:
-            slot = int(self._open_zspages([cls], [1])[0])
-            partial.append(slot)
+        slot = self._top(cls)
+        if slot < 0:
+            slot = int(self._open_zspages(np.array([cls // CLASS_DELTA]))[0])
+            self._zs_stack[slot] = self._stack_seq
+            self._stack_seq += 1
         handle = self._issue_handle(size)
         self._ensure_ids(handle.object_id + 1)
         self._obj_zspage[handle.object_id] = slot
         count = int(self._zs_count[slot]) + 1
         self._zs_count[slot] = count
         if count >= self._zs_capacity[slot]:
-            # The filling zspage is always the list tail.
-            partial.pop()
+            # The filling zspage is always the stack top.
+            self._zs_stack[slot] = -1
         return handle
 
     def free(self, handle: Handle) -> None:
@@ -244,13 +295,11 @@ class ZsmallocAllocator(PoolAllocator):
         was_full = count >= self._zs_capacity[slot]
         count -= 1
         self._zs_count[slot] = count
-        cls = int(self._zs_cls[slot])
         if count == 0:
-            if not was_full:
-                self._partial[cls].remove(slot)
             self._release_zspages([slot])
         elif was_full:
-            self._partial.setdefault(cls, []).append(slot)
+            self._zs_stack[slot] = self._stack_seq
+            self._stack_seq += 1
 
     # -- bulk operations -----------------------------------------------------
 
@@ -258,106 +307,127 @@ class ZsmallocAllocator(PoolAllocator):
         """Vectorized consecutive-id stores; see ``PoolAllocator.store_ids``.
 
         Pool state is identical to sequential :meth:`store` calls: within
-        each size class objects pack into zspages in input order, and
-        classes create their partial lists in first-occurrence order.
-        Work is per size class, not per zspage: each class's partial
-        tail(s) fill first, then the fresh zspages every class needs
-        (``ceil(rest / capacity)`` each) open in one batch -- one
-        ``alloc_many`` per class, one fancy-indexed write per column and
-        one ``np.repeat`` for the membership.  Fresh zspages for
-        different classes are allocated grouped rather than interleaved,
-        so the buddy's pfn assignment differs from the sequential loop's;
-        pfns are not observable through any handle or statistic, and the
-        arena-exhaustion error path -- unreachable at simulated scales --
-        is the one place the mid-batch state could diverge.
+        each size class objects fill the partial stack from the top, in
+        input order, and then fresh zspages (``ceil(rest / capacity)``
+        per class, each full but the last).  The work is a fixed number
+        of numpy passes whatever the number of classes: one stable
+        argsort groups the objects by class, one lexsort orders the
+        batch classes' stacked zspages top first, a segmented cumulative
+        free capacity assigns each object its zspage, and every fresh
+        zspage opens in one batch, in the order the sequential calls
+        would open them.  When the buddy arena cannot provably hold the
+        fresh zspages, the batch takes the sequential path, so an
+        exhausted arena raises with exactly the sequential prefix
+        committed.
         """
         arr = np.asarray(sizes, dtype=np.int64)
         n = arr.size
         first = self._next_id
         if n == 0:
             return first
-        if (arr < 1).any() or (arr > self.max_object_size).any():
+        if arr.min() < 1 or arr.max() > self.max_object_size:
             # Invalid sizes raise mid-batch with the preceding stores
             # committed, exactly as sequential calls would.
             return super().store_ids(arr)
-        classes = size_classes(arr)
+        class_index = _class_indices(arr)
+        # Objects by class: one stable argsort (a radix sort on int16
+        # keys); per batch class (ascending), its class index, objects
+        # and first sorted position.
+        order = np.argsort(class_index.astype(np.int16), kind="stable")
+        class_count = np.bincount(class_index, minlength=_GEOM_OBJECTS.size)
+        group_class = np.flatnonzero(class_count)
+        groups = group_class.size
+        wanted = class_count[group_class]
+        starts = np.cumsum(wanted) - wanted
+        # The batch classes' stacked zspages, class by class, top first.
+        stack = self._zs_stack[: self._n_slots]
+        stacked = np.flatnonzero(stack >= 0)
+        stacked_class = self._zs_cls[stacked] // CLASS_DELTA
+        in_batch = class_count[stacked_class] > 0
+        stacked = stacked[in_batch]
+        stacked_group = np.searchsorted(group_class, stacked_class[in_batch])
+        top_first = np.lexsort((-stack[stacked], stacked_group))
+        stacked = stacked[top_first]
+        stacked_group = stacked_group[top_first]
+        room = (self._zs_capacity[stacked] - self._zs_count[stacked]).astype(
+            np.int64
+        )
+        # Free room per class, and above each zspage within its class.
+        class_room = np.bincount(stacked_group, room, groups).astype(np.int64)
+        above = np.cumsum(room) - room
+        above -= (np.cumsum(class_room) - class_room)[stacked_group]
+        take = np.minimum(np.maximum(wanted[stacked_group] - above, 0), room)
+        # Fresh zspages: ``opens`` per class, all full but each class's
+        # last, which holds ``rest - (opens - 1) * capacity``.
+        rest = np.maximum(wanted - class_room, 0)
+        capacity = _GEOM_OBJECTS[group_class]
+        opens = -(-rest // capacity)
+        total_opens = int(opens.sum())
+        if not self.arena_fits(total_opens):
+            return super().store_ids(arr)
         self._next_id = first + n
         self.stored_bytes += int(arr.sum())
         self.stored_objects += n
         self._ensure_ids(first + n)
-        # Zspage slot of each new object, by input position.
+        # Zspage slot of each object, in class-sorted order: each class's
+        # first ``min(wanted, class_room)`` objects fill its stack.
         member = np.empty(n, dtype=np.int32)
-        partial_map = self._partial
-        # Classes needing fresh zspages: class, zspages, objects, positions.
-        opening: list[tuple[int, int, int, np.ndarray]] = []
-        # Visit classes in first-occurrence order so partial-list creation
-        # order matches the sequential loop.
-        for cls, positions in PageTable.group_ordered(classes, first_seen=True):
-            m = positions.size
-            partial = partial_map.get(cls)
-            if partial is None:
-                partial = partial_map[cls] = []
-            pos = 0
-            while partial and pos < m:
-                slot = partial[-1]
-                count = int(self._zs_count[slot])
-                capacity = int(self._zs_capacity[slot])
-                take = min(m - pos, capacity - count)
-                member[positions[pos : pos + take]] = slot
-                self._zs_count[slot] = count + take
-                pos += take
-                if count + take >= capacity:
-                    partial.pop()
-            if pos < m:
-                capacity = _GEOMETRY[cls // CLASS_DELTA][1]
-                rest = m - pos
-                opening.append((cls, -(-rest // capacity), rest, positions[pos:]))
-        if opening:
-            classes_open, ks, rests, rest_positions = zip(*opening)
-            slots = self._open_zspages(list(classes_open), list(ks))
-            # Every fresh zspage fills to capacity except each class's
-            # last, which takes the remainder.
-            fill = self._zs_capacity[slots].astype(np.int64)
-            last = np.cumsum(ks) - 1
-            fill[last] = np.array(rests) - (np.array(ks) - 1) * fill[last]
-            self._zs_count[slots] = fill
-            member[np.concatenate(rest_positions)] = np.repeat(slots, fill)
-            for cls, slot, capacity, left in zip(
-                classes_open,
-                slots[last].tolist(),
-                self._zs_capacity[slots[last]].tolist(),
-                fill[last].tolist(),
-            ):
-                if left < capacity:
-                    partial_map[cls].append(slot)
-        self._obj_zspage[first : first + n] = member
+        from_stack = np.arange(n) < np.repeat(
+            starts + np.minimum(wanted, class_room), wanted
+        )
+        if stacked.size:
+            member[from_stack] = np.repeat(stacked, take)
+            self._zs_count[stacked] += take.astype(np.int16)
+            self._zs_stack[stacked[take == room]] = -1
+        if total_opens:
+            opening = opens > 0
+            open_group = np.repeat(np.arange(groups), opens)
+            nth = np.arange(total_opens) - np.repeat(np.cumsum(opens) - opens, opens)
+            # The sequential calls open each zspage at the store of its
+            # first object: its input position sets the opening order.
+            opener = order[
+                starts[open_group]
+                + class_room[open_group]
+                + nth * capacity[open_group]
+            ]
+            by_opener = np.argsort(opener)
+            fresh = np.empty(total_opens, dtype=np.int64)
+            fresh[by_opener] = self._open_zspages(
+                group_class[open_group[by_opener]]
+            )
+            fill = capacity[open_group]
+            last = np.cumsum(opens)[opening] - 1
+            fill[last] = rest[opening] - (opens[opening] - 1) * capacity[opening]
+            self._zs_count[fresh] = fill
+            member[~from_stack] = np.repeat(fresh, fill)
+            partial = fresh[last][fill[last] < capacity[opening]]
+            self._zs_stack[partial] = self._stack_seq + np.arange(partial.size)
+            self._stack_seq += partial.size
+        self._obj_zspage[first + order] = member
         return first
 
     def free_ids(self, object_ids, sizes) -> None:
         """Vectorized frees; see ``PoolAllocator.free_ids``.
 
-        Partial-list reconstruction is exact: a previously-full zspage
-        joins its class's partial list at its *first* free in the batch
-        (first-occurrence order), an emptied zspage leaves the list and
-        returns its pages, and surviving zspages keep their relative
-        order -- so the pool's future packing trajectory matches the
-        sequential calls.  One ``np.unique`` over the freed objects'
-        slots updates every count at once; Python lists are touched only
-        for partial-list edits and released slots.  Emptied zspages are
-        released in first-occurrence order (the sequential loop releases
-        each at its *last* free; buddy ordering is unobservable, as with
-        pfns above).
+        Partial stacks end exactly as after the sequential calls: a
+        previously full zspage is pushed at its *first* free in the
+        batch (its sequence number is the stack's next one plus that
+        position), an emptied zspage leaves its stack and returns its
+        pages, and surviving zspages keep their relative order.  One
+        ``bincount`` over the freed objects' slots updates every count
+        and ``np.minimum.at`` finds first frees; no sort, including
+        the exact repeated-id check (:meth:`_unmap`).  Emptied zspages are
+        released in slot order (the sequential loop releases each at its
+        *last* free; buddy pfns are not observable through any handle or
+        statistic).
         """
         ids = np.asarray(object_ids, dtype=np.int64)
         n = ids.size
         if n == 0:
             return
         arr = np.asarray(sizes, dtype=np.int64)
-        obj_zspage = self._obj_zspage
-        slots = None
-        if ids.min() >= 0 and ids.max() < obj_zspage.size:
-            slots = obj_zspage[ids]
-        if slots is None or slots.min() < 0 or np.unique(ids).size != n:
+        slots = self._unmap(ids)
+        if slots is None:
             # Unknown or repeated ids: take the sequential path so the
             # mid-batch failure point (and committed prefix) match
             # per-call semantics exactly.
@@ -365,32 +435,43 @@ class ZsmallocAllocator(PoolAllocator):
             return
         self.stored_bytes -= int(arr.sum())
         self.stored_objects -= n
-        obj_zspage[ids] = -1
-        touched, first_at, freed = np.unique(
-            slots, return_index=True, return_counts=True
-        )
-        seen = np.argsort(first_at)
-        touched = touched[seen]
+        freed = np.bincount(slots)
+        touched = np.flatnonzero(freed)
         before = self._zs_count[touched].astype(np.int64)
-        after = before - freed[seen]
+        after = before - freed[touched]
         self._zs_count[touched] = after
         was_full = before >= self._zs_capacity[touched]
         emptied = after == 0
-        partial_map = self._partial
-        leave = emptied & ~was_full
-        if leave.any():
-            for slot, cls in zip(
-                touched[leave].tolist(), self._zs_cls[touched[leave]].tolist()
-            ):
-                partial_map[cls].remove(slot)
-        rejoin = was_full & ~emptied
-        if rejoin.any():
-            for slot, cls in zip(
-                touched[rejoin].tolist(), self._zs_cls[touched[rejoin]].tolist()
-            ):
-                partial_map.setdefault(cls, []).append(slot)
+        rejoin = touched[was_full & ~emptied]
+        if rejoin.size:
+            first_free = np.full(freed.size, n)
+            np.minimum.at(first_free, slots, np.arange(n))
+            self._zs_stack[rejoin] = self._stack_seq + first_free[rejoin]
+            self._stack_seq += n
         if emptied.any():
             self._release_zspages(touched[emptied])
+
+    def _unmap(self, ids: np.ndarray) -> np.ndarray | None:
+        """Clear the membership of ``ids`` and return their slots.
+
+        Returns ``None``, changing nothing, unless every id is live and
+        occurs once.  Repeats are found without a sort: each id's cell
+        is tagged with its position, and a repeated id keeps only one
+        of its tags.
+        """
+        obj_zspage = self._obj_zspage
+        if ids.min() < 0 or ids.max() >= obj_zspage.size:
+            return None
+        slots = obj_zspage[ids]
+        if slots.min() < 0:
+            return None
+        tags = np.arange(-2, -2 - ids.size, -1, dtype=np.int32)
+        obj_zspage[ids] = tags
+        if (obj_zspage[ids] != tags).any():
+            obj_zspage[ids] = slots
+            return None
+        obj_zspage[ids] = -1
+        return slots
 
     def store_many(self, sizes: list[int]) -> list[Handle]:
         # Handle-based wrapper over the vectorized core; ids are minted
@@ -441,7 +522,8 @@ class ZsmallocAllocator(PoolAllocator):
         zs_capacity = self._zs_capacity
         pages_reclaimed = 0
         objects_moved = 0
-        for cls, partial in list(self._partial.items()):
+        partial_map = self._partial
+        for cls, partial in partial_map.items():
             if len(partial) < 2:
                 continue
             # Fullest first: they are the migration destinations.
@@ -467,19 +549,25 @@ class ZsmallocAllocator(PoolAllocator):
                     self._release_zspages([src])
                     src_idx -= 1
             # Rebuild the partial list: drop emptied/full zspages.
-            self._partial[cls] = [
+            partial_map[cls] = [
                 s for s in partial if 0 < zs_count[s] < zs_capacity[s]
             ]
+        self._partial = partial_map
         return pages_reclaimed, objects_moved
 
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self):
         # Only the slot rows in use and the ids issued so far: growth
-        # slack is rebuilt on demand after restore.
+        # slack is rebuilt on demand after restore.  The partial stacks
+        # travel as their slots in push order, not as a column.
         state = self.__dict__.copy()
         for name in _SLOT_COLUMNS:
             state[name] = state[name][: self._n_slots]
+        stack = state.pop("_zs_stack")
+        del state["_stack_seq"]
+        stacked = np.flatnonzero(stack >= 0)
+        state["_stacked"] = stacked[np.argsort(stack[stacked])].astype(np.int32)
         state["_obj_zspage"] = self._obj_zspage[: self._next_id]
         return state
 
@@ -489,9 +577,19 @@ class ZsmallocAllocator(PoolAllocator):
         elif isinstance(state["_zs_count"], list):
             # Slot-list pickle: the same columns as Python lists.
             state = dict(state, _n_slots=len(state["_zs_count"]))
+        state = dict(state)
+        stacked = state.pop("_stacked", None)
+        if stacked is None:
+            # Pickles from before the stack column carry the partial
+            # lists as a dict of slot lists.
+            partial = state.pop("_partial")
+            stacked = [slot for stack in partial.values() for slot in stack]
+        state["_zs_stack"] = np.full(state["_n_slots"], -1)
+        state["_stack_seq"] = 0
         self.__dict__.update(state)
         for name, dtype in self._slot_dtypes().items():
             setattr(self, name, np.array(state[name], dtype=dtype))
+        self._restack(stacked)
 
     @staticmethod
     def _columns_from_pre_soa(state) -> dict:

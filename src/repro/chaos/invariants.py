@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.allocators.zsmalloc import ZsmallocAllocator
 from repro.mem.tier import ByteAddressableTier, CompressedTier
 
 
@@ -27,7 +28,8 @@ def check_capacity(system) -> None:
       its ``compressed_bytes`` statistic equals the stored objects'
       sizes (no page charged whose store failed),
     * each compressed tier's pool spans at most four pages per resident
-      page (one zspage when nearly empty),
+      page (one zspage when nearly empty), and its allocator is
+      self-consistent (:func:`check_pool`),
     * TCO is positive and at most the all-DRAM bound plus the
       fragmentation allowance that pool bound implies,
     * the access and migration clocks are non-negative.
@@ -70,6 +72,7 @@ def check_capacity(system) -> None:
                 f"compressed tier {tier.name} pool spans {tier.used_pages} "
                 f"pages, outside [0, {bound}] for {located} resident"
             )
+            check_pool(tier)
     # Each compressed pool may exceed its residents by up to
     # ``3 * resident + 1`` pages, each costing at most a DRAM page.
     dram_cost = system.dram.media.cost_per_page
@@ -85,4 +88,86 @@ def check_capacity(system) -> None:
     assert clock.access_ns >= 0 and clock.migration_ns >= 0, (
         f"negative clock: access {clock.access_ns} ns, "
         f"migration {clock.migration_ns} ns"
+    )
+
+
+def check_pool(tier: CompressedTier) -> None:
+    """Assert a compressed tier's pool allocator is self-consistent.
+
+    Checks that the allocator's object and byte counts match the tier's
+    stored pages and that its buddy arena charges exactly the blocks
+    behind its pool pages; for zsmalloc, also that the zspage columns
+    agree with the object membership:
+
+    * each live zspage's count is the number of objects mapped to it,
+      between 1 and its capacity, and no object maps to a free slot;
+    * the partial stacks hold exactly the live zspages with
+      ``0 < count < capacity``, each once;
+    * ``pool_pages`` is the live zspages' pages, and the buddy's
+      allocated pages are their blocks rounded up to powers of two.
+
+    Raises:
+        AssertionError: Naming the violated invariant and tier.
+    """
+    pool = tier.allocator
+    name = tier.name
+    assert pool.stored_objects == tier.resident_pages, (
+        f"pool of {name}: {pool.stored_objects} objects stored for "
+        f"{tier.resident_pages} resident pages"
+    )
+    stored_bytes = int(tier.stored_csizes().sum())
+    assert pool.stored_bytes == stored_bytes, (
+        f"pool of {name}: {pool.stored_bytes} B stored but its pages "
+        f"hold {stored_bytes} B"
+    )
+    if isinstance(pool, ZsmallocAllocator):
+        _check_zsmalloc(name, pool)
+    else:
+        # zbud/z3fold pages are single order-0 blocks.
+        assert pool._buddy.allocated_pages == pool.pool_pages, (
+            f"pool of {name}: {pool.pool_pages} pool pages but the buddy "
+            f"charges {pool._buddy.allocated_pages}"
+        )
+
+
+def _check_zsmalloc(name: str, pool: ZsmallocAllocator) -> None:
+    n = pool._n_slots
+    live = np.ones(n, dtype=bool)
+    live[pool._zs_free_slots] = False
+    count = pool._zs_count[:n].astype(np.int64)
+    capacity = pool._zs_capacity[:n]
+    members = pool._obj_zspage[: pool._next_id]
+    members = members[members >= 0]
+    assert members.size == pool.stored_objects, (
+        f"pool of {name}: {pool.stored_objects} objects stored but "
+        f"{members.size} mapped to zspages"
+    )
+    mapped = np.bincount(members, minlength=n)
+    assert mapped.size == n and np.array_equal(mapped, np.where(live, count, 0)), (
+        f"pool of {name}: zspage counts (sum {int(count[live].sum())}) "
+        f"differ from the objects mapped to them (sum {int(mapped.sum())})"
+    )
+    assert ((count[live] >= 1) & (count[live] <= capacity[live])).all(), (
+        f"pool of {name}: a live zspage is empty or over capacity"
+    )
+    stack = pool._zs_stack[:n]
+    stacked = stack >= 0
+    partial = live & (count < capacity)
+    assert np.array_equal(stacked, partial), (
+        f"pool of {name}: partial stacks hold {int(stacked.sum())} zspages, "
+        f"{int(partial.sum())} live zspages are partly filled"
+    )
+    assert np.unique(stack[stacked]).size == int(stacked.sum()), (
+        f"pool of {name}: a zspage is stacked twice"
+    )
+    pages = pool._zs_pages[:n][live].astype(np.int64)
+    assert pool.pool_pages == int(pages.sum()), (
+        f"pool of {name}: {pool.pool_pages} pool pages but live zspages "
+        f"span {int(pages.sum())}"
+    )
+    # A zspage of p pages holds a buddy block of the next power of two.
+    rounded = int((1 << np.ceil(np.log2(pages)).astype(np.int64)).sum())
+    assert pool._buddy.allocated_pages == rounded, (
+        f"pool of {name}: buddy charges {pool._buddy.allocated_pages} "
+        f"pages but live zspages round up to {rounded}"
     )

@@ -18,7 +18,9 @@ window loop:
 * ``drain``        -- a live serving loop (:mod:`repro.serve`) stopped
   ingesting and flushed its final partial window,
 * ``checkpoint``   -- a session checkpoint was captured (the serving
-  loop's drain-and-checkpoint shutdown path).
+  loop's drain-and-checkpoint shutdown path),
+* ``invariant_violation`` -- a runtime invariant check (the scenario's
+  ``check_invariants`` option) failed; payload: the failed assertion.
 
 Events are plain data (kind, window, flat payload), so exporting them is
 just :func:`repro.bench.export.export` on the flattened rows -- there is
@@ -54,6 +56,7 @@ EVENT_KINDS = (
     "recovery",
     "drain",
     "checkpoint",
+    "invariant_violation",
 )
 
 #: An event consumer: called synchronously as each event is emitted.

@@ -174,6 +174,14 @@ class Session:
             "Windows whose faults spiked above the trailing mean",
         )
         self._fault_history: list[int] = []
+        self._invariant_checks = registry.counter(
+            "repro_invariant_checks_total",
+            "Runtime invariant checks run (scenario check_invariants)",
+        )
+        self._invariant_violations = registry.counter(
+            "repro_invariant_violations_total",
+            "Runtime invariant checks that failed",
+        )
 
     # -- introspection -------------------------------------------------------
 
@@ -238,6 +246,9 @@ class Session:
             )
         self._observe_window(record)
         self._check_fault_burst(record.window, faults)
+        every = self.spec.check_invariants
+        if every and len(self.daemon.records) % every == 0:
+            self._check_invariants(record.window)
         return record
 
     def _observe_window(self, record: WindowRecord) -> None:
@@ -253,6 +264,19 @@ class Session:
             observe = getattr(primary, "observe_window", None)
         if observe is not None:
             observe(record, self.system)
+
+    def _check_invariants(self, window: int) -> None:
+        """Run the accounting invariants; a violation is counted, logged
+        and emitted as an ``invariant_violation`` event, not raised."""
+        from repro.chaos.invariants import check_capacity
+
+        self._invariant_checks.inc()
+        try:
+            check_capacity(self.system)
+        except AssertionError as exc:
+            self._invariant_violations.inc()
+            _log.warning("invariant violated after window %d: %s", window, exc)
+            self.log.emit("invariant_violation", window, message=str(exc))
 
     def _check_fault_burst(self, window: int, faults: int) -> None:
         history = self._fault_history

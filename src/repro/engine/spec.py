@@ -97,6 +97,11 @@ class ScenarioSpec:
             policy's defaults.  Only policies with a
             ``configure_from_spec`` hook (the ``adaptive`` backend)
             consume it.  Validated and normalized eagerly.
+        check_invariants: Run :func:`repro.chaos.invariants.check_capacity`
+            every this many windows, counting checks and violations
+            (``repro_invariant_checks_total`` /
+            ``repro_invariant_violations_total``); 0 (the default) never
+            checks and leaves the key out of :meth:`to_dict`.
     """
 
     name: str = ""
@@ -120,6 +125,7 @@ class ScenarioSpec:
     daemon_seed: int | None = None
     faults: dict | None = None
     adaptive: dict | None = None
+    check_invariants: int = 0
 
     def __post_init__(self) -> None:
         if self.workload not in WORKLOADS:
@@ -160,6 +166,11 @@ class ScenarioSpec:
         if not 0.0 <= self.cooling <= 1.0:
             raise ValueError(
                 f"cooling must be in [0, 1], got {self.cooling}"
+            )
+        if self.check_invariants < 0:
+            raise ValueError(
+                "check_invariants must be >= 0 (windows between checks; "
+                f"0 disables them), got {self.check_invariants}"
             )
         if self.faults is not None:
             from repro.chaos.faults import FaultPlan
@@ -220,6 +231,10 @@ class ScenarioSpec:
     def to_dict(self) -> dict:
         data = asdict(self)
         data["workload_kwargs"] = dict(data["workload_kwargs"])
+        if not self.check_invariants:
+            # Off by default; absent so existing serialized specs (and
+            # every digest of them) are unchanged.
+            del data["check_invariants"]
         return data
 
     @classmethod

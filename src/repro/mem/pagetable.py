@@ -50,6 +50,10 @@ from repro.mem.page import PAGES_PER_REGION
 #: ``last_access`` value meaning "never accessed" (far past).
 NEVER_ACCESSED = -(1 << 30)
 
+#: Keys spanning at most this many values (tier indices) are grouped by
+#: one comparison pass per value instead of a sort.
+FEW_KEYS = 4
+
 
 class PageTable:
     """Parallel numpy columns for one address space's pages and regions.
@@ -139,17 +143,19 @@ class PageTable:
     ) -> list[tuple[int, np.ndarray]]:
         """Group positions ``0..len(keys)`` by key, preserving input order.
 
-        The one grouping primitive behind every per-tier (and, in
-        zsmalloc, per-size-class) batch: a stable argsort makes each
-        key's positions contiguous while keeping them in input order,
-        which is what the order-sensitive allocator paths require.
+        The one grouping primitive behind every per-tier batch: each
+        key's positions come out in input order, which is what the
+        order-sensitive allocator paths require.  Keys spanning at most
+        :data:`FEW_KEYS` values (tier indices) take one comparison pass
+        per value and no sort, a single value none at all; wider keys
+        take one stable argsort, whose runs of equal keys bound the
+        groups.
 
         Args:
             keys: 1-D integer key per position.
             first_seen: Emit groups in first-occurrence order instead of
                 ascending key order (sequential-loop parity for paths
-                that create state per new key, e.g. zsmalloc partial
-                lists).
+                that create state per new key).
 
         Returns:
             ``(key, positions)`` pairs; ``positions`` is an int array of
@@ -158,15 +164,25 @@ class PageTable:
         n = len(keys)
         if n == 0:
             return []
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        uniq, first = np.unique(keys, return_index=True)
-        starts = np.searchsorted(sorted_keys, uniq)
-        ends = np.append(starts[1:], n)
-        ks = range(len(uniq))
+        lo = int(keys.min())
+        hi = int(keys.max())
+        if lo == hi:
+            return [(lo, np.arange(n))]
+        if hi - lo < FEW_KEYS:
+            groups = [(k, np.flatnonzero(keys == k)) for k in range(lo, hi + 1)]
+            groups = [group for group in groups if group[1].size]
+        else:
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+            bounds = [0] + starts.tolist() + [n]
+            groups = [
+                (int(sorted_keys[start]), order[start:stop])
+                for start, stop in zip(bounds, bounds[1:])
+            ]
         if first_seen:
-            ks = np.argsort(first, kind="stable").tolist()
-        return [(int(uniq[k]), order[starts[k] : ends[k]]) for k in ks]
+            groups.sort(key=lambda group: group[1][0])
+        return groups
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -541,12 +541,14 @@ class TieredMemorySystem(TransientCaches):
         """Batched :meth:`move_page` over ``page_ids`` (kept in order).
 
         The group is resolved with vectorized admission lookups and a
-        single capacity proof per destination; allocator stores/frees
-        still execute per page in the original order (object ids and
-        zspage packing are order-sensitive), while all latency math and
+        single capacity proof per destination -- tier capacity and the
+        allocator's buddy arena both; anything it cannot prove takes
+        :meth:`_move_pages_scalar`.  Each tier's bulk allocator frees
+        and stores keep the original page order (object ids and zspage
+        packing are order-sensitive), and all latency math and
         statistics are evaluated over the whole group.  Totals feed the
-        byte-identical goldens, so the final clock accumulation walks
-        the per-page costs in order.
+        byte-identical goldens, so the clock accumulates the per-page
+        costs in order.
         """
         if len(page_ids) == 0:
             return 0.0
@@ -572,10 +574,14 @@ class TieredMemorySystem(TransientCaches):
             store_mask = self._tier_accepts(dst_idx, pids)
             n_store = int(store_mask.sum())
             growth = dst.allocator.max_pool_pages_per_store
+            # Neither the tier's capacity nor the allocator's buddy arena
+            # (whose power-of-two blocks run ahead of the pool's pages)
+            # may run out mid-batch.
             if (
                 growth is None
                 or dst.free_pages <= 0
                 or dst.used_pages + n_store * growth > dst.capacity_pages
+                or not dst.allocator.arena_fits(n_store)
             ):
                 return self._move_pages_scalar(pids, dst_idx)
             promo_mask = ~store_mask & ~src_is_byte
@@ -668,13 +674,12 @@ class TieredMemorySystem(TransientCaches):
             resolved[promo_mask] = promo_idx
         self.page_location[pids] = resolved
         self.migrated_pages += n
-        clock_ns = self.clock.migration_ns
-        total = 0.0
-        for value in per_ns.tolist():
-            clock_ns += value
-            total += value
-        self.clock.migration_ns = clock_ns
-        return total
+        # ``accumulate`` adds strictly left to right: the same float sums
+        # as adding each page's cost in order.
+        self.clock.migration_ns = float(
+            np.add.accumulate(np.append(self.clock.migration_ns, per_ns))[-1]
+        )
+        return float(np.add.accumulate(per_ns)[-1])
 
     def advance_window(self) -> None:
         """Tick the recency clock; the daemon calls this once per window."""

@@ -41,6 +41,15 @@ CHUNK_BYTES = 256
 REJECT_RATIO = 0.95
 
 
+def _repeats(ids: np.ndarray) -> bool:
+    """Whether any id occurs twice.  Strictly increasing ids (every
+    migration and fault batch) are proved unique in one O(n) pass;
+    only other orders pay for ``np.unique``."""
+    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+        return False
+    return np.unique(ids).size != ids.size
+
+
 class Tier:
     """Base class for all tiers.
 
@@ -451,7 +460,7 @@ class CompressedTier(Tier):
             The compressed sizes of the popped pages, in call order.
         """
         pids = np.asarray(page_ids, dtype=np.int64)
-        if pids.size and np.unique(pids).size != pids.size:
+        if _repeats(pids):
             # A repeated id fails partway with the preceding pops
             # committed; keep that per-call behaviour exactly.
             return np.array(
@@ -469,7 +478,7 @@ class CompressedTier(Tier):
         model is evaluated once over the whole batch instead of per call.
         """
         pids = np.asarray(page_ids, dtype=np.int64)
-        if pids.size and np.unique(pids).size != pids.size:
+        if _repeats(pids):
             return np.array(
                 [self.remove_page(int(p), fault=fault) for p in pids.tolist()],
                 dtype=np.float64,

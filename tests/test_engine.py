@@ -64,6 +64,7 @@ def spec_strategy():
             seed=st.integers(min_value=0, max_value=2**31),
             prefetch_degree=st.sampled_from([None, 4]),
             daemon_seed=st.sampled_from([None, 7]),
+            check_invariants=st.sampled_from([0, 3]),
         )
     )
 
@@ -111,6 +112,7 @@ class TestScenarioSpecValidation:
             ("scale", 0.0, "scale must be > 0"),
             ("sampling_rate", 0, "sampling_rate must be >= 1"),
             ("cooling", 1.5, r"cooling must be in \[0, 1\]"),
+            ("check_invariants", -1, "check_invariants must be >= 0"),
             ("solver_backend", "highs", "unknown solver backend 'highs'; available: auto"),
         ],
     )
@@ -226,6 +228,42 @@ class TestSessionEvents:
         session.run()
         assert isinstance(session.daemon.profiler, IdleBitProfiler)
         assert session.daemon.prefetcher is not None
+
+
+class TestInvariantChecks:
+    def test_off_by_default_and_absent_from_dict(self):
+        assert "check_invariants" not in ScenarioSpec().to_dict()
+        spec = ScenarioSpec(check_invariants=2)
+        assert spec.to_dict()["check_invariants"] == 2
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_checks_every_n_windows(self):
+        from repro.obs import Observability
+
+        obs = Observability(metrics=True)
+        spec = ScenarioSpec(**{**FAST, "windows": 5}, check_invariants=2)
+        session = Session(spec, obs=obs)
+        session.run()
+        registry = obs.registry
+        assert registry.get("repro_invariant_checks_total").value() == 2
+        assert registry.get("repro_invariant_violations_total").value() == 0
+        assert not [e for e in session.events if e.kind == "invariant_violation"]
+
+    def test_violation_is_counted_and_emitted_not_raised(self):
+        from repro.obs import Observability
+
+        obs = Observability(metrics=True)
+        session = Session(ScenarioSpec(**FAST, check_invariants=1), obs=obs)
+        session.run_window()
+        tier = next(t for t in session.system.tiers if t.is_compressed)
+        tier.allocator.stored_objects += 1
+        session.run_window()
+        registry = obs.registry
+        assert registry.get("repro_invariant_checks_total").value() == 2
+        assert registry.get("repro_invariant_violations_total").value() == 1
+        (event,) = [e for e in session.events if e.kind == "invariant_violation"]
+        assert event.window == 1
+        assert "objects stored" in event.data["message"]
 
 
 class TestScenarioCLI:

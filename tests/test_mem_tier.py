@@ -102,6 +102,33 @@ class TestCompressedTierStore:
         assert ct.stats.faults == 1
 
 
+class TestCompressedTierBulk:
+    @pytest.mark.parametrize("ids, left", [([3, 5, 5, 9], 1), ([9, 5, 3, 5], 0)])
+    def test_repeated_id_pops_like_sequential_calls(self, ids, left):
+        """A repeated page id (sorted or not) fails at its second pop,
+        with the pops before it committed, as one call per id would."""
+        import numpy as np
+
+        tier = make_ct()
+        tier.store_prepared_bulk(np.array([3, 5, 9]), np.array([900, 1200, 300]))
+        with pytest.raises(KeyError):
+            tier.pop_pages_bulk(np.array(ids))
+        assert tier.resident_pages == tier.allocator.stored_objects == left
+        tier = make_ct()
+        tier.store_prepared_bulk(np.array([3, 5, 9]), np.array([900, 1200, 300]))
+        with pytest.raises(AllocationError):
+            tier.remove_pages_bulk(np.array(ids))
+        assert tier.resident_pages == tier.allocator.stored_objects == left
+
+    def test_strictly_increasing_ids_pop_in_bulk(self):
+        import numpy as np
+
+        tier = make_ct()
+        tier.store_prepared_bulk(np.array([2, 4, 8]), np.array([900, 1200, 300]))
+        assert tier.pop_pages_bulk(np.array([2, 8])).tolist() == [900, 300]
+        assert tier.resident_pages == tier.allocator.stored_objects == 1
+
+
 class TestCompressedTierLatencyModel:
     def test_algorithm_dominates(self):
         """Figure 2a: deflate tiers are slower than lz4 tiers."""

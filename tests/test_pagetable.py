@@ -39,6 +39,51 @@ def test_group_ordered_matches_python_grouping(keys, first_seen):
     assert [(k, pos.tolist()) for k, pos in got] == want
 
 
+def _two_sort_group_ordered(keys, first_seen):
+    """``group_ordered`` as it was with a second sort: a stable argsort
+    for the positions, ``np.unique`` for the keys and their bounds."""
+    n = len(keys)
+    if n == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    uniq, first = np.unique(keys, return_index=True)
+    starts = np.searchsorted(sorted_keys, uniq)
+    ends = np.append(starts[1:], n)
+    ks = range(len(uniq))
+    if first_seen:
+        ks = np.argsort(first, kind="stable").tolist()
+    return [(int(uniq[k]), order[starts[k] : ends[k]]) for k in ks]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    keys=st.one_of(
+        # Wide keys: the argsort path.
+        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=300).map(
+            lambda k: np.asarray(k, dtype=np.int64)
+        ),
+        st.lists(st.integers(0, 300), max_size=600).map(
+            lambda k: np.asarray(k, dtype=np.int32)
+        ),
+        # Tier-like keys: spans of one to eight values, page-table dtype.
+        st.tuples(st.integers(0, 3), st.integers(0, 7)).flatmap(
+            lambda t: st.lists(
+                st.integers(t[0], t[0] + t[1]), max_size=600
+            ).map(lambda k: np.asarray(k, dtype=np.int16))
+        ),
+    ),
+    first_seen=st.booleans(),
+)
+def test_group_ordered_matches_two_sort_version(keys, first_seen):
+    got = PageTable.group_ordered(keys, first_seen=first_seen)
+    want = _two_sort_group_ordered(keys, first_seen)
+    assert [(k, pos.tolist()) for k, pos in got] == [
+        (k, pos.tolist()) for k, pos in want
+    ]
+    assert all(isinstance(k, int) for k, _ in got)
+
+
 # -- columns -----------------------------------------------------------------
 
 

@@ -174,3 +174,112 @@ class TestFailureInjection:
         record = daemon.run_window(np.empty(0, dtype=np.int64))
         assert record.accesses == 0
         check_capacity(system)
+
+
+# -- pool invariants and the buddy-arena bound ---------------------------------
+
+
+def _arena_bound_system(seed: int) -> TieredMemorySystem:
+    """An 8-region space over DRAM and a 1024-page lzo/zsmalloc tier, so
+    the buddy arena (1024 pages) fills while the pool's own page count
+    is still below capacity: 3-page zspages hold 4-page blocks."""
+    from repro.bench.configs import make_compressed_tier
+
+    space = AddressSpace(8 * PAGES_PER_REGION, "mixed", seed=seed)
+    tiers = [
+        ByteAddressableTier("DRAM", DRAM, capacity_pages=space.num_pages),
+        make_compressed_tier("CT", "lzo", "zsmalloc", DRAM, 1024),
+    ]
+    return TieredMemorySystem(tiers, space)
+
+
+def _fill_arena(system, reference, seed: int, steps: int = 100) -> None:
+    """Move random sorted 1-63-page chunks into the compressed tier,
+    batched on ``system`` and page by page on ``reference``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        pids = np.sort(
+            rng.choice(system.space.num_pages, rng.integers(1, 64), replace=False)
+        ).astype(np.int64)
+        system._move_pages(pids, 1)
+        if reference is not None:
+            reference._move_pages_scalar(pids, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_bulk_moves_into_full_arena_match_scalar(seed):
+    """Bulk stores into a zsmalloc tier whose buddy arena runs out fall
+    back to the per-page path: the same pages fail to store, and the
+    pool stays consistent."""
+    import copy
+
+    system = _arena_bound_system(seed)
+    reference = copy.deepcopy(system)
+    _fill_arena(system, reference, seed)
+    assert reference.failed_stores > 0
+    assert system.failed_stores == reference.failed_stores
+    assert np.array_equal(system.page_location, reference.page_location)
+    assert system.migrated_pages == reference.migrated_pages
+    got, want = system.tiers[1], reference.tiers[1]
+    assert got.stats.snapshot() == want.stats.snapshot()
+    for name in ("stored_objects", "stored_bytes", "pool_pages", "_next_id"):
+        assert getattr(got.allocator, name) == getattr(want.allocator, name)
+    assert got.allocator._partial.keys() == want.allocator._partial.keys()
+    check_capacity(system)
+
+
+def test_check_capacity_catches_an_overcounted_pool(monkeypatch):
+    """Without the arena bound the batch runs the buddy dry mid-store,
+    leaving objects counted that no page holds; the pool check fails."""
+    from repro.allocators.buddy import BuddyAllocator
+
+    monkeypatch.setattr(BuddyAllocator, "free_blocks", lambda self, order: 1 << 30)
+    system = _arena_bound_system(0)
+    with pytest.raises(AllocationError):
+        _fill_arena(system, None, 0)
+    with pytest.raises(AssertionError, match="objects stored"):
+        check_capacity(system)
+
+
+def _zsmalloc_system() -> TieredMemorySystem:
+    space = AddressSpace(2 * PAGES_PER_REGION, "mixed", seed=3)
+    system = TieredMemorySystem(make_tiers(space), space)
+    for region in range(space.num_regions):
+        system.move_region(region, 2)
+    check_capacity(system)
+    return system
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        ("count", "zspage counts"),
+        ("unstack", "partial stacks"),
+        ("stack_full", "partial stacks"),
+        ("stack_twice", "stacked twice"),
+        ("pool_pages", "pool pages"),
+        ("buddy", "buddy charges"),
+    ],
+)
+def test_check_capacity_catches_a_corrupted_zsmalloc_pool(corrupt, message):
+    system = _zsmalloc_system()
+    pool = system.tiers[2].allocator
+    n = pool._n_slots
+    count, capacity = pool._zs_count[:n], pool._zs_capacity[:n]
+    stacked = np.flatnonzero(pool._zs_stack[:n] >= 0)
+    full = np.flatnonzero(count == capacity)
+    assert stacked.size >= 2 and full.size
+    if corrupt == "count":
+        count[full[0]] -= 1
+    elif corrupt == "unstack":
+        pool._zs_stack[stacked[0]] = -1
+    elif corrupt == "stack_full":
+        pool._zs_stack[full[0]] = pool._stack_seq
+    elif corrupt == "stack_twice":
+        pool._zs_stack[stacked[0]] = pool._zs_stack[stacked[1]]
+    elif corrupt == "pool_pages":
+        pool._pool_pages += 1
+    else:
+        pool._buddy.allocated_pages += 1
+    with pytest.raises(AssertionError, match=message):
+        check_capacity(system)

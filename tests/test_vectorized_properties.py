@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocators import ZsmallocAllocator
+from repro.allocators.zsmalloc import size_class
 from repro.allocators.zbud import ZbudAllocator
 from repro.mem.address_space import AddressSpace
 from repro.mem.page import PAGES_PER_REGION
@@ -237,6 +238,166 @@ def test_store_many_free_many_match_sequential(rounds, seed, allocator_cls):
         assert _packing_state(bulk) == _packing_state(sequential)
 
 
+def _zspage_pfns(pool):
+    """Each live zspage's buddy block, the zspage named by its members."""
+    owner = pool._obj_zspage[: pool._next_id]
+    members: dict[int, set[int]] = {}
+    for object_id in np.flatnonzero(owner >= 0).tolist():
+        members.setdefault(int(owner[object_id]), set()).add(object_id)
+    return {frozenset(ids): int(pool._zs_pfn[slot]) for slot, ids in members.items()}
+
+
+def _old_layout_state(pool) -> dict:
+    """``pool``'s pickle state as it was before the stack column: the
+    partial stacks as a dict of slot lists, bottom first."""
+    state = pool.__getstate__()
+    del state["_stacked"]
+    state["_partial"] = pool._partial
+    return state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    batches=st.lists(st.integers(20, 400), min_size=1, max_size=4),
+    seed=st.integers(0, 10_000),
+)
+def test_store_free_across_many_classes_match_sequential(batches, seed):
+    """Batches spanning dozens of size classes, then one round that
+    empties most of every zspage and refills the same zspages, and one
+    that empties every zspage and refills the pool: bulk == sequential
+    after every step.  Store-only rounds from equal pools also hand out
+    the same buddy block per zspage (fresh zspages open in the order
+    the sequential stores open them)."""
+    bulk = ZsmallocAllocator(arena_pages=1 << 13)
+    sequential = ZsmallocAllocator(arena_pages=1 << 13)
+    rng = np.random.default_rng(seed)
+    live: list = []
+
+    def store(sizes):
+        handles = bulk.store_many(sizes)
+        assert handles == [sequential.store(size) for size in sizes]
+        live.extend(handles)
+        assert _packing_state(bulk) == _packing_state(sequential)
+
+    def free(drop):
+        bulk.free_many(drop)
+        for handle in drop:
+            sequential.free(handle)
+        assert _packing_state(bulk) == _packing_state(sequential)
+
+    for n in batches:
+        sizes = rng.integers(1, 4097, n).tolist()
+        assert len({size_class(size) for size in sizes}) > 20 or n < 60
+        store(sizes)
+    assert _zspage_pfns(bulk) == _zspage_pfns(sequential)
+
+    # Keep one object per zspage: every zspage goes partial (or empties,
+    # if it held one object) and the refill lands on those zspages.
+    owner = bulk._obj_zspage
+    first_of: dict = {}
+    for handle in live:
+        first_of.setdefault(int(owner[handle.object_id]), handle)
+    kept = set(first_of.values())
+    drop = [live[i] for i in rng.permutation(len(live)) if live[i] not in kept]
+    live = [handle for handle in live if handle in kept]
+    free(drop)
+    store([handle.size for handle in drop])
+
+    # Empty every zspage, then refill the released slots and blocks.
+    drop, live = live, []
+    free(drop)
+    assert bulk.pool_pages == 0 and bulk._buddy.allocated_pages == 0
+    store([h.size for h in drop])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rounds=st.lists(
+        st.tuples(st.integers(0, 300), st.floats(0.0, 1.0)),
+        min_size=2,
+        max_size=5,
+    ),
+    seed=st.integers(0, 10_000),
+    old_layout=st.booleans(),
+)
+def test_bulk_pool_pickles_mid_sequence(rounds, seed, old_layout):
+    """A bulk pool pickled after the first round -- as it pickles now,
+    or in the layout from before the stack column -- restores to the
+    same packing state and partial stacks, and keeps matching the
+    sequential pool round after round."""
+    import pickle
+
+    bulk = ZsmallocAllocator(arena_pages=1 << 12)
+    sequential = ZsmallocAllocator(arena_pages=1 << 12)
+    rng = np.random.default_rng(seed)
+    live: list = []
+    for index, (num_stores, drop_fraction) in enumerate(rounds):
+        sizes = rng.choice(_REPEATED_SIZES, num_stores).tolist()
+        live.extend(bulk.store_many(sizes))
+        for size in sizes:
+            sequential.store(size)
+        order = rng.permutation(len(live))
+        cut = int(round(drop_fraction * len(live)))
+        drop = [live[i] for i in order[:cut]]
+        live = [live[i] for i in sorted(order[cut:])]
+        bulk.free_many(drop)
+        for handle in drop:
+            sequential.free(handle)
+        if index == 0:
+            if old_layout:
+                restored = ZsmallocAllocator.__new__(ZsmallocAllocator)
+                restored.__setstate__(_old_layout_state(bulk))
+            else:
+                restored = pickle.loads(pickle.dumps(bulk))
+            assert restored._partial == bulk._partial
+            assert _packing_state(restored) == _packing_state(bulk)
+            bulk = restored
+        assert _packing_state(bulk) == _packing_state(sequential)
+
+
+def test_old_layout_partial_dict_loads_into_columns():
+    """A pool state from before the stack column -- partial lists as a
+    dict of slot lists, empty lists included -- loads into the column
+    layout with each stack in the same order, top included."""
+    pool = ZsmallocAllocator(arena_pages=1 << 12)
+    # Six full 4-object zspages of class 2912, then 1504 and 112 objects.
+    handles = pool.store_many([2900] * 24 + [1500] * 9 + [100] * 3)
+    # Free one object of four full zspages, out of order, so they sit
+    # on their class's stack in free order.
+    pool.free_many([handles[i] for i in (13, 2, 22, 5)] + handles[25:27])
+    state = _old_layout_state(pool)
+    partial = state["_partial"]
+    assert len(partial[2912]) == 4
+    state["_partial"] = {**partial, 2048: []}
+    restored = ZsmallocAllocator.__new__(ZsmallocAllocator)
+    restored.__setstate__(state)
+    assert restored._partial == partial
+    assert "_partial" not in restored.__dict__
+    assert _packing_state(restored) == _packing_state(pool)
+    # The next stores fill the same stack tops.
+    assert restored.store_many([2900] * 5) == pool.store_many([2900] * 5)
+    assert _packing_state(restored) == _packing_state(pool)
+
+
+def test_store_ids_exhausting_arena_commits_sequential_prefix():
+    """A batch the arena cannot hold raises with exactly the stores a
+    sequential loop commits before it runs out, never more."""
+    import pytest
+
+    from repro.allocators.base import AllocationError
+
+    sizes = np.random.default_rng(5).integers(1, 4097, 400)
+    bulk = ZsmallocAllocator(arena_pages=64)
+    sequential = ZsmallocAllocator(arena_pages=64)
+    with pytest.raises(AllocationError):
+        bulk.store_ids(sizes)
+    with pytest.raises(AllocationError):
+        for size in sizes.tolist():
+            sequential.store(size)
+    assert 0 < bulk.stored_objects < sizes.size
+    assert _packing_state(bulk) == _packing_state(sequential)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_csize_and_accept_caches_match_scalar(seed, data):
@@ -427,6 +588,70 @@ def test_move_pages_matches_scalar_reference(seed, data):
             assert got_t.allocator.stored_bytes == want_t.allocator.stored_bytes
             assert got_t.allocator.stored_objects == want_t.allocator.stored_objects
             assert got_t.allocator.pool_pages == want_t.allocator.pool_pages
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_move_pages_clock_is_bit_identical_to_scalar(seed):
+    """The batched clock adds each page's cost in page order from the
+    current clock value: totals equal the per-page loop's exactly, also
+    with latencies (unlike the shipped media's) that float addition
+    rounds differently in another order."""
+    from repro.compression.registry import algorithm
+    from repro.mem.media import MediaSpec
+    from repro.mem.tier import CompressedTier
+
+    fast = MediaSpec("fast", read_ns=33.1, write_ns=33.7, cost_per_gb=1.0)
+    slow = MediaSpec("slow", read_ns=78.3, write_ns=120.9, cost_per_gb=0.3)
+    space = AddressSpace(2 * PAGES_PER_REGION, "mixed", seed=seed)
+    n = space.num_pages
+    system = TieredMemorySystem(
+        [
+            ByteAddressableTier("DRAM", fast, capacity_pages=n),
+            ByteAddressableTier("NVMM", slow, capacity_pages=n),
+            CompressedTier(
+                "CT",
+                algorithm=algorithm("lzo"),
+                allocator=ZsmallocAllocator(arena_pages=1 << 14),
+                media=slow,
+                capacity_pages=n,
+            ),
+        ],
+        space,
+    )
+    rng = np.random.default_rng(seed)
+    _scatter(system, rng)
+    reference = copy.deepcopy(system)
+    for _ in range(6):
+        region = int(rng.integers(0, system.space.num_regions))
+        dst = int(rng.integers(0, len(system.tiers)))
+        pages = system.space.regions[region].pages()
+        page_ids = np.arange(pages.start, pages.stop, dtype=np.int64)
+        assert system._move_pages(page_ids, dst) == reference._move_pages_scalar(
+            page_ids, dst
+        )
+        assert system.clock.migration_ns == reference.clock.migration_ns
+
+
+def test_free_ids_repeated_id_fails_like_sequential_frees():
+    """A repeated object id fails at its second free, after the frees
+    before it, exactly as one call per id does."""
+    import pytest
+
+    bulk = ZsmallocAllocator(arena_pages=1 << 10)
+    sequential = ZsmallocAllocator(arena_pages=1 << 10)
+    sizes = [700] * 30
+    handles = bulk.store_many(sizes)
+    for size in sizes:
+        sequential.store(size)
+    drop = [handles[3], handles[25], handles[7], handles[3], handles[8]]
+    with pytest.raises(KeyError):
+        bulk.free_many(drop)
+    with pytest.raises(KeyError):
+        for handle in drop:
+            sequential.free(handle)
+    assert _packing_state(bulk) == _packing_state(sequential)
+    assert bulk._obj_zspage[handles[8].object_id] >= 0
 
 
 @settings(max_examples=5, deadline=None)

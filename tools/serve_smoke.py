@@ -15,7 +15,8 @@ Steps (each asserted):
 3. Feed half the trace through the socket, scrape ``/metrics`` until
    ``repro_windows_total`` reaches it, feed the rest, scrape again --
    the two samples must be monotone (and hit the full window count).
-4. Check ``/healthz`` and the ``/status`` document.
+4. Check ``/healthz``, the ``/status`` document, and that the
+   accounting invariants (checked after every window) never failed.
 5. SIGTERM the daemon; it must exit 0 after a graceful drain.
 6. Restore the drain checkpoint and verify it carries every window.
 
@@ -113,6 +114,7 @@ def main() -> None:
         windows=WINDOWS,
         policy="waterfall",
         seed=11,
+        check_invariants=1,
     )
     scenario = workdir / "scenario.json"
     scenario.write_text(spec.to_json())
@@ -186,6 +188,16 @@ def main() -> None:
             fail(f"unexpected /status: {status}")
         log(f"status ok: {status['windows']} windows, "
             f"{status['events_ingested']} events")
+        from repro.obs import parse_prometheus
+
+        metrics = parse_prometheus(scrape(http_addr, "/metrics"))
+        checks = metrics.get("repro_invariant_checks_total", {}).get((), 0.0)
+        violations = metrics.get("repro_invariant_violations_total", {}).get(
+            (), 0.0
+        )
+        if checks != WINDOWS or violations:
+            fail(f"invariant checks {checks}, violations {violations}")
+        log(f"invariants ok: {checks:.0f} checks, no violations")
 
         # 5. Graceful SIGTERM drain.
         proc.send_signal(signal.SIGTERM)
