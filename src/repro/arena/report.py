@@ -102,6 +102,19 @@ def render_json(spec, rows: list[dict]) -> str:
     )
 
 
+def _manifest_cell(cell) -> dict:
+    entry = {
+        "cell_id": cell.cell_id,
+        "status": cell.status,
+        "seed": cell.seed,
+        "wall_clock_s": round(cell.wall_s, 3),
+        "error": cell.error,
+    }
+    if cell.invariants:
+        entry["invariants"] = dict(cell.invariants)
+    return entry
+
+
 def render_manifest(arena) -> str:
     """Per-cell status manifest (the only wall-clock-bearing artifact)."""
     doc = {
@@ -109,16 +122,7 @@ def render_manifest(arena) -> str:
         "counts": arena.counts(),
         "wall_clock_s": round(arena.wall_s, 3),
         "spec": arena.spec.to_dict(),
-        "cells": [
-            {
-                "cell_id": cell.cell_id,
-                "status": cell.status,
-                "seed": cell.seed,
-                "wall_clock_s": round(cell.wall_s, 3),
-                "error": cell.error,
-            }
-            for cell in arena.cells
-        ],
+        "cells": [_manifest_cell(cell) for cell in arena.cells],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -29,13 +29,21 @@ from repro.fleet.service import modeled_ilp_ns
 from repro.obs import Observability
 from repro.policies import THRASH_METRIC, validate_policy
 
+#: The session counters a cell reports when the arena checks invariants.
+INVARIANT_METRICS = (
+    "repro_invariant_checks_total",
+    "repro_invariant_violations_total",
+)
+
 
 @dataclass
 class CellResult:
     """Outcome of one arena cell.
 
     ``row`` holds the deterministic leaderboard metrics (empty unless
-    ``status == "ok"``); ``wall_s`` is measured and manifest-only.
+    ``status == "ok"``); ``wall_s`` is measured and manifest-only, and so
+    is ``invariants``: the cell's invariant check and violation counts,
+    empty unless the arena checks invariants.
     """
 
     cell_id: str
@@ -47,6 +55,7 @@ class CellResult:
     error: str = ""
     wall_s: float = 0.0
     row: dict = field(default_factory=dict)
+    invariants: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -107,9 +116,13 @@ def _run_cell(
 
     inner = getattr(session.policy, "primary", session.policy)
     thrash = int(getattr(inner, "thrash_total", 0))
-    metric_thrash = (
-        obs.registry.snapshot().get(THRASH_METRIC, {}).get("series", {})
-    )
+    snapshot = obs.registry.snapshot()
+    metric_thrash = snapshot.get(THRASH_METRIC, {}).get("series", {})
+    if cell.scenario.check_invariants:
+        result.invariants = {
+            name: int(sum(snapshot.get(name, {}).get("series", {}).values()))
+            for name in INVARIANT_METRICS
+        }
     projection = project_fleet_savings(
         min(1.0, max(0.0, summary.tco_savings)),
         max(0.0, summary.slowdown),

@@ -63,6 +63,9 @@ class ArenaSpec:
         adaptive: Full adaptive knob block applied to ``adaptive``
             cells (an :class:`~repro.adaptive.controller.AdaptiveConfig`
             dict); overrides ``target_slowdown`` when both are given.
+        check_invariants: Every cell's scenario runs the accounting
+            invariants every this many windows (0: never); see
+            :attr:`~repro.engine.spec.ScenarioSpec.check_invariants`.
     """
 
     policies: tuple[str, ...] = DEFAULT_POLICIES
@@ -77,6 +80,7 @@ class ArenaSpec:
     workload_kwargs: dict = field(default_factory=dict)
     target_slowdown: float | None = None
     adaptive: dict | None = None
+    check_invariants: int = 0
 
     def __post_init__(self) -> None:
         if not self.policies:
@@ -99,6 +103,8 @@ class ArenaSpec:
             raise ValueError("windows must be >= 1")
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
+        if self.check_invariants < 0:
+            raise ValueError("check_invariants must be >= 0")
         if self.target_slowdown is not None and self.target_slowdown <= 0:
             raise ValueError("target_slowdown must be > 0")
         if self.adaptive is not None:
@@ -133,6 +139,10 @@ class ArenaSpec:
         data["workloads"] = list(self.workloads)
         data["alphas"] = list(self.alphas)
         data["workload_kwargs"] = dict(self.workload_kwargs)
+        if not self.check_invariants:
+            # Off by default; absent so manifests and leaderboards of
+            # arenas without it are unchanged.
+            del data["check_invariants"]
         return data
 
     def grid(self) -> list[tuple[str, str, float | None]]:
@@ -167,6 +177,7 @@ class ArenaSpec:
                 windows=self.windows,
                 seed=seed,
                 adaptive=adaptive_block if policy == "adaptive" else None,
+                check_invariants=self.check_invariants,
             )
             cells.append(
                 ArenaCell(

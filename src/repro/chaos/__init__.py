@@ -40,6 +40,7 @@ Invariants (the package's determinism contract):
 """
 
 from repro.chaos.checkpoint import (
+    CheckpointError,
     capture_session,
     load_checkpoint,
     restore_session,
@@ -56,6 +57,7 @@ from repro.chaos.policies import (
 
 __all__ = [
     "DEGRADATION_MODES",
+    "CheckpointError",
     "FAULT_KINDS",
     "DegradationController",
     "FaultInjector",

@@ -363,6 +363,7 @@ def cmd_arena(args) -> int:
             seed=args.seed,
             node_memory_gb=args.node_memory_gb,
             target_slowdown=args.target_slowdown,
+            check_invariants=args.check_invariants,
             **kwargs,
         )
     except ValueError as exc:
@@ -593,6 +594,7 @@ def cmd_fleet(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
+    from repro.chaos import CheckpointError
     from repro.engine import ScenarioSpec
     from repro.serve import ServeDaemon, ServeOptions, StreamSpec, WindowRule
 
@@ -662,6 +664,9 @@ def cmd_serve(args) -> int:
     except FileNotFoundError as exc:
         print(f"checkpoint not found: {exc.filename or args.resume}",
               file=sys.stderr)
+        return 2
+    except CheckpointError as exc:
+        print(f"cannot resume from {args.resume}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
@@ -875,6 +880,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="p99 SLA budget handed to adaptive cells (fractional "
         "slowdown vs all-DRAM; default: controller default)",
+    )
+    arena.add_argument(
+        "--check-invariants",
+        type=int,
+        default=0,
+        metavar="N",
+        help="run the accounting invariants in every cell every N "
+        "windows; counts go to manifest.json (default 0: off)",
     )
     arena.add_argument(
         "--out",

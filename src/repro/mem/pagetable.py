@@ -79,7 +79,7 @@ class PageTable:
         "region_hotness",
     )
 
-    #: Column names serialized by the checkpoint array path, in order.
+    #: Column names, in serialization order.
     PAGE_COLUMNS = (
         "tier",
         "last_access",
@@ -229,14 +229,14 @@ class PageTable:
     # -- serialization -------------------------------------------------------
 
     def columns(self) -> dict[str, np.ndarray]:
-        """All columns by name (the checkpoint array path serializes these)."""
+        """All columns by name."""
         return {
             name: getattr(self, name)
             for name in self.PAGE_COLUMNS + self.REGION_COLUMNS
         }
 
     def attach_columns(self, columns: dict[str, np.ndarray]) -> None:
-        """Re-attach columns detached by the light-pickle checkpoint path.
+        """Re-attach the columns of a table a v2 checkpoint stripped.
 
         Checkpoints written before the ``alloc_site`` column existed lack
         it; the pre-column default (one allocation site per region) is
@@ -256,13 +256,6 @@ class PageTable:
 
     def __getstate__(self):
         state = {"num_pages": self.num_pages, "num_regions": self.num_regions}
-        if _STRIPPED is not None:
-            # Checkpoint array path: the columns travel out-of-band as
-            # raw ``np.save`` buffers; the pickled graph carries only the
-            # shape, and the surrounding :class:`light_pickle` context
-            # records which tables were stripped, in traversal order.
-            _STRIPPED.append(self)
-            return state
         state.update(self.columns())
         return state
 
@@ -278,9 +271,9 @@ class PageTable:
             # pre-column default (one allocation site per region).
             self.alloc_site = self.region_id.astype(np.int32)
         if stripped and _STRIPPED is not None:
-            # Unpickling traverses the graph in the same order pickling
-            # did, so the restore side can zip stripped tables with the
-            # column sets captured alongside the graph.
+            # A format-v2 checkpoint pickled this table shape-only; its
+            # columns follow the graph in traversal order, and unpickling
+            # meets the tables in that same order.
             _STRIPPED.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -288,24 +281,20 @@ class PageTable:
 
 
 #: While a :class:`light_pickle` context is active, the list collecting
-#: every PageTable pickled (capture) or unpickled column-less (restore),
-#: in graph-traversal order; ``None`` outside the context.
+#: every PageTable unpickled column-less, in graph-traversal order;
+#: ``None`` outside the context.
 _STRIPPED: list[PageTable] | None = None
 
 
 class light_pickle:
-    """Context manager: (un)pickle PageTables without their columns.
+    """Context manager: unpickle the column-less PageTables of a
+    format-v2 checkpoint.
 
-    The chaos checkpoint's array path serializes the columns separately
-    as raw ``np.save`` buffers (no pickle memo walk, no copy-through-
-    opcode stream) and re-attaches them on restore.  Everything else --
-    ``copy.deepcopy``, fleet worker transport, plain ``pickle.dumps`` --
-    sees the normal full state.
-
-    Inside the context, :attr:`tables` accumulates the affected tables
-    in deterministic graph-traversal order: on capture, every table
-    whose columns were stripped; on restore, every table awaiting
-    :meth:`PageTable.attach_columns`.
+    v2 checkpoints pickled each table shape-only and carried its columns
+    as raw ``np.save`` buffers beside the graph.  Inside the context,
+    :attr:`tables` collects every table unpickled without columns, in
+    graph-traversal order, for :meth:`PageTable.attach_columns`.
+    Pickling is always full-state; nothing writes this layout any more.
     """
 
     def __enter__(self):

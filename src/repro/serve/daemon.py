@@ -184,7 +184,9 @@ class ServeDaemon:
         checkpoint already ran; socket streams just pick up live
         traffic.  A trace workload is checkpointed by reference, so its
         file must still be there: a missing or re-recorded trace raises
-        :class:`~repro.workloads.trace.TraceMismatchError`.
+        :class:`~repro.workloads.trace.TraceMismatchError`.  A truncated,
+        corrupt or foreign file raises
+        :class:`~repro.chaos.checkpoint.CheckpointError`.
         """
         session, _rows, windows_done = restore_session(
             load_checkpoint(path), obs=Observability(metrics=True)
@@ -303,12 +305,10 @@ class ServeDaemon:
         session."""
         pages = pending.pages
         num_pages = self.session.system.space.num_pages
-        if len(pages):
+        if len(pages) and (pages.min() < 0 or pages.max() >= num_pages):
             in_range = (pages >= 0) & (pages < num_pages)
-            dropped = len(pages) - int(in_range.sum())
-            if dropped:
-                self.rejected_events += dropped
-                pages = pages[in_range]
+            self.rejected_events += len(pages) - int(in_range.sum())
+            pages = pages[in_range]
         if not len(pages):
             return
         counts = np.bincount(pages, minlength=num_pages)

@@ -88,7 +88,10 @@ class PendingWindow:
     """One closed window's access batch, ready to run.
 
     Attributes:
-        pages: The window's page accesses, arrival order.
+        pages: The window's page accesses, arrival order.  A window
+            built from a single chunk aliases that chunk's array (or a
+            slice of it) instead of copying it; readers must not write
+            to it.
         write_fraction: Event-weighted store fraction of the
             contributing chunks; ``None`` when no chunk carried one.
     """
@@ -135,11 +138,13 @@ class WindowAccumulator:
             self._wf_weights.append((len(pages), write_fraction))
 
     def _close(self) -> PendingWindow:
-        pages = (
-            np.concatenate(self._parts)
-            if self._parts
-            else np.empty(0, dtype=np.int64)
-        )
+        parts = self._parts
+        if len(parts) == 1:
+            pages = parts[0]
+        elif parts:
+            pages = np.concatenate(parts)
+        else:
+            pages = np.empty(0, dtype=np.int64)
         fractions = {f for _, f in self._wf_weights}
         if not fractions:
             wf = None

@@ -10,6 +10,7 @@ refactors.  Regenerate (after an intentional behaviour change) with::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -59,6 +60,14 @@ class TestSpec:
         with pytest.raises(ValueError, match="available"):
             ArenaSpec(policies=("watrfall",))
 
+    def test_check_invariants_reaches_every_cell(self):
+        assert "check_invariants" not in MICRO_SPEC.to_dict()
+        spec = dataclasses.replace(MICRO_SPEC, check_invariants=2)
+        assert spec.to_dict()["check_invariants"] == 2
+        assert {c.scenario.check_invariants for c in spec.cells()} == {2}
+        with pytest.raises(ValueError, match="check_invariants"):
+            dataclasses.replace(MICRO_SPEC, check_invariants=-1)
+
     def test_unknown_workload_rejected_eagerly(self):
         with pytest.raises(ValueError, match="available"):
             ArenaSpec(workloads=("nope",))
@@ -93,6 +102,28 @@ class TestRunner:
         """Satellite 3: one pinned cell per policy, byte-for-byte."""
         _, arena = arena_dir
         assert _rows_text(arena) == GOLDEN.read_text()
+
+    def test_invariant_checks_leave_the_golden_alone(self, arena_dir, tmp_path):
+        out1, _ = arena_dir
+        checked = run_arena(
+            dataclasses.replace(MICRO_SPEC, check_invariants=1),
+            out_dir=tmp_path,
+        )
+        assert _rows_text(checked) == GOLDEN.read_text()
+        for cell in checked.cells:
+            assert cell.invariants == {
+                "repro_invariant_checks_total": MICRO_SPEC.windows,
+                "repro_invariant_violations_total": 0,
+            }
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["spec"]["check_invariants"] == 1
+        assert all(
+            c["invariants"]["repro_invariant_violations_total"] == 0
+            for c in doc["cells"]
+        )
+        plain = json.loads((out1 / "manifest.json").read_text())
+        assert "check_invariants" not in plain["spec"]
+        assert all("invariants" not in c for c in plain["cells"])
 
     def test_jobs_do_not_change_artifacts(self, arena_dir, tmp_path):
         out1, _ = arena_dir
@@ -189,6 +220,29 @@ class TestCli:
             (tmp_path / "out" / "manifest.json").read_text()
         )
         assert all(c["status"] == "ok" for c in doc["cells"])
+
+    def test_arena_check_invariants_flag(self, capsys, tmp_path):
+        code = main(
+            [
+                "arena",
+                "--policies", "waterfall",
+                "--workloads", "pingpong",
+                "--windows", "2",
+                "--check-invariants", "1",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [c["invariants"] for c in doc["cells"]] == [
+            {
+                "repro_invariant_checks_total": 2,
+                "repro_invariant_violations_total": 0,
+            }
+        ]
+        capsys.readouterr()
+        assert main(["arena", "--check-invariants", "-1"]) == 2
+        assert "check_invariants" in capsys.readouterr().err
 
 
 if __name__ == "__main__":

@@ -148,6 +148,25 @@ class TestCheckpointResume:
         }
         assert resumed_summary == full_summary
 
+    @pytest.mark.parametrize("capture_at", [1, 4, 7])
+    def test_resume_from_v3_blobs_at_several_windows(self, capture_at):
+        spec = ScenarioSpec(**CHAOS_MASIM)
+        full = Session(spec)
+        full.run()
+
+        partial = Session(spec)
+        for _ in range(capture_at):
+            partial.run_window()
+        resumed, _rows, done = restore_session(capture_session(partial))
+        assert done == capture_at
+        for _ in range(spec.windows - done):
+            resumed.run_window()
+        resumed.log.close()
+        assert _record_key(resumed.records) == _record_key(full.records)
+        assert _stable_rows(resumed.events) == _stable_rows(
+            [e for e in full.events if e.window >= done]
+        )
+
     def test_checkpoint_carries_metrics_snapshot(self):
         spec = ScenarioSpec(**CHAOS_MASIM)
         session = Session(spec, obs=Observability(metrics=True))
@@ -167,6 +186,19 @@ class TestCheckpointResume:
         blob = pickle.dumps({"version": 999})
         with pytest.raises(ValueError, match="checkpoint version"):
             restore_session(blob)
+
+
+def _record_key(records) -> str:
+    return json.dumps(
+        [
+            {
+                k: ("0" if k in VOLATILE_KEYS else str(v))
+                for k, v in r.__dict__.items()
+            }
+            for r in records
+        ],
+        sort_keys=True,
+    )
 
 
 def _fleet(plan, jobs=1, **kwargs):
@@ -214,6 +246,28 @@ class TestFleetChaos:
         assert _fleet_key(crashed) == _fleet_key(smooth)
         assert crashed.resumes == 1 and smooth.resumes == 0
         assert crashed.chaos_counts["node_resumed"] == 1
+
+    @pytest.mark.parametrize(
+        "crash_window,every", [(1, 1), (3, 2), (5, 2), (5, 4)]
+    )
+    def test_crash_resume_from_v3_blobs(self, crash_window, every):
+        def run(crash):
+            events = [{"kind": "migration_partial", "window": 2, "magnitude": 0.5}]
+            if crash:
+                events.append(
+                    {"kind": "node_crash", "window": crash_window, "node": 1}
+                )
+            chaos = ChaosOptions(
+                plan={"seed": 3, "events": events}, checkpoint_every=every
+            )
+            return FleetRunner(
+                nodes=3, profile="micro", windows=6, chaos=chaos
+            ).run()
+
+        crashed = run(True)
+        smooth = run(False)
+        assert _fleet_key(crashed) == _fleet_key(smooth)
+        assert crashed.resumes == 1 and smooth.resumes == 0
 
     def test_chaos_off_by_default(self):
         result = _fleet(None)

@@ -189,6 +189,15 @@ class TestWindowAccumulator:
         )
         assert closed[0].write_fraction == pytest.approx(0.75)
 
+    def test_single_chunk_window_is_not_copied(self):
+        acc = WindowAccumulator(WindowRule(kind="source"))
+        pages = np.arange(6)
+        (window,) = acc.add(Chunk(pages, boundary=True))
+        assert window.pages is pages
+        acc.add(Chunk(np.arange(2)))
+        (window,) = acc.add(Chunk(np.arange(3), boundary=True))
+        np.testing.assert_array_equal(window.pages, [0, 1, 0, 1, 2])
+
     def test_flush_returns_partial(self):
         acc = WindowAccumulator(WindowRule(kind="source"))
         acc.add(Chunk(np.arange(4)))
@@ -404,6 +413,38 @@ class TestServeDaemon:
         assert daemon.rejected_events == 2
         assert daemon.windows_done == 1
         assert daemon.status()["stream"]["rejected_events"] == 2
+
+    @pytest.mark.parametrize(
+        "windows,rejected",
+        [
+            ([[5, 7, 0, 1023]], 0),
+            ([[-1, -7, 3]], 2),
+            ([[1024, 9000, 3, 4]], 2),
+            ([[3, 1024, 1023]], 1),
+            ([[-1, 1024], [2, 3]], 2),
+            ([[0, -2**40, 2**40, 1023], [-1], [7]], 3),
+        ],
+    )
+    def test_rejected_events_counted_exactly(self, windows, rejected):
+        async def go():
+            source = QueueSource()
+            daemon = ServeDaemon(
+                SPEC, ServeOptions(virtual_clock=True, http=False)
+            )
+            daemon.source = source
+            task = asyncio.create_task(daemon.run())
+            for pages in windows:
+                await source.put(Chunk(np.array(pages), boundary=True))
+            await source.stop()
+            await task
+            return daemon
+
+        daemon = asyncio.run(go())
+        assert daemon.rejected_events == rejected
+        kept = [w for w in windows if any(0 <= p < 1024 for p in w)]
+        assert daemon.windows_done == len(kept)
+        served = sum(r.accesses for r in daemon.session.records)
+        assert served == sum(len(w) for w in windows) - rejected
 
     def test_http_endpoint_live(self):
         """Scrape the real daemon over loopback while it serves."""

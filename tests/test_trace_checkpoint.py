@@ -150,6 +150,25 @@ class TestResumeEqualsUninterrupted:
         assert report.windows == 6
         _assert_same_run(resumed.session, full.session)
 
+    @pytest.mark.parametrize("drain_at", [1, 3, 5])
+    def test_serve_replay_resume_from_v3_blobs(self, tmp_path, drain_at):
+        trace = _trace(tmp_path, 6)
+        spec = _spec(trace, 6)
+        full = _serve(spec, trace)
+
+        ckpt = tmp_path / "drain.ckpt"
+        _serve(spec, trace, checkpoint=ckpt, max_windows=drain_at)
+        assert ckpt.read_bytes()[:8] == b"TSCKPT\r\n"
+        resumed = ServeDaemon.from_checkpoint(
+            ckpt,
+            ServeOptions(
+                stream=f"replay:{trace}", virtual_clock=True, http=False
+            ),
+        )
+        assert resumed.windows_done == drain_at
+        asyncio.run(resumed.run())
+        _assert_same_run(resumed.session, full.session)
+
     def test_batch_session_checkpoint_restore(self, tmp_path):
         trace = _trace(tmp_path, 5)
         spec = _spec(trace, 5)

@@ -466,10 +466,9 @@ def test_checkpoint_carries_no_level_tables():
     per-level tables or any per-page compression memo."""
     import pickle
 
-    from repro.chaos.checkpoint import capture_session
+    from repro.chaos.checkpoint import capture_session, read_frames
     from repro.engine.session import Session
     from repro.engine.spec import ScenarioSpec
-    from repro.mem.pagetable import light_pickle
 
     session = Session(
         ScenarioSpec(
@@ -493,9 +492,8 @@ def test_checkpoint_carries_no_level_tables():
                 return RawState
             return super().find_class(module, name)
 
-    envelope = pickle.loads(capture_session(session))
-    with light_pickle():
-        graph = Probe(io.BytesIO(envelope["graph"])).load()
+    frames = read_frames(capture_session(session))
+    graph = Probe(io.BytesIO(frames[0]), buffers=frames[1:]).load()
     state = graph["system"].state
     # Per-page state lives in the page table; the system itself pickles
     # no array, directly or in a per-tier dict.
