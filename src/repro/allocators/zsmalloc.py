@@ -18,8 +18,9 @@ view.  The bulk paths are a fixed number of numpy passes per call
 however many classes and zspages a batch touches: ``store_ids`` fills
 every class's stack in one segmented cumulative-capacity pass and
 opens all fresh zspages in one batch, ``free_ids`` updates counts with
-one ``bincount`` over slots and re-pushes previously full zspages by
-sequence number.  Object ids grow monotonically; the membership array
+one ``bincount`` over slots, re-pushes previously full zspages by
+sequence number and releases emptied ones in the sequential order.
+Object ids grow monotonically; the membership array
 doubles on demand (ids are never reused, so a very long-lived pool
 grows it linearly with total stores -- 4 bytes per object ever
 stored).  Pickles carry only the rows and ids in use, and the stacks
@@ -406,6 +407,22 @@ class ZsmallocAllocator(PoolAllocator):
         self._obj_zspage[first + order] = member
         return first
 
+    def store_bound(self, sizes) -> tuple[int, int]:
+        """Class-exact growth bound; see ``PoolAllocator.store_bound``.
+
+        A class's stores fill its partial stack and then fresh zspages,
+        each full before the next opens, so ``n_c`` stores open at most
+        ``ceil(n_c / objects_per_zspage)`` zspages whatever the stack
+        holds.  Oversized objects are left out: their store raises
+        before opening anything.
+        """
+        classes = _GEOM_OBJECTS.size
+        counts = np.bincount(
+            _class_indices(np.asarray(sizes)), minlength=classes
+        )[:classes]
+        zspages = (counts + (_GEOM_OBJECTS - 1)) // _GEOM_OBJECTS
+        return int(zspages.sum()), int(zspages @ _GEOM_PAGES)
+
     def free_ids(self, object_ids, sizes) -> None:
         """Vectorized frees; see ``PoolAllocator.free_ids``.
 
@@ -416,10 +433,11 @@ class ZsmallocAllocator(PoolAllocator):
         pages, and surviving zspages keep their relative order.  One
         ``bincount`` over the freed objects' slots updates every count
         and ``np.minimum.at`` finds first frees; no sort, including
-        the exact repeated-id check (:meth:`_unmap`).  Emptied zspages are
-        released in slot order (the sequential loop releases each at its
-        *last* free; buddy pfns are not observable through any handle or
-        statistic).
+        the exact repeated-id check (:meth:`_unmap`).  Emptied zspages
+        are released where the sequential loop releases them, each at
+        its *last* free (``np.maximum.at``, one argsort over the emptied
+        zspages), so buddy blocks and the free-slot stack -- and with
+        them every later pfn and slot -- match the sequential calls.
         """
         ids = np.asarray(object_ids, dtype=np.int64)
         n = ids.size
@@ -448,8 +466,15 @@ class ZsmallocAllocator(PoolAllocator):
             np.minimum.at(first_free, slots, np.arange(n))
             self._zs_stack[rejoin] = self._stack_seq + first_free[rejoin]
             self._stack_seq += n
-        if emptied.any():
-            self._release_zspages(touched[emptied])
+        gone = touched[emptied]
+        if gone.size > 1:
+            # Release in the sequential calls' order: each zspage at its
+            # last free.
+            last_free = np.zeros(freed.size, dtype=np.int64)
+            np.maximum.at(last_free, slots, np.arange(n))
+            gone = gone[np.argsort(last_free[gone])]
+        if gone.size:
+            self._release_zspages(gone)
 
     def _unmap(self, ids: np.ndarray) -> np.ndarray | None:
         """Clear the membership of ``ids`` and return their slots.

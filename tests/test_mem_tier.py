@@ -111,11 +111,6 @@ class TestCompressedTierBulk:
 
         tier = make_ct()
         tier.store_prepared_bulk(np.array([3, 5, 9]), np.array([900, 1200, 300]))
-        with pytest.raises(KeyError):
-            tier.pop_pages_bulk(np.array(ids))
-        assert tier.resident_pages == tier.allocator.stored_objects == left
-        tier = make_ct()
-        tier.store_prepared_bulk(np.array([3, 5, 9]), np.array([900, 1200, 300]))
         with pytest.raises(AllocationError):
             tier.remove_pages_bulk(np.array(ids))
         assert tier.resident_pages == tier.allocator.stored_objects == left
@@ -125,8 +120,16 @@ class TestCompressedTierBulk:
 
         tier = make_ct()
         tier.store_prepared_bulk(np.array([2, 4, 8]), np.array([900, 1200, 300]))
-        assert tier.pop_pages_bulk(np.array([2, 8])).tolist() == [900, 300]
-        assert tier.resident_pages == tier.allocator.stored_objects == 1
+        sizes, ids = tier.detach_pages_bulk(np.array([2, 8]))
+        assert sizes.tolist() == [900, 300]
+        # Detached pages leave the tier; their objects stay allocated.
+        assert tier.resident_pages == 1
+        assert tier.allocator.stored_objects == 3
+        tier.allocator.free_ids(ids, sizes)
+        assert tier.allocator.stored_objects == 1
+        with pytest.raises(AllocationError):
+            tier.detach_pages_bulk(np.array([4, 8]))
+        assert tier.resident_pages == 1
 
 
 class TestCompressedTierLatencyModel:
