@@ -555,6 +555,34 @@ def test_planning_columns_match_scalar(values):
             assert penalties[r, t] == tier.fault_latency_ns(intrinsic=c)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(1e-9, 1.0, allow_nan=False),
+            st.integers(1, 16).map(lambda k: k / 16.0),  # quantized levels
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_migration_latency_columns_match_scalar(values):
+    """The wave executor's per-object load and store latencies equal
+    the scalar ``fault_latency_ns``/``store_latency_ns`` bit for bit,
+    for every Table 1 tier option."""
+    from repro.bench.configs import enumerate_tiers, make_compressed_tier
+
+    intrinsics = np.array(values)
+    for algo, alloc, backing in enumerate_tiers():
+        tier = make_compressed_tier(f"{algo}/{alloc}/{backing}", algo, alloc, backing, 64)
+        csizes = tier.algorithm.compressed_sizes(intrinsics)
+        loads = tier.csize_fault_ns(csizes)
+        stores = tier.csize_store_ns(csizes)
+        for r, c in enumerate(values):
+            assert loads[r] == tier.fault_latency_ns(intrinsic=c)
+            assert stores[r] == tier.store_latency_ns(c)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_move_pages_matches_scalar_reference(seed, data):
