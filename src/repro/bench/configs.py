@@ -170,19 +170,9 @@ FLEET_PROFILES: dict[str, tuple[tuple[str, dict], ...]] = {
         ("xsbench", {"num_pages": 16384, "ops_per_window": 20_000}),
         ("graphsage", {"scale": 13, "ops_per_window": 50_000}),
     ),
-    # Microbenchmark fleet: fast, used by tests and scale benchmarks.
+    # Microbenchmark fleet: fast, used by tests and CI smoke runs.
     "micro": (
         ("masim", {"num_pages": 1024, "ops_per_window": 20_000}),
-    ),
-    # ILP fleet: one masim shape of 24 regions x 4 tiers.  Used by the
-    # fleet-scale benchmark with ``backend="scipy"`` and a homogeneous
-    # fleet: identical workload streams make quantized problem
-    # signatures collide across nodes and windows, so this profile shows
-    # the solve cache at its best hit rate.  An exact solve here costs
-    # ~7 ms, so on host wall time the cache does not pay for itself
-    # (see BENCH_fleet.json); its saving is the modeled solver tax.
-    "ilp": (
-        ("masim", {"num_pages": 12288, "ops_per_window": 50_000}),
     ),
 }
 

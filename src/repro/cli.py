@@ -449,7 +449,6 @@ def cmd_fleet(args) -> int:
         FleetRunner,
         FleetScheduler,
         FleetSpec,
-        SolveCacheConfig,
         SolverServiceConfig,
         fleet_rollup,
         node_rows,
@@ -472,7 +471,6 @@ def cmd_fleet(args) -> int:
             policies=policies,
             windows=args.windows,
             seed=args.seed,
-            homogeneous=args.homogeneous,
         )
         service = SolverServiceConfig(
             deployment=args.solver,
@@ -482,11 +480,6 @@ def cmd_fleet(args) -> int:
         scheduler = (
             FleetScheduler(budget_alpha=args.dram_budget)
             if args.dram_budget is not None
-            else None
-        )
-        cache = (
-            SolveCacheConfig(quantum=args.cache_quantum)
-            if args.solve_cache
             else None
         )
     except (KeyError, ValueError) as exc:
@@ -520,7 +513,6 @@ def cmd_fleet(args) -> int:
             scheduler=scheduler,
             obs=ObsOptions(metrics=True, tracing=bool(args.trace)),
             chaos=chaos,
-            cache=cache,
             rack_size=args.rack_size,
         )
     except ValueError as exc:
@@ -545,14 +537,6 @@ def cmd_fleet(args) -> int:
                 rack_rows(result),
                 title=f"Racks ({args.rack_size} nodes each)",
             )
-        )
-    replay = result.cache_replay
-    if replay is not None:
-        print(
-            f"solve cache: {replay.requests} requests, {replay.hits} hits "
-            f"({100.0 * replay.hit_rate:.1f} %), {replay.misses} misses, "
-            f"{replay.batched} batched, {replay.evictions} evictions; "
-            f"modeled solve time cut {100.0 * replay.modeled_saving:.1f} %"
         )
     print(
         f"aggregate: {rollup['tco_savings_pct']:.1f} % TCO saved "
@@ -711,45 +695,6 @@ def cmd_report(args) -> int:
         )
     )
     print(format_table([run_totals(rows)], title="run totals"))
-    return 0
-
-
-def cmd_fleetbench(args) -> int:
-    from repro.bench.fleetbench import fleet_report_rows, run_fleetbench
-
-    if args.out is None:
-        out = None if args.smoke else "BENCH_fleet.json"
-    else:
-        out = None if args.out == "-" else args.out
-    report = run_fleetbench(
-        out=out,
-        baseline=args.baseline,
-        smoke=args.smoke,
-        rebaseline=args.rebaseline,
-        jobs=args.jobs,
-        seed=args.seed,
-    )
-    print(format_table(fleet_report_rows(report), title="Fleet-scale benchmarks"))
-    scale = report["current"]["fleet_scale"]
-    print(
-        f"solve cache: {scale['cache_speedup']:.2f}x fleet wall-clock "
-        f"({scale['wall_s_cache_off']:.2f}s off vs "
-        f"{scale['wall_s_cache_on']:.2f}s on, "
-        f"{100.0 * scale['replay']['hit_rate']:.1f}% shared-cache hit rate)"
-    )
-    hyper = report["current"]["hyperscale"]
-    print(
-        f"hyperscale: {hyper['nodes']} nodes in {hyper['wall_s']:.1f}s "
-        f"({hyper['racks']} racks, merged hit rate "
-        f"{100.0 * hyper['merged_cache_hit_rate']:.1f}%)"
-    )
-    # The tiny fleet_scale smoke run only batches (too few windows for
-    # cross-window repeats); the hyperscale smoke fleet must truly hit.
-    if args.smoke and hyper["replay"]["hits"] <= 0:
-        print("FAIL: the smoke preset expects shared-cache hits")
-        return 1
-    if out:
-        print(f"report written to {out}")
     return 0
 
 
@@ -951,17 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="global alpha budget; allocates per-node knobs when set",
     )
     fleet.add_argument(
-        "--solve-cache",
-        action="store_true",
-        help="memoize ILP solves on quantized problem signatures",
-    )
-    fleet.add_argument(
-        "--cache-quantum",
-        type=float,
-        default=0.25,
-        help="signature quantization step (0 = exact-value signatures)",
-    )
-    fleet.add_argument(
         "--rack-size",
         type=int,
         default=32,
@@ -971,11 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies",
         default=None,
         help="comma-separated per-node policy cycle (overrides --policy)",
-    )
-    fleet.add_argument(
-        "--homogeneous",
-        action="store_true",
-        help="give every node the same seed (a fleet of identical replicas)",
     )
     fleet.add_argument(
         "--out",
@@ -1086,36 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("path", help="event export from run --out / fleet --out")
     report.set_defaults(func=cmd_report)
-
-    fleetbench = sub.add_parser(
-        "fleetbench", help="run the fleet-scale solve-cache benchmarks"
-    )
-    fleetbench.add_argument(
-        "--out",
-        default=None,
-        help="report path (default BENCH_fleet.json, or unwritten with "
-        "--smoke); '-' skips writing",
-    )
-    fleetbench.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline report to compare against (default: --out if present)",
-    )
-    fleetbench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI smoke preset: small fleets, asserts the cache hits",
-    )
-    fleetbench.add_argument(
-        "--rebaseline",
-        action="store_true",
-        help="store this run as the new reference",
-    )
-    fleetbench.add_argument(
-        "--jobs", type=int, default=4, help="worker processes for hyperscale"
-    )
-    fleetbench.add_argument("--seed", type=int, default=7)
-    fleetbench.set_defaults(func=cmd_fleetbench)
 
     sub.add_parser("workloads", help="print the workload registry").set_defaults(
         func=cmd_workloads

@@ -21,13 +21,6 @@ Two complementary layers live here:
 from repro.compression.base import Codec, CompressionResult
 from repro.compression.data import make_corpus, page_compressibilities
 from repro.compression.deflate import DeflateCodec
-from repro.compression.deflate_scratch import DeflateScratchCodec
-from repro.compression.entropy import (
-    estimate_ratio,
-    is_compressible,
-    shannon_entropy,
-)
-from repro.compression.huffman import HuffmanCodec
 from repro.compression.lz77 import LZ77Codec
 from repro.compression.lzfast import LZFastCodec
 from repro.compression.model import AlgorithmModel, achieved_ratio
@@ -45,18 +38,13 @@ __all__ = [
     "Codec",
     "CompressionResult",
     "DeflateCodec",
-    "DeflateScratchCodec",
-    "HuffmanCodec",
     "LZ77Codec",
     "LZFastCodec",
     "RLECodec",
     "achieved_ratio",
     "algorithm",
     "algorithm_names",
-    "estimate_ratio",
-    "is_compressible",
     "make_corpus",
     "page_compressibilities",
     "reference_codec",
-    "shannon_entropy",
 ]

@@ -53,16 +53,9 @@ from repro.fleet.runner import (
 )
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.service import ServicedAnalyticalModel, SolverServiceConfig
-from repro.fleet.solvecache import (
-    CacheReplay,
-    SolveCache,
-    SolveCacheConfig,
-    replay_shared_cache,
-)
 from repro.fleet.spec import FleetSpec, NodeSpec
 
 __all__ = [
-    "CacheReplay",
     "ChaosOptions",
     "FleetResult",
     "FleetRunner",
@@ -72,14 +65,11 @@ __all__ = [
     "NodeSpec",
     "ObsOptions",
     "ServicedAnalyticalModel",
-    "SolveCache",
-    "SolveCacheConfig",
     "SolverServiceConfig",
     "fleet_rollup",
     "merge_metrics_hierarchical",
     "node_rows",
     "rack_rows",
-    "replay_shared_cache",
     "service_arrival_ranks",
     "slowdown_distribution",
 ]

@@ -70,7 +70,6 @@ def node_rows(result: FleetResult) -> list[dict]:
                 "solver_tax_ms": stats.service_ns / 1e6,
                 "queue_ms": stats.queue_ns / 1e6,
                 "fallbacks": stats.fallbacks,
-                "cache_hits": stats.cache_hits,
             }
         )
     return rows
@@ -81,17 +80,12 @@ def rack_rows(result: FleetResult) -> list[dict]:
 
     Racks are contiguous ``rack_size`` slices of the node-id order (the
     fold is associative and order-preserving, so the cluster-level merge
-    of these racks is bit-identical to the flat per-node fold).  Each row
-    surfaces the rack's deterministic solve and solve-cache counters.
+    of these racks is bit-identical to the flat per-node fold).
     """
     rows = []
     for rack_id, registry in enumerate(result.rack_metrics):
         start = rack_id * result.rack_size
         nodes = result.nodes[start : start + result.rack_size]
-        hits = registry.counter("repro_solver_cache_node_hits_total").value()
-        misses = registry.counter(
-            "repro_solver_cache_node_misses_total"
-        ).value()
         rows.append(
             {
                 "rack": rack_id,
@@ -99,11 +93,6 @@ def rack_rows(result: FleetResult) -> list[dict]:
                 "mem_gb": sum(n.spec.memory_gb for n in nodes),
                 "solver_tax_ms": sum(n.stats.service_ns for n in nodes)
                 / 1e6,
-                "cache_hits": int(hits),
-                "cache_misses": int(misses),
-                "cache_hit_rate": hits / (hits + misses)
-                if hits + misses
-                else 0.0,
             }
         )
     return rows
@@ -128,7 +117,6 @@ def fleet_rollup(
     )
     total_queue_ns = sum(n.stats.queue_ns for n in result.nodes)
     total_solve_ns = sum(n.stats.solve_ns for n in result.nodes)
-    replay = result.cache_replay
     return {
         "nodes": len(result.nodes),
         "jobs": result.jobs,
@@ -142,8 +130,6 @@ def fleet_rollup(
         "solver_queue_ms": total_queue_ns / 1e6,
         "solver_solve_ms": total_solve_ns / 1e6,
         "fallbacks": sum(n.stats.fallbacks for n in result.nodes),
-        "cache_hits": sum(n.stats.cache_hits for n in result.nodes),
-        "cache_hit_rate": replay.hit_rate if replay is not None else 0.0,
         "wall_s": result.wall_s,
     }
 

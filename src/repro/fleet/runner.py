@@ -40,12 +40,6 @@ from repro.fleet.service import (
     ServiceStats,
     SolverServiceConfig,
 )
-from repro.fleet.solvecache import (
-    CacheReplay,
-    SolveCacheConfig,
-    record_replay_metrics,
-    replay_shared_cache,
-)
 from repro.fleet.spec import FleetSpec, NodeSpec
 from repro.obs import MetricsRegistry, Observability, StreamSink
 from repro.obs.logs import get_logger
@@ -161,8 +155,6 @@ class FleetResult:
             them, so a 10k-node cluster rolls up hierarchically instead
             of through one flat fold.
         rack_size: Nodes per rack used for the rollup.
-        cache_replay: Deterministic shared-solve-cache replay outcome
-            (``None`` when the cache was off).
     """
 
     spec: FleetSpec
@@ -174,7 +166,6 @@ class FleetResult:
     )
     rack_metrics: list[MetricsRegistry] = field(default_factory=list)
     rack_size: int = 32
-    cache_replay: CacheReplay | None = None
 
     @property
     def summaries(self) -> list[RunSummary]:
@@ -219,7 +210,6 @@ def _make_node_model(
     spec: NodeSpec,
     service: SolverServiceConfig,
     arrival_rank: int | None = None,
-    cache: SolveCacheConfig | None = None,
 ):
     """Build the node's placement model, service-backed when analytical."""
     if spec.policy in _ANALYTICAL:
@@ -237,7 +227,6 @@ def _make_node_model(
             node_id=spec.node_id,
             name=name,
             arrival_rank=arrival_rank,
-            cache=cache,
         )
     return make_policy(
         spec.policy,
@@ -253,7 +242,6 @@ def _run_node(
         SolverServiceConfig,
         ObsOptions,
         ChaosOptions,
-        SolveCacheConfig | None,
         int | None,
     ]
 ) -> NodeResult:
@@ -273,10 +261,8 @@ def _run_node(
     loop runs here (instead of ``session.run``) so a crash can discard
     the live session and resume from the last checkpoint.
     """
-    spec, service, obs_options, chaos, cache, arrival_rank = payload
-    model = _make_node_model(
-        spec, service, arrival_rank=arrival_rank, cache=cache
-    )
+    spec, service, obs_options, chaos, arrival_rank = payload
+    model = _make_node_model(spec, service, arrival_rank=arrival_rank)
     injector = chaos.injector_for(spec.node_id)
 
     def _make_obs() -> Observability:
@@ -342,7 +328,6 @@ def _run_node(
                 **data,
                 "queue_ms": (event.queue_ns / 1e6) if event else 0.0,
                 "fallback": bool(event.fallback) if event else False,
-                "cached": bool(event.cached) if event else False,
                 "solver_attempts": attempts_by_window.get(window, 0),
             }
         )
@@ -482,11 +467,6 @@ class FleetRunner:
         obs: Per-worker observability switches (metrics on by default;
             tracing off because spans are bulky over IPC).
         chaos: Fleet-level fault-injection switches; default: chaos off.
-        cache: Solve-cache configuration; ``None`` (default) solves
-            every analytical request, a
-            :class:`~repro.fleet.solvecache.SolveCacheConfig` memoizes
-            by quantized problem signature and replays the modeled
-            shared cache during the merge.
         rack_size: Nodes per rack in the hierarchical metrics rollup.
     """
 
@@ -501,7 +481,6 @@ class FleetRunner:
         chunksize: int | None = None,
         obs: ObsOptions | None = None,
         chaos: ChaosOptions | None = None,
-        cache: SolveCacheConfig | None = None,
         rack_size: int = 32,
         **spec_kwargs,
     ) -> None:
@@ -522,7 +501,6 @@ class FleetRunner:
         self.chunksize = chunksize
         self.obs = obs or ObsOptions()
         self.chaos = chaos or ChaosOptions()
-        self.cache = cache
         self.rack_size = rack_size
 
     def node_specs(self) -> list[NodeSpec]:
@@ -537,8 +515,7 @@ class FleetRunner:
         specs = self.node_specs()
         ranks = service_arrival_ranks(specs)
         payloads = [
-            (s, self.service, self.obs, self.chaos, self.cache,
-             ranks.get(s.node_id))
+            (s, self.service, self.obs, self.chaos, ranks.get(s.node_id))
             for s in specs
         ]
         jobs = min(self.jobs, len(payloads))
@@ -569,17 +546,6 @@ class FleetRunner:
         merged, racks = merge_metrics_hierarchical(
             [node.metrics for node in results], self.rack_size
         )
-        replay = None
-        if self.cache is not None:
-            replay = replay_shared_cache(
-                [
-                    (ranks.get(node.spec.node_id, node.spec.node_id),
-                     node.events)
-                    for node in results
-                ],
-                self.cache,
-            )
-            record_replay_metrics(merged, replay)
         _log.info("fleet run complete in %.2f s wall", wall_s)
         return FleetResult(
             spec=self.spec,
@@ -589,5 +555,4 @@ class FleetRunner:
             metrics=merged,
             rack_metrics=racks,
             rack_size=self.rack_size,
-            cache_replay=replay,
         )

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from repro.core.knob import Knob
 from repro.core.placement.analytical import AnalyticalModel
-from repro.fleet.solvecache import SolveCache, SolveCacheConfig, modeled_hit_ns
 from repro.mem.system import TieredMemorySystem
 from repro.solver import solve
 from repro.telemetry.window import ProfileRecord
@@ -127,17 +126,13 @@ class ServiceEvent:
             so ordinals and windows drift apart.
         queue_ns: Modeled wait behind earlier arrivals (0 when local or
             when the request fell back).
-        solve_ns: Modeled solve cost actually charged (ILP, cache-hit
-            lookup, or greedy when the request fell back).
+        solve_ns: Modeled solve cost actually charged (ILP, or greedy
+            when the request fell back).
         rtt_ns: Network round trip charged (0 when local/fallback).
         fallback: Whether the timeout pushed this request to the on-box
             greedy solver.
         measured_wall_ns: Real wall time of the solve that ran (not part
             of any deterministic summary).
-        cached: Whether the node's solve cache served this request.
-        signature: Quantized problem signature (empty with the cache
-            off or for fallback solves); the fleet merge replays these
-            against the modeled shared cache.
     """
 
     node_id: int
@@ -147,8 +142,6 @@ class ServiceEvent:
     rtt_ns: float
     fallback: bool
     measured_wall_ns: int
-    cached: bool = False
-    signature: str = ""
 
     @property
     def service_ns(self) -> float:
@@ -162,7 +155,6 @@ class ServiceStats:
 
     requests: int = 0
     fallbacks: int = 0
-    cache_hits: int = 0
     queue_ns: float = 0.0
     solve_ns: float = 0.0
     rtt_ns: float = 0.0
@@ -171,7 +163,6 @@ class ServiceStats:
     def fold(self, event: ServiceEvent) -> None:
         self.requests += 1
         self.fallbacks += int(event.fallback)
-        self.cache_hits += int(event.cached)
         self.queue_ns += event.queue_ns
         self.solve_ns += event.solve_ns
         self.rtt_ns += event.rtt_ns
@@ -203,9 +194,6 @@ class ServicedAnalyticalModel(AnalyticalModel):
             some nodes run analytical policies must not charge phantom
             queue slots for nodes that never call the service).  Defaults
             to ``node_id`` for single-model and all-analytical uses.
-        cache: Optional solve-cache configuration; when given, requests
-            go through a node-local memoizing
-            :class:`~repro.fleet.solvecache.SolveCache` front end.
     """
 
     def __init__(
@@ -215,13 +203,11 @@ class ServicedAnalyticalModel(AnalyticalModel):
         node_id: int = 0,
         name: str | None = None,
         arrival_rank: int | None = None,
-        cache: SolveCacheConfig | None = None,
     ) -> None:
         super().__init__(knob, backend=config.backend, name=name)
         self.config = config
         self.node_id = node_id
         self.arrival_rank = node_id if arrival_rank is None else arrival_rank
-        self.cache = SolveCache(cache, backend=config.backend) if cache else None
         self.stats = ServiceStats()
         self.events: list[ServiceEvent] = []
 
@@ -238,24 +224,7 @@ class ServicedAnalyticalModel(AnalyticalModel):
         queue_ns = config.queue_wait_ns(self.arrival_rank)
         ilp_ns = modeled_ilp_ns(problem.num_regions, problem.num_tiers)
         rtt_ns = config.network_rtt_ns if config.remote else 0.0
-        deadline_missed = (
-            config.remote
-            and queue_ns + ilp_ns + rtt_ns > config.timeout_ns
-        )
-        solution = None
-        signature = ""
-        kind = "solve"
-        if self.cache is not None:
-            # A memo hit is answered by the cache front end before the
-            # solve queue, so it cannot time out; a miss pays the full
-            # modeled queue + solve and falls back past the deadline.
-            evictions_before = self.cache.evictions
-            solution, signature, kind = self.cache.serve(
-                problem, obs=self.obs, miss_ok=not deadline_missed
-            )
-            self._count_cache(kind, self.cache.evictions - evictions_before)
-        fallback = solution is None and deadline_missed
-        if fallback:
+        if config.remote and queue_ns + ilp_ns + rtt_ns > config.timeout_ns:
             solution = solve(problem, backend="greedy", obs=self.obs)
             if self.obs is not None:
                 self.obs.registry.counter(
@@ -271,30 +240,8 @@ class ServicedAnalyticalModel(AnalyticalModel):
                 fallback=True,
                 measured_wall_ns=int(solution.solve_wall_ns),
             )
-        elif kind == "hit":
-            if self.obs is not None and self.obs.tracer.enabled:
-                with self.obs.tracer.span(
-                    "solve_cached",
-                    window=record.window,
-                    signature=signature,
-                ):
-                    pass
-            event = ServiceEvent(
-                node_id=self.node_id,
-                window=record.window,
-                queue_ns=0.0,
-                solve_ns=modeled_hit_ns(
-                    problem.num_regions, problem.num_tiers
-                ),
-                rtt_ns=rtt_ns,
-                fallback=False,
-                measured_wall_ns=int(solution.solve_wall_ns),
-                cached=True,
-                signature=signature,
-            )
         else:
-            if solution is None:
-                solution = solve(problem, backend=self.backend, obs=self.obs)
+            solution = solve(problem, backend=self.backend, obs=self.obs)
             event = ServiceEvent(
                 node_id=self.node_id,
                 window=record.window,
@@ -303,7 +250,6 @@ class ServicedAnalyticalModel(AnalyticalModel):
                 rtt_ns=rtt_ns,
                 fallback=False,
                 measured_wall_ns=int(solution.solve_wall_ns),
-                signature=signature if kind == "miss" else "",
             )
         self.last_solution = solution
         self.solver_ns += event.service_ns
@@ -313,30 +259,3 @@ class ServicedAnalyticalModel(AnalyticalModel):
             region_id: int(tier_idx)
             for region_id, tier_idx in enumerate(solution.assignment)
         }
-
-    def _count_cache(self, kind: str, evictions: int = 0) -> None:
-        """Deterministic node-local cache counters (merge-safe)."""
-        if self.obs is None or not self.obs.registry.enabled:
-            return
-        registry = self.obs.registry
-        if evictions:
-            registry.counter(
-                "repro_solver_cache_node_evictions_total",
-                "LRU evictions of node-local solve-cache memos",
-            ).inc(evictions)
-        if kind == "hit":
-            registry.counter(
-                "repro_solver_cache_node_hits_total",
-                "Requests served from a node-local solve-cache memo",
-            ).inc()
-        elif kind == "miss":
-            registry.counter(
-                "repro_solver_cache_node_misses_total",
-                "Requests that populated the node-local solve cache",
-            ).inc()
-        elif kind == "bypass":
-            registry.counter(
-                "repro_solver_cache_bypass_total",
-                "Cache answers rejected as budget-infeasible on the "
-                "exact instance (solved exactly instead)",
-            ).inc()

@@ -101,11 +101,6 @@ class FleetSpec:
         node_memory_gb: Modeled memory of a scale-1.0 node.
         percentile: Threshold for threshold-based policies.
         sampling_rate: PEBS period per node.
-        homogeneous: Give every node the *same* spawned seed instead of
-            independent ones -- a fleet of identical replicas (a caching
-            tier serving one traffic distribution).  Workload streams
-            then coincide across nodes, which is the regime where the
-            solve cache collapses the fleet's ILP load.
     """
 
     nodes: int
@@ -119,7 +114,6 @@ class FleetSpec:
     node_memory_gb: float = 256.0
     percentile: float = 25.0
     sampling_rate: int = 100
-    homogeneous: bool = False
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -140,8 +134,6 @@ class FleetSpec:
         """Expand into per-node specs with spawned, independent seeds."""
         templates = fleet_profile(self.profile)
         seeds = spawn_seeds(self.seed, self.nodes)
-        if self.homogeneous:
-            seeds = [seeds[0]] * self.nodes
         specs = []
         for i in range(self.nodes):
             workload, kwargs = templates[i % len(templates)]

@@ -1,13 +1,17 @@
 """Tests for the ``repro.fleet`` package and seed derivation."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.knob import Knob
 from repro.core.seeding import child_seed, derive_rng, spawn_seeds
 from repro.fleet import (
+    ChaosOptions,
     FleetRunner,
     FleetScheduler,
     FleetSpec,
@@ -16,6 +20,7 @@ from repro.fleet import (
     SolverServiceConfig,
     fleet_rollup,
     node_rows,
+    rack_rows,
     slowdown_distribution,
 )
 from repro.fleet.metrics import (
@@ -24,6 +29,7 @@ from repro.fleet.metrics import (
     latency_distribution,
     solver_tax_rows,
 )
+from repro.fleet.runner import merge_metrics_hierarchical, service_arrival_ranks
 from repro.fleet.service import (
     modeled_greedy_ns,
     modeled_ilp_ns,
@@ -406,3 +412,257 @@ class TestFleetMetrics:
             assert loaded["tco_savings_pct"] == pytest.approx(
                 row["tco_savings_pct"]
             )
+
+
+_REMOTE = SolverServiceConfig(deployment="remote", timeout_ms=1000.0)
+
+
+class TestRemoteFleetMerge:
+    """A shared remote service merges like a local one: by node id."""
+
+    #: Tight enough that the back of each window batch misses the
+    #: deadline, so both the served and the fallback path run.
+    SERVICE = SolverServiceConfig(deployment="remote", timeout_ms=25.0)
+
+    def test_jobs_invariant_remote_service(self):
+        """jobs=1 and jobs=2 are bit-identical behind a remote service."""
+        spec = FleetSpec(nodes=4, profile="micro", windows=5, seed=3)
+
+        def _run(jobs):
+            return FleetRunner(spec, jobs=jobs, service=self.SERVICE).run()
+
+        serial, parallel = _run(1), _run(2)
+        assert serial.summaries == parallel.summaries
+        fallbacks = [n.stats.fallbacks for n in serial.nodes]
+        assert 0 in fallbacks and any(fallbacks)
+        for a, b in zip(serial.nodes, parallel.nodes):
+            assert a.window_rows == b.window_rows
+            # Everything but the real solver wall time is modeled.
+            assert dataclasses.replace(
+                a.stats, measured_wall_ns=0
+            ) == dataclasses.replace(b.stats, measured_wall_ns=0)
+        assert serial.metrics.snapshot(
+            include_volatile=False
+        ) == parallel.metrics.snapshot(include_volatile=False)
+
+    def test_hierarchical_merge_matches_flat(self):
+        result = FleetRunner(
+            nodes=4,
+            profile="micro",
+            windows=5,
+            seed=3,
+            service=_REMOTE,
+            rack_size=2,
+        ).run()
+        snapshots = [n.metrics for n in result.nodes]
+        flat, _ = merge_metrics_hierarchical(snapshots, len(snapshots))
+        hier, racks = merge_metrics_hierarchical(snapshots, 2)
+        assert len(racks) == 2
+        assert hier.snapshot() == flat.snapshot()
+        windows = hier.counter("repro_windows_total").value()
+        assert windows == 4 * 5
+        assert sum(
+            rack.counter("repro_windows_total").value() for rack in racks
+        ) == windows
+        rows = rack_rows(result)
+        assert [r["rack"] for r in rows] == [0, 1]
+        assert sum(r["nodes"] for r in rows) == len(result.nodes)
+        assert sum(r["solver_tax_ms"] for r in rows) == pytest.approx(
+            sum(n.stats.service_ns for n in result.nodes) / 1e6
+        )
+
+
+class TestMixedFleetQueueRanks:
+    """Queue slots rank service-*using* nodes only."""
+
+    def test_service_arrival_ranks(self):
+        specs = FleetSpec(
+            nodes=6, profile="micro", policies=("am-tco", "waterfall")
+        ).build()
+        assert service_arrival_ranks(specs) == {0: 0, 2: 1, 4: 2}
+
+    def test_no_phantom_queue_slots(self):
+        # Regression: a mixed am/waterfall fleet used to charge
+        # analytical node 2k the wait of arrival position 2k -- as if
+        # the waterfall nodes between them had also queued.  Every other
+        # node is analytical here, so ranks must be 0, 1, 2.
+        result = FleetRunner(
+            nodes=6,
+            profile="micro",
+            windows=2,
+            policies=("am-tco", "waterfall"),
+            service=_REMOTE,
+        ).run()
+        slot = _REMOTE.service_slot_ns
+        for rank, node_id in enumerate((0, 2, 4)):
+            node = result.nodes[node_id]
+            assert node.stats.requests == 2
+            assert node.stats.queue_ns == pytest.approx(2 * rank * slot)
+        for node_id in (1, 3, 5):
+            assert result.nodes[node_id].stats.requests == 0
+
+
+class TestRebalanceProjection:
+    """Rebalance holds the budget over rebalanced nodes."""
+
+    def _specs(self, memories):
+        return [
+            NodeSpec(node_id=i, workload="masim", memory_gb=m)
+            for i, m in enumerate(memories)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_weighted_mean_hits_budget_when_interior(self, data):
+        n = data.draw(st.integers(2, 8))
+        memories = data.draw(
+            st.lists(
+                st.sampled_from([64.0, 128.0, 256.0, 512.0]),
+                min_size=n, max_size=n,
+            )
+        )
+        budget = data.draw(
+            st.floats(0.1, 0.9, allow_nan=False, allow_infinity=False)
+        )
+        alphas = {
+            i: data.draw(st.floats(0.05, 1.0, allow_nan=False))
+            for i in range(n)
+        }
+        slowdowns = {
+            i: data.draw(st.floats(0.0, 0.5, allow_nan=False))
+            for i in range(n)
+        }
+        scheduler = FleetScheduler(budget_alpha=budget)
+        specs = self._specs(memories)
+        knobs = scheduler.rebalance(specs, alphas, slowdowns, 0.1)
+        assert set(knobs) == set(alphas)
+        values = {nid: k.alpha for nid, k in knobs.items()}
+        for alpha in values.values():
+            assert (
+                scheduler.min_alpha - 1e-9
+                <= alpha
+                <= scheduler.max_alpha + 1e-9
+            )
+        # Whenever any node lands strictly inside the clamp box, the
+        # projection is exact: the memory-weighted mean is the budget.
+        if any(
+            scheduler.min_alpha < a < scheduler.max_alpha
+            for a in values.values()
+        ):
+            weights = {s.node_id: s.memory_gb for s in specs}
+            mean = sum(values[i] * weights[i] for i in values) / sum(
+                weights[i] for i in values
+            )
+            assert mean == pytest.approx(budget, abs=1e-6)
+
+    def test_subset_rebalance_not_skewed(self):
+        # Regression: rebalancing a subset used to normalize by the
+        # *full* fleet's weight, skewing the subset's mean far off
+        # budget.  The projection must hold over the nodes present.
+        scheduler = FleetScheduler(budget_alpha=0.5)
+        specs = self._specs([256.0] * 4)
+        knobs = scheduler.rebalance(
+            specs, {0: 0.5, 1: 0.5}, {0: 0.0, 1: 0.0}, 0.1
+        )
+        assert set(knobs) == {0, 1}
+        mean = sum(k.alpha for k in knobs.values()) / 2
+        assert mean == pytest.approx(0.5, abs=1e-6)
+
+    def test_stale_nodes_dropped(self):
+        scheduler = FleetScheduler(budget_alpha=0.4)
+        specs = self._specs([256.0, 256.0])
+        knobs = scheduler.rebalance(
+            specs, {0: 0.4, 1: 0.4, 99: 0.4}, {}, 0.1
+        )
+        assert 99 not in knobs
+
+    def test_violator_gains_within_budget(self):
+        scheduler = FleetScheduler(budget_alpha=0.5)
+        specs = self._specs([256.0] * 3)
+        knobs = scheduler.rebalance(
+            specs,
+            {0: 0.5, 1: 0.5, 2: 0.5},
+            {0: 0.4, 1: 0.0, 2: 0.0},  # node 0 violates a 10% SLA
+            0.1,
+        )
+        assert knobs[0].alpha > knobs[1].alpha
+        mean = sum(k.alpha for k in knobs.values()) / 3
+        assert mean == pytest.approx(0.5, abs=1e-6)
+
+
+class TestChaosRowAlignment:
+    """Export rows key service events by profile window."""
+
+    def test_degraded_window_keeps_rows_aligned(self):
+        # Node 1's window-1 solver request is crashed with no retry
+        # budget, so that window degrades and emits *no* ServiceEvent.
+        # Regression: rows used to be zipped positionally against the
+        # event list, shifting window 2's queue wait onto window 1's row
+        # and leaving the last row empty.
+        plan = {
+            "seed": 3,
+            "max_retries": 2,
+            "recover_windows": 1,
+            "events": [
+                {
+                    "kind": "solver_crash",
+                    "window": 1,
+                    "node": 1,
+                    "attempts": None,
+                }
+            ],
+        }
+        result = FleetRunner(
+            nodes=2,
+            profile="micro",
+            windows=4,
+            service=_REMOTE,
+            chaos=ChaosOptions(plan=plan),
+        ).run()
+        node = result.nodes[1]
+        event_windows = {e.window for e in node.events}
+        # The degradation must open a gap *before* the last window, the
+        # case positional mapping gets wrong in both directions.
+        assert 1 not in event_windows
+        assert 3 in event_windows
+        slot_ms = _REMOTE.service_slot_ns / 1e6
+        for row in node.window_rows:
+            if row["window"] in event_windows:
+                assert row["queue_ms"] == pytest.approx(slot_ms)
+                assert row["solver_attempts"] == 1
+            else:
+                assert row["queue_ms"] == 0.0
+                assert row["fallback"] is False
+                assert row["solver_attempts"] == 0
+        # The fault-free node is untouched and fully evented.
+        assert {e.window for e in result.nodes[0].events} == {0, 1, 2, 3}
+
+    def test_chaos_fleet_export_roundtrip(self, tmp_path):
+        import json
+
+        from repro.fleet.metrics import export_fleet_events
+
+        plan = {
+            "seed": 3,
+            "events": [
+                {
+                    "kind": "solver_crash",
+                    "window": 1,
+                    "node": 1,
+                    "attempts": None,
+                }
+            ],
+        }
+        result = FleetRunner(
+            nodes=2,
+            profile="micro",
+            windows=3,
+            service=_REMOTE,
+            chaos=ChaosOptions(plan=plan),
+        ).run()
+        path = export_fleet_events(result, tmp_path / "events.jsonl")
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rows) == 6
+        for row in rows:
+            assert {"node", "window", "queue_ms", "fallback",
+                    "solver_attempts"} <= set(row)

@@ -1,11 +1,10 @@
-"""Edge-path tests across smaller modules: clock stats, bit I/O corner
-cases, workload guards, runner profile resolution, CLI errors."""
+"""Edge-path tests across smaller modules: clock stats, workload guards,
+runner profile resolution, CLI errors."""
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.compression.bitio import BitReader, BitWriter
 from repro.engine import build_system
 from repro.mem.stats import ClockStats, TierStats
 from repro.workloads.base import Workload
@@ -34,32 +33,6 @@ class TestClockStats:
         assert snap["accesses"] == 5 and snap["faults"] == 2
         stats.accesses = 99
         assert snap["accesses"] == 5  # snapshot is decoupled
-
-
-class TestBitIOEdges:
-    def test_zero_width_write(self):
-        writer = BitWriter()
-        writer.write_bits(0, 0)
-        assert writer.bit_length == 0
-        assert writer.getvalue() == b""
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_bits(0, -1)
-        reader = BitReader(b"\x00")
-        with pytest.raises(ValueError):
-            reader.read_bits(-1)
-
-    def test_partial_final_byte_zero_padded(self):
-        writer = BitWriter()
-        writer.write_bits(0b1, 1)
-        blob = writer.getvalue()
-        assert blob == b"\x01"
-
-    def test_getvalue_is_repeatable(self):
-        writer = BitWriter()
-        writer.write_bits(0b101, 3)
-        assert writer.getvalue() == writer.getvalue()
 
 
 class TestWorkloadGuards:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.compression.data import make_corpus
 from repro.compression.deflate import DeflateCodec
-from repro.compression.entropy import estimate_ratio
 from repro.compression.model import achieved_ratio
 from repro.compression.registry import ALGORITHMS, reference_codec
 from repro.mem.page import PAGE_SIZE
@@ -47,16 +46,6 @@ class TestPowerLawCalibration:
             measured = measured_page_ratios(reference_codec(name), data)
             assert modelled / measured < 1.8, (kind, name)
             assert measured / modelled < 1.8, (kind, name)
-
-    def test_entropy_estimator_tracks_deflate(self):
-        """The admission estimator's prediction stays within a factor of
-        2 of the real deflate ratio across the corpora."""
-        for kind in ("nci", "dickens", "random"):
-            data = make_corpus(kind, 32 * PAGE_SIZE, seed=17)
-            measured = measured_page_ratios(DeflateCodec(level=9), data)
-            estimated = estimate_ratio(data)
-            assert estimated / max(measured, 0.02) < 2.5, kind
-            assert max(measured, 0.02) / estimated < 2.5, kind
 
 
 class TestDistributionProperties:

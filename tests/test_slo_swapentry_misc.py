@@ -1,77 +1,13 @@
-"""Tests for swap-entry encoding, zsmalloc compaction and the diurnal
-workload wrapper.  (SLA auto-tuning is tested in ``test_adaptive.py``.)"""
+"""Tests for zsmalloc compaction and the diurnal workload wrapper.
+(SLA auto-tuning is tested in ``test_adaptive.py``.)"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.allocators.zsmalloc import ZsmallocAllocator
-from repro.mem.swapentry import (
-    FLAG_ACCESSED,
-    FLAG_DIRTY,
-    FLAG_PREFETCHED,
-    SwapEntry,
-    SwapEntryTable,
-)
 from repro.workloads.diurnal import DiurnalWorkload
 from repro.workloads.masim import MasimWorkload
 from tests.conftest import run_windows
-
-
-class TestSwapEntry:
-    def test_roundtrip(self):
-        entry = SwapEntry(tier_id=3, object_id=123456, flags=FLAG_DIRTY)
-        assert SwapEntry.decode(entry.encode()) == entry
-
-    def test_flag_helpers(self):
-        entry = SwapEntry(1, 1).with_flags(FLAG_ACCESSED | FLAG_PREFETCHED)
-        assert entry.accessed and entry.prefetched and not entry.dirty
-
-    def test_field_bounds(self):
-        with pytest.raises(ValueError):
-            SwapEntry(tier_id=256, object_id=0)
-        with pytest.raises(ValueError):
-            SwapEntry(tier_id=0, object_id=1 << 48)
-        with pytest.raises(ValueError):
-            SwapEntry.decode(1 << 64)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        tier=st.integers(0, 255),
-        obj=st.integers(0, (1 << 48) - 1),
-        flags=st.integers(0, 255),
-    )
-    def test_roundtrip_property(self, tier, obj, flags):
-        entry = SwapEntry(tier, obj, flags)
-        decoded = SwapEntry.decode(entry.encode())
-        assert (decoded.tier_id, decoded.object_id, decoded.flags) == (
-            tier,
-            obj,
-            flags,
-        )
-
-    def test_table_operations(self):
-        table = SwapEntryTable()
-        table.insert(7, SwapEntry(tier_id=2, object_id=99))
-        assert 7 in table and len(table) == 1
-        table.mark(7, FLAG_ACCESSED)
-        assert table.lookup(7).accessed
-        assert table.pages_in_tier(2) == [7]
-        assert table.pages_in_tier(3) == []
-        removed = table.remove(7)
-        assert removed.object_id == 99
-        assert 7 not in table
-
-    def test_table_errors(self):
-        table = SwapEntryTable()
-        with pytest.raises(KeyError):
-            table.lookup(1)
-        with pytest.raises(KeyError):
-            table.remove(1)
-        table.insert(1, SwapEntry(0, 0))
-        with pytest.raises(KeyError):
-            table.insert(1, SwapEntry(0, 1))
 
 
 class TestZsmallocCompaction:
