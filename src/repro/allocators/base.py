@@ -88,23 +88,6 @@ class PoolAllocator(abc.ABC):
     def pool_pages(self) -> int:
         """Pool pages currently backing the stored objects."""
 
-    # -- bulk operations ----------------------------------------------------
-
-    def store_many(self, sizes: list[int]) -> list[Handle]:
-        """Store objects in order; exactly ``[self.store(s) for s in sizes]``.
-
-        Subclasses may override with a loop-fused implementation, but the
-        resulting pool state and handles must stay identical to the
-        sequential calls (object ids and page packing are order-sensitive
-        and observable through :attr:`pool_pages`).
-        """
-        return [self.store(size) for size in sizes]
-
-    def free_many(self, handles: list[Handle]) -> None:
-        """Free objects in order; equivalent to sequential :meth:`free`."""
-        for handle in handles:
-            self.free(handle)
-
     # -- id-based bulk operations -------------------------------------------
     #
     # The columnar tier membership stores (object id, size) columns

@@ -31,7 +31,6 @@ dict of slot lists) load into it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -497,31 +496,6 @@ class ZsmallocAllocator(PoolAllocator):
             return None
         obj_zspage[ids] = -1
         return slots
-
-    def store_many(self, sizes: list[int]) -> list[Handle]:
-        # Handle-based wrapper over the vectorized core; ids are minted
-        # in input order, so handles are (name, first + k, size).
-        arr = np.asarray(sizes, dtype=np.int64)
-        n = arr.size
-        if n == 0:
-            return []
-        if (arr < 1).any() or (arr > self.max_object_size).any():
-            return [self.store(size) for size in sizes]
-        first = self.store_ids(arr)
-        return list(map(Handle, repeat(self.name, n), range(first, first + n), sizes))
-
-    def free_many(self, handles: list[Handle]) -> None:
-        name = self.name
-        if any(handle.allocator != name for handle in handles):
-            # Foreign handles raise mid-batch with the preceding frees
-            # committed, exactly as sequential calls would.
-            for handle in handles:
-                self.free(handle)
-            return
-        self.free_ids(
-            np.fromiter((h.object_id for h in handles), dtype=np.int64, count=len(handles)),
-            np.fromiter((h.size for h in handles), dtype=np.int64, count=len(handles)),
-        )
 
     @property
     def pool_pages(self) -> int:

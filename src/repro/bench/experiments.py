@@ -373,9 +373,7 @@ def ablation_fast_migration(windows: int = 10, seed: int = 0) -> list[dict]:
         windows=windows, seed=seed,
     )
     for label, fast in (("naive-path", False), ("fast-same-algo", True)):
-        session = Session(spec)
-        session.system.fast_same_algo_migration = fast
-        summary = session.run()
+        summary = Session(spec.with_(fast_same_algo_migration=fast)).run()
         rows.append(_pct_row(
             summary, config=label, migration_ms=summary.migration_ns / 1e6,
         ))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metrics import RunSummary
+from repro.core.metrics import RunSummary, weighted_percentile
 from repro.core.placement.base import PlacementModel
 from repro.core.placement.filter import MigrationFilter
 from repro.mem.migration import MigrationEngine
@@ -51,8 +51,9 @@ class WindowRecord:
         solver_ns: Solver wall time spent this window.
         hotness: Region hotness snapshot.
         p99_latency_ns: Exact weighted p99 per-access latency over this
-            window's histogram (the adaptive controller's SLA signal;
-            defaulted so pre-PR-10 checkpoints still unpickle).
+            window's histogram, 0.0 without accesses (the adaptive
+            controller's SLA signal; defaulted so older checkpoints
+            still unpickle).
     """
 
     window: int
@@ -76,33 +77,6 @@ class WindowRecord:
         return (
             (self.access_ns - optimal_ns) / optimal_ns if optimal_ns else 0.0
         )
-
-
-def window_percentile(
-    histogram: list[tuple[float, int]], p: float
-) -> float:
-    """Exact weighted nearest-rank percentile of one window's histogram.
-
-    Unlike the run-level :class:`_LatencyAccumulator` (log-binned for
-    bounded memory over 10k-window runs), a single window's histogram is
-    small enough to sort exactly, so the per-window signal carries no
-    binning error.
-    """
-    if not histogram:
-        return 0.0
-    pairs = np.asarray(histogram, dtype=np.float64).reshape(-1, 2)
-    values, weights = pairs[:, 0], pairs[:, 1]
-    keep = weights > 0
-    if not keep.all():
-        values, weights = values[keep], weights[keep]
-    if values.size == 0:
-        return 0.0
-    order = np.argsort(values, kind="stable")
-    values, weights = values[order], weights[order]
-    cum = np.cumsum(weights)
-    target = cum[-1] * p / 100.0
-    idx = int(np.searchsorted(cum, target, side="left"))
-    return float(values[min(idx, values.size - 1)])
 
 
 #: Log-scale histogram geometry for :class:`_LatencyAccumulator`, shared
@@ -135,16 +109,12 @@ class _LatencyAccumulator:
         self._weight = 0.0
         self._weighted_value = 0.0
 
-    def extend(self, histogram: list[tuple[float, int]]) -> None:
-        if not histogram:
-            return
-        pairs = np.asarray(histogram, dtype=np.float64).reshape(-1, 2)
-        values, weights = pairs[:, 0], pairs[:, 1]
-        keep = weights > 0
-        if not keep.all():
-            values, weights = values[keep], weights[keep]
+    def extend(self, values: np.ndarray, weights: np.ndarray) -> None:
+        """Fold in histogram entries: ``weights[k]`` accesses of
+        ``values[k]`` nanoseconds each."""
         if values.size == 0:
             return
+        weights = weights.astype(np.float64)
         self._weight += float(weights.sum())
         self._weighted_value += float((values * weights).sum())
         idx = np.floor(
@@ -288,8 +258,8 @@ class TSDaemon:
         with tracer.span("fault_path") as span:
             batch = system.access_batch(counts, write_fraction=write_fraction)
             span.set(accesses=batch.accesses, faults=batch.faults)
-        self._latencies.extend(batch.latency_histogram)
-        if self.prefetcher is not None and batch.faulted_pages:
+        self._latencies.extend(batch.latency_ns, batch.latency_count)
+        if self.prefetcher is not None and batch.faulted_pages.size:
             self.prefetcher.on_window(batch.faulted_pages)
         with tracer.span("profile"):
             if injector is not None and injector.telemetry_dropout(
@@ -341,7 +311,11 @@ class TSDaemon:
             migration_wall_ns=migration_wall_ns,
             solver_ns=solver_ns,
             hotness=record.hotness,
-            p99_latency_ns=window_percentile(batch.latency_histogram, 99.0),
+            p99_latency_ns=(
+                weighted_percentile(batch.latency_ns, batch.latency_count, 99.0)
+                if batch.accesses
+                else 0.0
+            ),
         )
         self.records.append(window_record)
         self._m_windows.inc()

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.mem.page import PAGES_PER_REGION, page_to_region
 from repro.mem.system import TieredMemorySystem
 from repro.mem.tier import CompressedTier
@@ -69,8 +71,8 @@ class SpatialPrefetcher:
         """React to one window's faults; returns daemon nanoseconds.
 
         Args:
-            faulted_pages: Iterable of page ids that demand-faulted this
-                window.
+            faulted_pages: Page ids that demand-faulted this window
+                (an array or a sequence).
         """
         system = self.system
         # Score previously issued prefetches: an outstanding prefetch was
@@ -80,7 +82,7 @@ class SpatialPrefetcher:
                 self.stats.useful += 1
                 self._outstanding.discard(pid)
         ns = 0.0
-        for pid in faulted_pages:
+        for pid in np.asarray(faulted_pages, dtype=np.int64).tolist():
             region_end = (page_to_region(pid) + 1) * PAGES_PER_REGION
             for neighbour in range(pid + 1, min(pid + 1 + self.degree, region_end)):
                 loc = int(system.page_location[neighbour])

@@ -111,7 +111,7 @@ class MigrationEngine:
         )
         self._m_fallbacks = registry.counter(
             "repro_migration_wave_fallbacks_total",
-            "Migration waves that could not run as one pass and ran region by region",
+            "Migration waves that could not run as one pass and moved page by page",
         )
 
     def apply(self, moves: dict[int, int], window: int | None = None) -> float:
@@ -177,9 +177,9 @@ class MigrationEngine:
             span.set(
                 pages=pages,
                 allocator_calls=wave.allocator_calls,
-                per_region=wave.per_region,
+                per_page=wave.per_page,
             )
-        if wave.per_region:
+        if wave.per_page:
             self._m_fallbacks.inc()
         self.stats.serial_ns += wave_ns
         self.stats.waves += 1
@@ -196,10 +196,11 @@ class MigrationEngine:
         Models a migration that fails after its copy work: the daemon
         pays the forward *and* the undo cost, but the placement -- and
         every tier's capacity accounting -- ends exactly where it
-        started.  Pages whose back-move destination refuses them (e.g. a
-        capacity shock landed between the copy and the undo) land in the
-        fastest byte tier via the normal redirect path; accounting stays
-        consistent either way.
+        started.  The back-moves are one multi-group move, a group per
+        original tier in ascending order.  Pages whose back-move
+        destination refuses them (e.g. a capacity shock landed between
+        the copy and the undo) land in the fastest byte tier via the
+        normal redirect path; accounting stays consistent either way.
         """
         system = self.system
         region = system.space.regions[region_id]
@@ -211,8 +212,13 @@ class MigrationEngine:
             region_id, dst_idx, recency_windows=self.recency_windows
         )
         moved = system.page_location[page_ids] != before
-        for tier_idx in np.unique(before[moved]).tolist():
-            group = page_ids[moved & (before == tier_idx)]
-            ns += system._move_pages(group, int(tier_idx))
+        origin = before[moved]
+        order = np.argsort(origin, kind="stable")
+        dsts, sizes = np.unique(origin, return_counts=True)
+        back = system._migrate_groups(
+            page_ids[moved][order], dsts.tolist(), sizes.tolist(), distinct=True
+        )
+        for group_ns in back.region_ns:
+            ns += group_ns
         region.assigned_tier = before_tier
         return ns

@@ -81,6 +81,10 @@ def _same_kind_runs(
     ]
 
 
+def _no_values(dtype=np.float64):
+    return field(default_factory=lambda: np.zeros(0, dtype=dtype))
+
+
 @dataclass
 class BatchResult:
     """Outcome of one access batch.
@@ -89,16 +93,19 @@ class BatchResult:
         accesses: Total accesses in the batch.
         faults: Compressed-tier faults triggered.
         access_ns: Application nanoseconds charged.
-        latency_histogram: ``(latency_ns, count)`` pairs covering every
-            access in the batch; used for tail-latency percentiles.
+        latency_ns: Per-access latency of each histogram entry; the
+            entries cover every access in the batch (tail-latency
+            percentiles read them).
+        latency_count: Accesses behind each ``latency_ns`` entry.
         faulted_pages: Page ids that demand-faulted (for prefetchers).
     """
 
     accesses: int = 0
     faults: int = 0
     access_ns: float = 0.0
-    latency_histogram: list[tuple[float, int]] = field(default_factory=list)
-    faulted_pages: list[int] = field(default_factory=list)
+    latency_ns: np.ndarray = _no_values()
+    latency_count: np.ndarray = _no_values(np.int64)
+    faulted_pages: np.ndarray = _no_values(np.int64)
 
 
 class WaveResult(NamedTuple):
@@ -109,14 +116,14 @@ class WaveResult(NamedTuple):
             summed page by page, left to right.
         allocator_calls: Bulk ``store_ids``/``free_ids`` calls issued
             (the per-page path's calls are not counted).
-        per_region: Whether the wave could not run as one pass (see
-            :meth:`TieredMemorySystem._move_wave`) and ran region by
-            region.
+        per_page: Whether the wave could not run as one pass (see
+            :meth:`TieredMemorySystem._move_wave`) and moved its pages
+            one at a time.
     """
 
     region_ns: list[float]
     allocator_calls: int
-    per_region: bool
+    per_page: bool
 
 
 class TieredMemorySystem(TransientCaches):
@@ -307,23 +314,38 @@ class TieredMemorySystem(TransientCaches):
         self.clock.optimal_ns += total * self.dram.media.read_ns
 
         # group_ordered visits tiers in ascending index order with each
-        # group's pages in ascending page order -- exactly the old
-        # enumerate-tiers-and-mask iteration, minus the per-tier scans.
+        # group's pages in ascending page order.  Each tier contributes
+        # its clock terms and its histogram entries, in that order.
+        terms, latency, weight, faulted = [[0.0]], [], [], []
         locations = self.page_location[pages]
         for idx, pos in PageTable.group_ordered(locations):
             tier = self.tiers[idx]
             tier_counts = counts[pos]
-            n_accesses = int(tier_counts.sum())
             if isinstance(tier, ByteAddressableTier):
+                n_accesses = int(tier_counts.sum())
                 ns = tier.access_ns(n_accesses, write_fraction)
                 tier.stats.accesses += n_accesses
-                result.access_ns += ns
-                per_access = ns / n_accesses
-                result.latency_histogram.append((per_access, n_accesses))
+                terms.append([ns])
+                latency.append([ns / n_accesses])
+                weight.append([n_accesses])
             else:
-                self._fault_pages(
-                    tier, pages[pos], tier_counts, result, write_fraction
+                page_ids = pages[pos]
+                tier_terms, tier_weight = self._fault_pages(
+                    tier, page_ids, tier_counts, write_fraction
                 )
+                entry = tier_weight > 0
+                terms.append(tier_terms)
+                latency.append(tier_terms[entry] / tier_weight[entry])
+                weight.append(tier_weight[entry])
+                faulted.append(page_ids)
+        # One running sum from 0.0, left to right: float addition is not
+        # associative, and these sums feed the byte-identical goldens.
+        result.access_ns = float(np.add.accumulate(np.concatenate(terms))[-1])
+        result.latency_ns = np.concatenate(latency)
+        result.latency_count = np.concatenate(weight)
+        if faulted:
+            result.faulted_pages = np.concatenate(faulted)
+            result.faults = result.faulted_pages.size
         self.clock.access_ns += result.access_ns
         return result
 
@@ -332,19 +354,21 @@ class TieredMemorySystem(TransientCaches):
         tier: CompressedTier,
         page_ids: np.ndarray,
         counts: np.ndarray,
-        result: BatchResult,
         write_fraction: float,
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Serve accesses to pages resident in a compressed tier.
 
         Batched: the whole group is removed from the compressed tier in
         one bulk call, promotion targets are resolved by *capacity
         slices* (a filling DRAM tier spills the remainder of the batch
         to the next byte tier instead of failing mid-batch), and the
-        latency model is evaluated elementwise over the group.  The
-        float accumulation into ``result.access_ns`` walks the pages in
-        the original order so totals stay bit-identical to the old
-        per-page loop.
+        latency model is evaluated elementwise over the group.
+
+        Returns:
+            ``(terms, weights)``: per page in order, its fault's
+            nanoseconds (weight 1), then its remaining accesses'
+            nanoseconds at the promotion target (weight: their count;
+            0.0 at weight 0 when it has none).
         """
         n = len(page_ids)
         # Atomicity: refuse the batch before any state is charged, not
@@ -357,8 +381,6 @@ class TieredMemorySystem(TransientCaches):
             )
         fault_ns = tier.remove_pages_bulk(page_ids, fault=True)
         tier.stats.accesses += n
-        result.faults += n
-        result.faulted_pages.extend(page_ids.tolist())
 
         # Promotion targets by capacity slice: fill the fastest byte
         # tier with room, then re-resolve for the remainder.
@@ -386,20 +408,8 @@ class TieredMemorySystem(TransientCaches):
                 target.stats.accesses += slice_rest
             start = stop
         self.page_location[page_ids] = targets
-
-        # Ordered scalar accumulation: float addition is not
-        # associative, and these sums feed the byte-identical goldens --
-        # the running total must grow in the same per-page order (and
-        # from the same starting value) as the old loop.
-        access_ns = result.access_ns
-        histogram = result.latency_histogram
-        for f_ns, r, r_ns in zip(fault_ns.tolist(), rest.tolist(), rest_ns.tolist()):
-            access_ns += f_ns
-            histogram.append((f_ns, 1))
-            if r:
-                access_ns += r_ns
-                histogram.append((r_ns / r, r))
-        result.access_ns = access_ns
+        weights = np.column_stack((np.ones(n, dtype=rest.dtype), rest))
+        return np.column_stack((fault_ns, rest_ns)).ravel(), weights.ravel()
 
     def _promotion_target(self) -> int:
         """Fastest byte-addressable tier with room for one more page."""
@@ -591,10 +601,8 @@ class TieredMemorySystem(TransientCaches):
         admission, grouping, the latency model and the statistics are
         computed once, and each compressed tier's allocator calls are
         merged into same-kind runs (:meth:`_move_wave`).  A wave the
-        pass cannot take (its capacity proof fails, it names a region
-        twice or it needs the §7.1 copy path) runs region by region,
-        each region a one-region pass or, failing that, the per-page
-        path.
+        pass cannot take (its capacity proof fails or it names a region
+        twice) moves each region's pages one at a time.
 
         Args:
             wave: ``(region_id, dst_idx)`` pairs, in execution order.
@@ -624,52 +632,43 @@ class TieredMemorySystem(TransientCaches):
                     ).tolist()
         # Regions in ascending order cover distinct, ascending pages.
         distinct = all(a < b for a, b in zip(region_ids, region_ids[1:]))
-        result = self._move_wave(page_ids, dsts, sizes, distinct)
-        if result is not None:
-            regions.table.region_assigned[region_ids] = dsts
-            return result
-        region_ns = []
-        calls = 0
-        stop = 0
-        for region_id, dst_idx, size in zip(region_ids, dsts, sizes):
-            start, stop = stop, stop + size
-            ns, group_calls = self._move_group(page_ids[start:stop], dst_idx)
-            region_ns.append(ns)
-            calls += group_calls
-            regions[region_id].assigned_tier = dst_idx
-        return WaveResult(region_ns, calls, True)
+        result = self._migrate_groups(page_ids, dsts, sizes, distinct)
+        regions.table.region_assigned[region_ids] = dsts
+        return result
 
     def _move_pages_scalar(self, page_ids: np.ndarray, dst_idx: int) -> float:
         """Reference per-page move path (exact historical semantics).
 
-        The batched :meth:`_move_pages` falls back to this whenever its
-        fast-path preconditions cannot prove the group free of capacity
-        redirects or mid-batch failures; the property tests also use it
-        as the equivalence oracle.
+        The fallback of :meth:`_migrate_groups`, and the oracle the
+        property tests hold the batched pass to.
         """
         ns = 0.0
         for pid in page_ids.tolist():
             ns += self.move_page(pid, dst_idx)
         return ns
 
-    def _move_pages(self, page_ids: np.ndarray, dst_idx: int) -> float:
-        """Batched :meth:`move_page` over ``page_ids`` (kept in order).
-
-        A one-group :meth:`_move_wave`; a group its proof cannot cover
-        takes :meth:`_move_pages_scalar`.
-        """
-        return self._move_group(page_ids, dst_idx)[0]
-
-    def _move_group(self, page_ids: np.ndarray, dst_idx: int) -> tuple[float, int]:
-        """One group through :meth:`_move_wave`, else the per-page path.
-
-        Returns ``(nanoseconds, bulk allocator calls)``.
-        """
-        result = self._move_wave(page_ids, [dst_idx], [len(page_ids)])
+    def _migrate_groups(
+        self,
+        page_ids: np.ndarray,
+        dsts: list[int],
+        sizes: list[int],
+        distinct: bool = False,
+    ) -> WaveResult:
+        """Consecutive groups of page moves, as :meth:`_move_wave` takes
+        them: one batched pass or, when the pass cannot take them, each
+        group's movers (pages not already at its destination) one page
+        at a time."""
+        result = self._move_wave(page_ids, dsts, sizes, distinct)
         if result is not None:
-            return result.region_ns[0], result.allocator_calls
-        movers = page_ids[self.page_location[page_ids] != dst_idx]
-        return self._move_pages_scalar(movers, dst_idx), 0
+            return result
+        group_ns = []
+        stop = 0
+        for dst_idx, size in zip(dsts, sizes):
+            start, stop = stop, stop + size
+            group = page_ids[start:stop]
+            movers = group[self.page_location[group] != dst_idx]
+            group_ns.append(self._move_pages_scalar(movers, dst_idx))
+        return WaveResult(group_ns, 0, True)
 
     def _move_wave(
         self,
@@ -702,6 +701,12 @@ class TieredMemorySystem(TransientCaches):
           they receive, rejected pages included: those promote to the
           fastest byte tier with room (``tiers[0]``, which can hold the
           whole address space).
+        * **Latency.** Each page costs what :meth:`move_page` charges:
+          a byte tier streams the whole page, a compressed tier charges
+          its own codec latency for the object, and with
+          :attr:`fast_same_algo_migration` a copy between two compressed
+          tiers of one algorithm charges the §7.1 object copy
+          (:meth:`~repro.mem.tier.CompressedTier.csize_copy_ns`).
         * **Clock.** Per-page costs are summed left to right: per group
           from 0.0, and onto the clock across the whole pass, so every
           float sum equals the per-page loop's.
@@ -712,8 +717,7 @@ class TieredMemorySystem(TransientCaches):
         Returns:
             The pass's :class:`WaveResult` (one ``region_ns`` entry per
             group), or ``None``, having changed nothing, when the proof
-            fails, a page occurs twice or a group needs the §7.1
-            compressed-object copy path.
+            fails or a page occurs twice.
         """
         if not distinct and _repeats(page_ids):
             return None
@@ -725,20 +729,23 @@ class TieredMemorySystem(TransientCaches):
         group = np.repeat(np.arange(n_groups), sizes)
         keep = locations != dst_of
         into_pool = any(tiers[d].is_compressed for d in dsts)
+        copies = None
         if into_pool:
             compressed = np.array([tier.is_compressed for tier in tiers])
             src_comp = compressed[locations]
             dst_comp = compressed[dst_of]
-            if self.fast_same_algo_migration and (keep & dst_comp & src_comp).any():
-                # The §7.1 compressed-object copy path has its own cost
-                # model; keep it on the per-page path.
-                return None
             # -- admission: a page a compressed destination rejects stays
             # put (0 ns) when it sits in a byte tier, and promotes otherwise
             accepts, csizes = self._level_tables()
             levels = self._page_level[page_ids]
             store_mask = accepts[dst_of, levels]
             keep &= store_mask | src_comp | ~dst_comp
+            if self.fast_same_algo_migration:
+                # §7.1: a page stored between two tiers of one algorithm
+                # is copied, not recompressed.
+                algo = [t.algorithm.name if t.is_compressed else None for t in tiers]
+                same = np.array([[a is not None and a == b for b in algo] for a in algo])
+                copies = store_mask & same[locations, dst_of]
         n = int(np.count_nonzero(keep))
         if n == 0:
             return WaveResult([0.0] * n_groups, 0, False)
@@ -747,6 +754,8 @@ class TieredMemorySystem(TransientCaches):
         if into_pool:
             store_mask, levels = store_mask[keep], levels[keep]
             store_cs = csizes[dst_of, levels]
+            if copies is not None:
+                copies = np.flatnonzero(copies[keep])
             promo_mask = compressed[dst_of] & ~store_mask
             if promo_mask.any():
                 promo_idx = next(
@@ -831,6 +840,14 @@ class TieredMemorySystem(TransientCaches):
             tier.stats.compressed_bytes += int(cs.sum())
             write_ns[pos] = tier.csize_store_ns(cs)
         per_ns = load_ns + write_ns
+        if copies is not None and copies.size:
+            pairs = srcs[copies].astype(np.int64) * n_tiers + dst_of[copies]
+            for pair in np.unique(pairs).tolist():
+                pos = copies[pairs == pair]
+                src_idx, dst_idx = divmod(pair, n_tiers)
+                per_ns[pos] = tiers[src_idx].csize_copy_ns(
+                    tiers[dst_idx], csizes[src_idx, levels[pos]]
+                )
 
         # -- final placement + ordered clock accumulation
         self.page_location[pids] = dst_of

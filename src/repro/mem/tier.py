@@ -309,6 +309,14 @@ class CompressedTier(Tier):
             csizes.astype(np.float64) / CHUNK_BYTES
         )
 
+    def csize_copy_ns(self, dst: CompressedTier, csizes: np.ndarray) -> np.ndarray:
+        """§7.1 copy of objects of the given compressed sizes to ``dst``,
+        a tier of the same algorithm: both pools' management plus the
+        object streamed off this medium and onto ``dst``'s, no codec."""
+        chunks = np.ceil(csizes.astype(np.float64) / CHUNK_BYTES)
+        fixed = self.allocator.mgmt_overhead_ns + dst.allocator.mgmt_overhead_ns
+        return fixed + self.media.read_ns * chunks + dst.media.write_ns * chunks
+
     def expected_fault_ns(self, intrinsic: float = 0.5) -> float:
         """Planning-time fault latency for a typical page (for the ILP)."""
         return self.fault_latency_ns(intrinsic=intrinsic)

@@ -142,7 +142,7 @@ class TestZeroWindowSummary:
         from repro.core.daemon import _LatencyAccumulator
 
         acc = _LatencyAccumulator()
-        acc.extend([(10.0, 0)])
+        acc.extend(np.array([10.0]), np.array([0]))
         assert acc.mean() == 0.0
 
     def test_no_numpy_warning_on_empty(self, system):

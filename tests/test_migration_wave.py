@@ -6,7 +6,7 @@ be indistinguishable from the same moves made one region at a time
 (``move_region``) and one page at a time (``_move_pages_scalar``): the
 same placements, statistics, pool packing, object ids and clock, bit for
 bit, also when tight pools and arenas make waves fall back or stores
-fail.
+fail, and with the §7.1 same-algorithm copy on or off.
 """
 
 import numpy as np
@@ -30,32 +30,35 @@ from repro.mem.tier import ByteAddressableTier
 REGIONS = 6
 
 
-def _wave_system(seed: int, pools) -> TieredMemorySystem:
-    """DRAM, NVMM, a zsmalloc and a z3fold tier over six regions, one
-    page in seven incompressible; ``pools`` gives each compressed
-    tier's ``(capacity_pages, arena_pages)``."""
+def _wave_system(seed: int, pools, fast: bool = False) -> TieredMemorySystem:
+    """DRAM, NVMM and three compressed tiers over six regions, one page
+    in seven incompressible: lzo/zsmalloc on DRAM, lz4/z3fold on NVMM
+    and lzo/zbud on NVMM (so the §7.1 copy has a same-algorithm pair on
+    different media).  ``pools`` gives each compressed tier's
+    ``(capacity_pages, arena_pages)``; ``fast`` turns the copy on."""
     n = REGIONS * PAGES_PER_REGION
     rng = np.random.default_rng(seed)
     comp = page_compressibilities("mixed", n, seed=seed)
     comp[rng.random(n) < 1 / 7] = 1.0
     space = AddressSpace(n, compressibility=comp)
-    (cap1, arena1), (cap2, arena2) = pools
+    (cap1, arena1), (cap2, arena2), (cap3, arena3) = pools
     tiers = [
         ByteAddressableTier("DRAM", DRAM, capacity_pages=n),
         ByteAddressableTier("NVMM", NVMM, capacity_pages=n),
         make_compressed_tier("CT-1", "lzo", "zsmalloc", DRAM, cap1, arena1),
         make_compressed_tier("CT-2", "lz4", "z3fold", NVMM, cap2, arena2),
+        make_compressed_tier("CT-3", "lzo", "zbud", NVMM, cap3, arena3),
     ]
-    return TieredMemorySystem(tiers, space)
+    return TieredMemorySystem(tiers, space, fast_same_algo_migration=fast)
 
 
-def _prepared_system(seed: int, pools) -> TieredMemorySystem:
+def _prepared_system(seed: int, pools, fast: bool = False) -> TieredMemorySystem:
     """:func:`_wave_system` after a random placement, with some pages
     touched in the current window."""
-    system = _wave_system(seed, pools)
+    system = _wave_system(seed, pools, fast)
     rng = np.random.default_rng(seed)
     for region in range(REGIONS):
-        system.move_region(region, int(rng.integers(0, 4)))
+        system.move_region(region, int(rng.integers(0, len(system.tiers))))
     system.advance_window()
     system.access_batch(np.bincount(rng.integers(0, system.space.num_pages, 400)))
     return system
@@ -117,7 +120,7 @@ def _draw_wave(data, rng):
     )
     if data.draw(st.booleans()):
         regions = sorted(set(regions))
-    return [(r, int(rng.integers(0, 4))) for r in regions]
+    return [(r, int(rng.integers(0, 5))) for r in regions]
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,22 +128,23 @@ def _draw_wave(data, rng):
     seed=st.integers(0, 10_000),
     pools=st.tuples(
         *[st.tuples(st.integers(8, 1200), st.sampled_from([64, 256, 1024, 4096]))]
-        * 2
+        * 3
     ),
     recency_windows=st.sampled_from([0, 1]),
+    fast=st.booleans(),
     data=st.data(),
 )
 def test_wave_matches_region_loop_and_scalar_reference(
-    seed, pools, recency_windows, data
+    seed, pools, recency_windows, fast, data
 ):
     """Random waves -- every kind of move, rejected pages, tight pools and
-    arenas, repeated regions -- leave the state of a per-region
-    ``move_region`` loop and of the per-page path, bit for bit; so does
-    one more wave on top."""
+    arenas, repeated regions, the §7.1 copy on or off -- leave the state
+    of a per-region ``move_region`` loop and of the per-page path, bit
+    for bit; so does one more wave on top."""
     # Three systems built by the same calls (not copies: a copy of a
     # buddy free-list set may pop its blocks in another order).
     wave_system, region_system, scalar_system = (
-        _prepared_system(seed, pools) for _ in range(3)
+        _prepared_system(seed, pools, fast) for _ in range(3)
     )
     rng = np.random.default_rng(seed + 1)
     for _ in range(2):
@@ -192,7 +196,7 @@ def test_wave_sums_are_bit_identical_with_odd_latencies(seed):
     rng = np.random.default_rng(seed + 1)
     wave = [(r, int(rng.integers(0, 3))) for r in range(REGIONS)]
     result = system.move_regions(wave)
-    assert not result.per_region
+    assert not result.per_page
     assert result.region_ns == _scalar_wave(reference, wave, 0)
     assert system.clock.migration_ns == reference.clock.migration_ns
 
@@ -215,20 +219,19 @@ def test_class_exact_bound_keeps_a_large_wave_in_one_pass():
     pool = system.tiers[1]
     assert REGIONS * PAGES_PER_REGION * 4 > pool.capacity_pages
     result = system.move_regions([(r, 1) for r in range(REGIONS)])
-    assert not result.per_region
+    assert not result.per_page
     assert result.allocator_calls == 1
     assert pool.resident_pages > 0
 
 
-def test_full_pool_falls_back_region_by_region():
-    """A pool that cannot take the wave runs it region by region, and a
-    region its own proof cannot cover runs page by page; the result is
-    the per-page path's."""
+def test_full_pool_falls_back_page_by_page():
+    """A pool that cannot take the wave moves each region's pages one at
+    a time; the result is the per-page path's."""
     system, reference = _roomy_system(), _roomy_system()
     system.tiers[1].capacity_pages = reference.tiers[1].capacity_pages = 40
     wave = [(r, 1) for r in range(REGIONS)]
     result = system.move_regions(wave)
-    assert result.per_region
+    assert result.per_page
     assert result.allocator_calls == 0
     assert result.region_ns == _scalar_wave(reference, wave, 0)
     _assert_same(system, reference)
@@ -255,7 +258,7 @@ def test_proof_leaves_room_for_the_last_store():
     _, pages = system.tiers[1].allocator.store_bound(sizes)
     system.tiers[1].capacity_pages = reference.tiers[1].capacity_pages = pages
     result = system.move_regions([(0, 1)])
-    assert result.per_region
+    assert result.per_page
     assert result.region_ns == _scalar_wave(reference, [(0, 1)], 0)
     _assert_same(system, reference)
     # The pool took all but the last page.
@@ -435,7 +438,7 @@ def test_engine_moves_the_prefix_as_one_wave(fail_fraction):
 
 def test_migrate_span_and_fallback_counter():
     """The ``migrate`` span carries the wave's allocator calls and
-    whether it ran region by region; fallbacks are counted."""
+    whether it moved page by page; fallbacks are counted."""
     from repro.mem.migration import MigrationEngine
     from repro.obs import Observability, parse_prometheus, to_prometheus
 
@@ -447,7 +450,7 @@ def test_migrate_span_and_fallback_counter():
     pool.capacity_pages = pool.used_pages + 8
     engine.apply({r: 1 for r in range(3, REGIONS)})
     spans = [s for s in obs.tracer.spans if s.name == "migrate"]
-    assert [s.attrs["per_region"] for s in spans] == [False, True]
+    assert [s.attrs["per_page"] for s in spans] == [False, True]
     assert [s.attrs["allocator_calls"] for s in spans] == [1, 0]
     parsed = parse_prometheus(to_prometheus(obs.registry))
     assert parsed["repro_migration_waves_total"][()] == 2
@@ -471,3 +474,47 @@ def test_checkpoints_with_wave_times_restore_without_them(name):
     assert stats.waves == done
     session.run_window()
     assert stats.waves == done + 1
+
+
+def test_spectrum_waterfall_copies_run_in_one_pass():
+    """With the §7.1 copy on, every wave of a spectrum-mix waterfall run
+    -- copies between its same-algorithm tiers included -- runs as one
+    pass and leaves the per-page path's run, bit for bit."""
+    from repro.engine.session import Session
+    from repro.engine.spec import ScenarioSpec
+    from repro.mem.system import WaveResult
+
+    spec = ScenarioSpec(
+        policy="waterfall",
+        mix="spectrum",
+        percentile=50.0,
+        scale=0.25,
+        windows=6,
+        fast_same_algo_migration=True,
+    )
+    session, oracle = Session(spec), Session(spec)
+    waves = []
+    move_regions = session.system.move_regions
+
+    def one_pass(wave, recency_windows=0):
+        waves.append(move_regions(wave, recency_windows))
+        return waves[-1]
+
+    session.system.move_regions = one_pass
+    reference = oracle.system
+    copies = []
+    copy_object = reference._move_compressed_object
+
+    def counted_copy(page_id, *args):
+        copies.append(page_id)
+        return copy_object(page_id, *args)
+
+    def per_page(wave, recency_windows=0):
+        return WaveResult(_scalar_wave(reference, wave, recency_windows), 0, True)
+
+    reference._move_compressed_object = counted_copy
+    reference.move_regions = per_page
+    assert session.run() == oracle.run()
+    assert copies
+    assert waves and not any(wave.per_page for wave in waves)
+    _assert_same(session.system, reference)

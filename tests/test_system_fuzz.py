@@ -201,7 +201,7 @@ def _fill_arena(system, reference, seed: int, steps: int = 100) -> None:
         pids = np.sort(
             rng.choice(system.space.num_pages, rng.integers(1, 64), replace=False)
         ).astype(np.int64)
-        system._move_pages(pids, 1)
+        system._migrate_groups(pids, [1], [pids.size])
         if reference is not None:
             reference._move_pages_scalar(pids, 1)
 

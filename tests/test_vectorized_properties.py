@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocators import ZsmallocAllocator
+from repro.allocators.base import Handle
 from repro.allocators.zsmalloc import size_class
 from repro.allocators.zbud import ZbudAllocator
 from repro.mem.address_space import AddressSpace
@@ -122,10 +123,9 @@ def test_access_batch_matches_scalar_reference(seed, batch_seed, write_fraction)
         assert got.used_pages == want.used_pages
     assert np.isclose(result.access_ns, ref_ns, rtol=1e-12)
     assert np.isclose(system.clock.access_ns, reference.clock.access_ns, rtol=1e-12)
-    assert len(result.latency_histogram) == len(ref_hist)
-    assert np.allclose(
-        np.asarray(result.latency_histogram), np.asarray(ref_hist), rtol=1e-12
-    )
+    histogram = np.column_stack((result.latency_ns, result.latency_count))
+    assert len(histogram) == len(ref_hist)
+    assert np.allclose(histogram, np.asarray(ref_hist), rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,6 +192,21 @@ def _packing_state(pool):
     return state, zspages, partial
 
 
+def _store_ids(pool, sizes) -> list:
+    """``pool.store_ids(sizes)``, returning the handles that sequential
+    ``store`` calls return (object ids ``first + k``)."""
+    first = pool.store_ids(np.asarray(sizes, dtype=np.int64))
+    return [Handle(pool.name, first + k, size) for k, size in enumerate(sizes)]
+
+
+def _free_ids(pool, handles) -> None:
+    """``pool.free_ids`` over the ids and sizes of ``handles``, in order."""
+    pool.free_ids(
+        np.array([h.object_id for h in handles], dtype=np.int64),
+        np.array([h.size for h in handles], dtype=np.int64),
+    )
+
+
 #: Sizes sharing a handful of classes (zspage capacities 1 to 256), so
 #: rounds refill partial zspages and free several of one class at once.
 _REPEATED_SIZES = np.array([20, 33, 100, 700, 1500, 2900, 4096])
@@ -207,7 +222,7 @@ _REPEATED_SIZES = np.array([20, 33, 100, 700, 1500, 2900, 4096])
     seed=st.integers(0, 10_000),
     allocator_cls=st.sampled_from([ZsmallocAllocator, ZbudAllocator]),
 )
-def test_store_many_free_many_match_sequential(rounds, seed, allocator_cls):
+def test_store_ids_free_ids_match_sequential(rounds, seed, allocator_cls):
     """Interleaved bulk store/free rounds leave the packing state of the
     same calls made one at a time, after every round."""
     bulk = allocator_cls(arena_pages=1 << 12)
@@ -221,7 +236,7 @@ def test_store_many_free_many_match_sequential(rounds, seed, allocator_cls):
             rng.choice(_REPEATED_SIZES, num_stores),
             rng.integers(1, 4097, num_stores),
         ).tolist()
-        bulk_handles = bulk.store_many(sizes)
+        bulk_handles = _store_ids(bulk, sizes)
         seq_handles = [sequential.store(size) for size in sizes]
         assert bulk_handles == seq_handles
         live.extend(bulk_handles)
@@ -232,7 +247,7 @@ def test_store_many_free_many_match_sequential(rounds, seed, allocator_cls):
         cut = int(round(drop_fraction * len(live)))
         drop = [live[i] for i in order[:cut]]
         live = [live[i] for i in sorted(order[cut:])]
-        bulk.free_many(drop)
+        _free_ids(bulk, drop)
         for handle in drop:
             sequential.free(handle)
         assert _packing_state(bulk) == _packing_state(sequential)
@@ -274,13 +289,13 @@ def test_store_free_across_many_classes_match_sequential(batches, seed):
     live: list = []
 
     def store(sizes):
-        handles = bulk.store_many(sizes)
+        handles = _store_ids(bulk, sizes)
         assert handles == [sequential.store(size) for size in sizes]
         live.extend(handles)
         assert _packing_state(bulk) == _packing_state(sequential)
 
     def free(drop):
-        bulk.free_many(drop)
+        _free_ids(bulk, drop)
         for handle in drop:
             sequential.free(handle)
         assert _packing_state(bulk) == _packing_state(sequential)
@@ -333,14 +348,14 @@ def test_bulk_pool_pickles_mid_sequence(rounds, seed, old_layout):
     live: list = []
     for index, (num_stores, drop_fraction) in enumerate(rounds):
         sizes = rng.choice(_REPEATED_SIZES, num_stores).tolist()
-        live.extend(bulk.store_many(sizes))
+        live.extend(_store_ids(bulk, sizes))
         for size in sizes:
             sequential.store(size)
         order = rng.permutation(len(live))
         cut = int(round(drop_fraction * len(live)))
         drop = [live[i] for i in order[:cut]]
         live = [live[i] for i in sorted(order[cut:])]
-        bulk.free_many(drop)
+        _free_ids(bulk, drop)
         for handle in drop:
             sequential.free(handle)
         if index == 0:
@@ -361,10 +376,10 @@ def test_old_layout_partial_dict_loads_into_columns():
     layout with each stack in the same order, top included."""
     pool = ZsmallocAllocator(arena_pages=1 << 12)
     # Six full 4-object zspages of class 2912, then 1504 and 112 objects.
-    handles = pool.store_many([2900] * 24 + [1500] * 9 + [100] * 3)
+    handles = _store_ids(pool, [2900] * 24 + [1500] * 9 + [100] * 3)
     # Free one object of four full zspages, out of order, so they sit
     # on their class's stack in free order.
-    pool.free_many([handles[i] for i in (13, 2, 22, 5)] + handles[25:27])
+    _free_ids(pool, [handles[i] for i in (13, 2, 22, 5)] + handles[25:27])
     state = _old_layout_state(pool)
     partial = state["_partial"]
     assert len(partial[2912]) == 4
@@ -375,7 +390,7 @@ def test_old_layout_partial_dict_loads_into_columns():
     assert "_partial" not in restored.__dict__
     assert _packing_state(restored) == _packing_state(pool)
     # The next stores fill the same stack tops.
-    assert restored.store_many([2900] * 5) == pool.store_many([2900] * 5)
+    assert _store_ids(restored, [2900] * 5) == _store_ids(pool, [2900] * 5)
     assert _packing_state(restored) == _packing_state(pool)
 
 
@@ -597,7 +612,7 @@ def test_move_pages_matches_scalar_reference(seed, data):
         dst = int(rng.integers(0, len(system.tiers)))
         pages = system.space.regions[region].pages()
         page_ids = np.arange(pages.start, pages.stop, dtype=np.int64)
-        got = system._move_pages(page_ids, dst)
+        got = system.move_region(region, dst)
         want = reference._move_pages_scalar(page_ids, dst)
         assert np.isclose(got, want, rtol=1e-12)
 
@@ -653,7 +668,7 @@ def test_move_pages_clock_is_bit_identical_to_scalar(seed):
         dst = int(rng.integers(0, len(system.tiers)))
         pages = system.space.regions[region].pages()
         page_ids = np.arange(pages.start, pages.stop, dtype=np.int64)
-        assert system._move_pages(page_ids, dst) == reference._move_pages_scalar(
+        assert system.move_region(region, dst) == reference._move_pages_scalar(
             page_ids, dst
         )
         assert system.clock.migration_ns == reference.clock.migration_ns
@@ -667,12 +682,12 @@ def test_free_ids_repeated_id_fails_like_sequential_frees():
     bulk = ZsmallocAllocator(arena_pages=1 << 10)
     sequential = ZsmallocAllocator(arena_pages=1 << 10)
     sizes = [700] * 30
-    handles = bulk.store_many(sizes)
+    handles = _store_ids(bulk, sizes)
     for size in sizes:
         sequential.store(size)
     drop = [handles[3], handles[25], handles[7], handles[3], handles[8]]
     with pytest.raises(KeyError):
-        bulk.free_many(drop)
+        _free_ids(bulk, drop)
     with pytest.raises(KeyError):
         for handle in drop:
             sequential.free(handle)
