@@ -264,7 +264,7 @@ class AdaptivePolicy(PlacementModel):
         :meth:`~repro.engine.session.Session.run_window`.
         """
         read_ns = system.dram.media.read_ns
-        p99 = getattr(record, "p99_latency_ns", 0.0)
+        p99 = record.p99_latency_ns
         p99_slowdown = max(0.0, p99 / read_ns - 1.0) if read_ns else 0.0
         mean_slowdown = max(0.0, record.slowdown(read_ns))
         savings_rate = (

@@ -24,13 +24,10 @@ Object ids grow monotonically; the membership array
 doubles on demand (ids are never reused, so a very long-lived pool
 grows it linearly with total stores -- 4 bytes per object ever
 stored).  Pickles carry only the rows and ids in use, and the stacks
-as their slots in push order; pickles from before the stack column (a
-dict of slot lists) load into it.
+as their slots in push order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,20 +96,6 @@ def zspage_geometry(cls: int) -> tuple[int, int]:
         Tuple ``(pages_per_zspage, objects_per_zspage)``.
     """
     return _GEOMETRY[cls // CLASS_DELTA]
-
-
-@dataclass(slots=True)
-class _Zspage:
-    """Pre-SoA zspage record; kept only so old pickles still load."""
-
-    pfn: int
-    pages: int
-    capacity: int
-    objects: set[int] = field(default_factory=set)
-
-    @property
-    def full(self) -> bool:
-        return len(self.objects) >= self.capacity
 
 
 #: Per class index (``cls // CLASS_DELTA``): zspage pages, objects and
@@ -571,58 +554,11 @@ class ZsmallocAllocator(PoolAllocator):
         return state
 
     def __setstate__(self, state) -> None:
-        if "_zspage_of" in state:
-            state = self._columns_from_pre_soa(state)
-        elif isinstance(state["_zs_count"], list):
-            # Slot-list pickle: the same columns as Python lists.
-            state = dict(state, _n_slots=len(state["_zs_count"]))
         state = dict(state)
-        stacked = state.pop("_stacked", None)
-        if stacked is None:
-            # Pickles from before the stack column carry the partial
-            # lists as a dict of slot lists.
-            partial = state.pop("_partial")
-            stacked = [slot for stack in partial.values() for slot in stack]
+        stacked = state.pop("_stacked")
         state["_zs_stack"] = np.full(state["_n_slots"], -1)
         state["_stack_seq"] = 0
         self.__dict__.update(state)
         for name, dtype in self._slot_dtypes().items():
             setattr(self, name, np.array(state[name], dtype=dtype))
         self._restack(stacked)
-
-    @staticmethod
-    def _columns_from_pre_soa(state) -> dict:
-        """Slot-list state from a pre-SoA pickle.
-
-        That layout kept ``_Zspage`` objects with member sets and
-        dict-backed membership (object id -> zspage, object id -> class).
-        """
-        columns = {name: [] for name in _SLOT_COLUMNS}
-        class_of = state["_class_of"]
-        slot_of: dict[int, int] = {}
-        obj_zspage = np.full(max(state["_next_id"], 1024), -1, dtype=np.int32)
-        for object_id, zspage in state["_zspage_of"].items():
-            slot = slot_of.get(id(zspage))
-            if slot is None:
-                slot = slot_of[id(zspage)] = len(slot_of)
-                columns["_zs_pfn"].append(zspage.pfn)
-                columns["_zs_pages"].append(zspage.pages)
-                columns["_zs_capacity"].append(zspage.capacity)
-                columns["_zs_count"].append(len(zspage.objects))
-                columns["_zs_cls"].append(class_of[object_id])
-            obj_zspage[object_id] = slot
-        return {
-            "stored_bytes": state["stored_bytes"],
-            "stored_objects": state["stored_objects"],
-            "_next_id": state["_next_id"],
-            "_buddy": state["_buddy"],
-            "_pool_pages": state["_pool_pages"],
-            "_partial": {
-                cls: [slot_of[id(z)] for z in zspages]
-                for cls, zspages in state["_partial"].items()
-            },
-            **columns,
-            "_n_slots": len(slot_of),
-            "_zs_free_slots": [],
-            "_obj_zspage": obj_zspage,
-        }

@@ -46,23 +46,13 @@ not grow with the number of windows done.
 lengths add up to the blob's length and the crc32, in that order, before
 anything is unpickled; any failure raises :class:`CheckpointError`.  It
 then copies the payload once into a 64-byte aligned buffer: restored
-arrays are writable, aligned views into it.
-
-Legacy blobs carry no magic.  Only bytes that start with pickle's
-``PROTO`` opcode take that path: a v2 blob is a pickled envelope
-``{"version", "graph", "columns"}`` (the graph pickled under
-:class:`~repro.mem.pagetable.light_pickle`, page-table columns as
-``np.save`` buffers re-attached in traversal order), a v1 blob the bare
-state dict of the pre-SoA object graph, rebuilt columnar by the legacy
-``__setstate__`` converters on Region/RegionSet/AddressSpace/
-CompressedTier/Zsmalloc.  An unpickling failure, or a result that is
-not a v1/v2 state, raises :class:`CheckpointError` too.
+arrays are writable, aligned views into it.  v3 is the only format
+that loads: a blob without the magic fails before any unpickling.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import pickle
 import struct
 import zlib
@@ -71,7 +61,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.daemon import WindowRecord
-from repro.mem.pagetable import light_pickle
 from repro.workloads.trace import TraceMismatchError
 
 CHECKPOINT_VERSION = 3
@@ -240,38 +229,6 @@ def _unpickle(data, buffers=None):
         ) from exc
 
 
-def _load_columns(blobs: dict[str, bytes]) -> dict[str, np.ndarray]:
-    return {
-        name: np.load(io.BytesIO(buf), allow_pickle=False)
-        for name, buf in blobs.items()
-    }
-
-
-def _load_legacy(blob) -> dict:
-    """The state dict of a v1 or v2 blob (no magic, a pickle)."""
-    state = _unpickle(blob)
-    version = state.get("version") if isinstance(state, dict) else None
-    if version == 2:
-        with light_pickle() as lp:
-            graph = _unpickle(state["graph"])
-        if len(lp.tables) != len(state["columns"]):
-            raise CheckpointError(
-                f"checkpoint carries {len(state['columns'])} column sets "
-                f"but the graph holds {len(lp.tables)} page tables"
-            )
-        for table, blobs in zip(lp.tables, state["columns"]):
-            table.attach_columns(_load_columns(blobs))
-        return graph
-    if version != 1:
-        # v1 blobs are the bare state dict; the legacy ``__setstate__``
-        # converters already rebuilt its object graph columnar by the
-        # time pickle.loads returned.
-        raise CheckpointError(
-            f"checkpoint version {version!r} not in (1, 2, {CHECKPOINT_VERSION})"
-        )
-    return state
-
-
 def _wrapped_models(policy) -> list:
     """The policy plus any models a resilient wrapper delegates to."""
     models = [policy]
@@ -362,12 +319,9 @@ def restore_session(blob: bytes, *, hooks=(), obs=None, sink=None):
     from repro.engine.session import Session
     from repro.engine.spec import ScenarioSpec
 
-    if bytes(blob[:1]) == pickle.PROTO:
-        state = _load_legacy(blob)
-    else:
-        frames = read_frames(blob)
-        state = _unpickle(frames[0], frames[1:])
-        state["records"] = _records_from_columns(state["records"])
+    frames = read_frames(blob)
+    state = _unpickle(frames[0], frames[1:])
+    state["records"] = _records_from_columns(state["records"])
     spec = ScenarioSpec.from_dict(state["spec"])
     session = Session(
         spec,
@@ -383,9 +337,7 @@ def restore_session(blob: bytes, *, hooks=(), obs=None, sink=None):
     daemon.profiler = state["profiler"]
     if state["prefetcher"] is not None:
         daemon.prefetcher = state["prefetcher"]
-    if "filter" in state:
-        # v1/v2 blobs lack the filter and resume with a fresh one.
-        daemon.filter = state["filter"]
+    daemon.filter = state["filter"]
     daemon.engine.stats = state["engine_stats"]
     daemon._prev_faults = state["prev_faults"]
     daemon._latencies = state["latencies"]

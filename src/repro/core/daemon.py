@@ -52,8 +52,7 @@ class WindowRecord:
         hotness: Region hotness snapshot.
         p99_latency_ns: Exact weighted p99 per-access latency over this
             window's histogram, 0.0 without accesses (the adaptive
-            controller's SLA signal; defaulted so older checkpoints
-            still unpickle).
+            controller's SLA signal).
     """
 
     window: int
@@ -68,7 +67,7 @@ class WindowRecord:
     migration_wall_ns: float
     solver_ns: float
     hotness: np.ndarray
-    p99_latency_ns: float = 0.0
+    p99_latency_ns: float
 
     def slowdown(self, read_ns: float) -> float:
         """Fractional mean slowdown vs serving every access at

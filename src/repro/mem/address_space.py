@@ -123,13 +123,6 @@ class AddressSpace:
         """Total size in bytes (the application's RSS in the simulation)."""
         return self.num_pages * PAGE_SIZE
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if "page_table" not in state:
-            # Pre-SoA checkpoint: RegionSet.__setstate__ already rebuilt
-            # its columns from the legacy Region list; adopt that table.
-            self.page_table = self.regions.table
-
     def region_compressibility(self) -> np.ndarray:
         """Mean intrinsic compressibility per region, shape (num_regions,)."""
         return self.compressibility.reshape(

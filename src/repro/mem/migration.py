@@ -42,13 +42,6 @@ class MigrationStats:
     rollbacks: int = 0
     moves_dropped: int = 0
 
-    def __setstate__(self, state) -> None:
-        # Checkpoints from before the per-wave wall times were dropped
-        # carry them as a ``wave_ns`` list; nothing reads it.
-        state = dict(state)
-        state.pop("wave_ns", None)
-        self.__dict__.update(state)
-
 
 class MigrationEngine:
     """Executes placement recommendations against a memory system.

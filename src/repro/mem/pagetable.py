@@ -190,10 +190,9 @@ class PageTable:
         """Reset page-level columns to the all-in-tier-0 initial state.
 
         Called when a fresh :class:`~repro.mem.system.TieredMemorySystem`
-        binds to the address space, restoring the pre-SoA semantics where
-        placement state was per-system (region columns are *not* touched:
-        regions belong to the space, as the old object layer's shared
-        ``Region`` instances did).
+        binds to the address space: placement state is per-system, while
+        the region columns are *not* touched, since regions belong to the
+        space.
         """
         self.tier[:] = 0
         self.last_access[:] = NEVER_ACCESSED
@@ -235,25 +234,6 @@ class PageTable:
             for name in self.PAGE_COLUMNS + self.REGION_COLUMNS
         }
 
-    def attach_columns(self, columns: dict[str, np.ndarray]) -> None:
-        """Re-attach the columns of a table a v2 checkpoint stripped.
-
-        Checkpoints written before the ``alloc_site`` column existed lack
-        it; the pre-column default (one allocation site per region) is
-        restored so old blobs keep loading.
-        """
-        for name in self.PAGE_COLUMNS + self.REGION_COLUMNS:
-            if name not in columns and name == "alloc_site":
-                setattr(
-                    self,
-                    name,
-                    np.ascontiguousarray(columns["region_id"]).astype(np.int32),
-                )
-                continue
-            setattr(self, name, np.ascontiguousarray(columns[name]))
-        self.num_pages = int(self.tier.size)
-        self.num_regions = int(self.region_assigned.size)
-
     def __getstate__(self):
         state = {"num_pages": self.num_pages, "num_regions": self.num_regions}
         state.update(self.columns())
@@ -262,49 +242,9 @@ class PageTable:
     def __setstate__(self, state) -> None:
         self.num_pages = state["num_pages"]
         self.num_regions = state["num_regions"]
-        stripped = "tier" not in state
         for name in self.PAGE_COLUMNS + self.REGION_COLUMNS:
-            # Light pickle: placeholder columns until attach_columns().
-            setattr(self, name, state.get(name))
-        if not stripped and self.alloc_site is None:
-            # Full pickle from before the alloc_site column: restore the
-            # pre-column default (one allocation site per region).
-            self.alloc_site = self.region_id.astype(np.int32)
-        if stripped and _STRIPPED is not None:
-            # A format-v2 checkpoint pickled this table shape-only; its
-            # columns follow the graph in traversal order, and unpickling
-            # meets the tables in that same order.
-            _STRIPPED.append(self)
+            setattr(self, name, state[name])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PageTable({self.num_pages} pages, {self.num_regions} regions)"
 
-
-#: While a :class:`light_pickle` context is active, the list collecting
-#: every PageTable unpickled column-less, in graph-traversal order;
-#: ``None`` outside the context.
-_STRIPPED: list[PageTable] | None = None
-
-
-class light_pickle:
-    """Context manager: unpickle the column-less PageTables of a
-    format-v2 checkpoint.
-
-    v2 checkpoints pickled each table shape-only and carried its columns
-    as raw ``np.save`` buffers beside the graph.  Inside the context,
-    :attr:`tables` collects every table unpickled without columns, in
-    graph-traversal order, for :meth:`PageTable.attach_columns`.
-    Pickling is always full-state; nothing writes this layout any more.
-    """
-
-    def __enter__(self):
-        global _STRIPPED
-        self._saved = _STRIPPED
-        self.tables: list[PageTable] = []
-        _STRIPPED = self.tables
-        return self
-
-    def __exit__(self, *exc):
-        global _STRIPPED
-        _STRIPPED = self._saved
-        return False

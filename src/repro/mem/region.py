@@ -14,8 +14,8 @@ properties that read/write the table's ``region_assigned`` /
 on indexing/iteration instead of holding a list of region objects, so
 bulk paths (the daemon's hotness scatter, the placement models' column
 reads) never touch per-region Python objects at all.  A ``Region``
-constructed without a table (and any region unpickled from a pre-SoA
-checkpoint) falls back to storing the two values on the instance.
+constructed without a table (or unpickled on its own) stores the two
+values on the instance.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class Region:
         }
 
     def __setstate__(self, state) -> None:
-        # Also accepts the pre-SoA dataclass __dict__ (same keys).
         self.region_id = state["region_id"]
         self._table = None
         self._assigned = state["assigned_tier"]
@@ -160,14 +159,4 @@ class RegionSet:
         return {"table": self.table}
 
     def __setstate__(self, state) -> None:
-        if "regions" in state:
-            # Pre-SoA checkpoint: a list of Region objects.  Rebuild the
-            # column form; AddressSpace.__setstate__ adopts this table.
-            regions = state["regions"]
-            table = PageTable(len(regions) * PAGES_PER_REGION)
-            for region in regions:
-                table.region_assigned[region.region_id] = region.assigned_tier
-                table.region_hotness[region.region_id] = region.hotness
-            self.table = table
-        else:
-            self.table = state["table"]
+        self.table = state["table"]

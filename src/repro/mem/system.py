@@ -154,8 +154,6 @@ class TieredMemorySystem(TransientCaches):
         "_level_csizes",
         "_level_accepts",
     )
-    # Per-page memo arrays of earlier checkpoints.
-    _LEGACY = ("_csize_cache", "_accepts_cache")
 
     def __init__(
         self,
@@ -870,36 +868,6 @@ class TieredMemorySystem(TransientCaches):
     def advance_window(self) -> None:
         """Tick the recency clock; the daemon calls this once per window."""
         self.current_window += 1
-
-    # -- pickling ---------------------------------------------------------------
-
-    def __setstate__(self, state) -> None:
-        # page_location / last_access_window are properties now; pop any
-        # dict entries a pre-SoA pickle carries so they never shadow-rot.
-        page_location = state.pop("page_location", None)
-        last_access = state.pop("last_access_window", None)
-        super().__setstate__(state)
-        if "pt" in state:
-            return
-        # Pre-SoA pickle: adopt the space's (converted) table, copy the
-        # legacy placement/recency arrays into its columns, and fold each
-        # compressed tier's private membership table into the shared one
-        # under its tier-index token.
-        pt = self.space.page_table
-        pt.tier[:] = page_location
-        pt.last_access[:] = last_access
-        self.pt = pt
-        for idx, tier in enumerate(self.tiers):
-            if not tier.is_compressed:
-                continue
-            private = tier._pt
-            if private is not None and private is not pt:
-                stored = np.flatnonzero(private.ct_owner == tier._token)
-                pt.ct_owner[stored] = idx
-                pt.csize[stored] = private.csize[stored]
-                pt.obj_id[stored] = private.obj_id[stored]
-            tier._pt = pt
-            tier._token = idx
 
     # -- TCO (Eq. 8 / Eq. 10) ---------------------------------------------------
 

@@ -22,7 +22,6 @@ adds a constant, and an Optane backing stretches the media term by ~3x.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,12 +141,6 @@ class ByteAddressableTier(Tier):
 
     def expected_page_costs(self, intrinsics: np.ndarray) -> np.ndarray:
         return np.full(np.shape(intrinsics), float(self.media.cost_per_page))
-
-
-class _StoredPage(NamedTuple):
-    # Pre-SoA stored-page record; kept only so old pickles still load.
-    handle: Handle
-    compressed_size: int
 
 
 class CompressedTier(Tier):
@@ -469,28 +462,6 @@ class CompressedTier(Tier):
         if fault:
             self.stats.faults += n
         return self.csize_fault_ns(cs)
-
-    # -- pickling ------------------------------------------------------------
-
-    def __setstate__(self, state) -> None:
-        if "_stored" not in state:
-            self.__dict__.update(state)
-            return
-        # Pre-SoA pickle: a dict of _StoredPage records.  Rebuild as a
-        # private membership table (the owning system's legacy converter
-        # rebinds it onto the shared table afterwards).
-        stored = state.pop("_stored")
-        self.__dict__.update(state)
-        self._pt = None
-        self._token = 0
-        self._resident = 0
-        if stored:
-            pt = self._table(max(stored) + 1)
-            for page_id, entry in stored.items():
-                pt.ct_owner[page_id] = 0
-                pt.csize[page_id] = entry.compressed_size
-                pt.obj_id[page_id] = entry.handle.object_id
-            self._resident = len(stored)
 
     # -- planning cost ------------------------------------------------------
 

@@ -156,6 +156,18 @@ class ServeDaemon:
         )
         self.stream_spec = self.options.resolved_stream()
         self.window_rule = self.options.resolved_window()
+        if (
+            windows_done
+            and self.stream_spec.kind == "replay"
+            and self.window_rule.kind != "source"
+        ):
+            # A replay resume skips one recorded window per closed one,
+            # which holds only when windows close where the trace's do.
+            raise ValueError(
+                "a replay stream resumes only under the 'source' window "
+                f"rule, not {self.window_rule.kind!r}: the checkpoint's "
+                f"{windows_done} windows are not recorded windows"
+            )
         if session is None:
             session = Session(spec, obs=Observability(metrics=True))
         self.session = session
@@ -181,9 +193,11 @@ class ServeDaemon:
 
         Generator streams resume mid-RNG (the workload pickles its
         stream position); replay streams skip the recorded windows the
-        checkpoint already ran; socket streams just pick up live
-        traffic.  A trace workload is checkpointed by reference, so its
-        file must still be there: a missing or re-recorded trace raises
+        checkpoint already ran, so they resume only under the ``source``
+        window rule (any other raises ``ValueError``); socket streams
+        just pick up live traffic.  A trace workload is checkpointed by
+        reference, so its file must still be there: a missing or
+        re-recorded trace raises
         :class:`~repro.workloads.trace.TraceMismatchError`.  A truncated,
         corrupt or foreign file raises
         :class:`~repro.chaos.checkpoint.CheckpointError`.

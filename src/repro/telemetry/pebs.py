@@ -45,13 +45,6 @@ class PEBSSampler:
         self.events_seen = 0
         self.overhead_ns = 0.0
 
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints from before windows were counts carry the id
-        # sampler's scratch buffers; they are dropped.
-        state.pop("_scr_u", None)
-        state.pop("_scr_keep", None)
-        self.__dict__.update(state)
-
     def sample(self, counts: np.ndarray) -> np.ndarray:
         """Sample a window of per-page access counts.
 

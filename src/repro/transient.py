@@ -13,12 +13,10 @@ class TransientCaches:
 
     Attributes named in ``_TRANSIENT`` (scratch buffers, derived tables)
     are pickled as ``None`` and reset to ``None`` on load, so checkpoints
-    carry parameters and stream state only.  ``_LEGACY`` names attributes
-    older checkpoints carried that no longer exist; they are discarded.
+    carry parameters and stream state only.
     """
 
     _TRANSIENT: tuple[str, ...] = ()
-    _LEGACY: tuple[str, ...] = ()
 
     def _clear_transient(self) -> None:
         for name in self._TRANSIENT:
@@ -32,6 +30,4 @@ class TransientCaches:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        for name in self._LEGACY:
-            self.__dict__.pop(name, None)
         self._clear_transient()

@@ -78,9 +78,6 @@ class ZipfianGenerator(TransientCaches, Distribution):
     """
 
     _TRANSIENT = ("_pmf", "_pmf_entries", "_pmf_lut")
-    _LEGACY = ("_bucket_lo", "_bucket_exact", "_scr_f", "_buckets",
-               "_folded", "_straddlers", "_table", "_table_lut",
-               "_scr_u", "_scr_b", "_scr_m")
 
     def __init__(self, n: int, theta: float = 0.99) -> None:
         if n < 1:
@@ -318,7 +315,6 @@ class HotWarmColdGenerator(TransientCaches, Distribution):
     """
 
     _TRANSIENT = ("_hot_table", "_hot_table_offset", "_hot_table_lut")
-    _LEGACY = ("_scr_c", "_scr_hot", "_scr_nh")
 
     def __init__(
         self,

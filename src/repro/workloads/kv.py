@@ -47,7 +47,6 @@ class KVWorkload(TransientCaches, Workload):
     """
 
     _TRANSIENT = ("_key_page", "_key_page_offset")
-    _LEGACY = ("_objects_shift",)
 
     def __init__(
         self,

@@ -225,17 +225,12 @@ class TraceWorkload(Workload):
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        if self.info is not None:
-            state["_windows"] = None
+        state["_windows"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Checkpoints from before traces pickled by reference carry the
-        # windows inline and no ``info``: there is no file to check.
-        self.info = state.get("info")
-        if self.info is not None:
-            _check_trace(self.info)
+        _check_trace(self.info)
 
     def _generate(self, rng: np.random.Generator) -> np.ndarray:
         if self._windows is None:

@@ -9,8 +9,8 @@ form; ``golden_text`` produces the exact bytes stored on disk.
 tuning moved onto the adaptive controller (``python tests/_goldens.py
 sla``).  Every golden was re-recorded once with these helpers when
 windows became per-page counts, which redraws the access stream and the
-PEBS samples.  ``python tests/_goldens.py fixtures`` writes the checkpoint
-fixtures captured from the counts-domain stream (``FIXTURE_SPECS``).
+PEBS samples.  ``python tests/_goldens.py fixtures`` writes the format-v3
+checkpoint fixtures (``FIXTURE_SPECS``).
 """
 
 from __future__ import annotations
@@ -174,10 +174,9 @@ def capture() -> None:
     print(f"captured {stats_path}")
 
 
-#: Checkpoint fixtures re-captured from the counts-domain stream, each
-#: with the spec of the older fixture it stands beside and after the
-#: same window (3 of 6): file name -> (spec kwargs, rows carried).  The
-#: trace spec's path is relative to ``tests/fixtures``.
+#: The committed format-v3 checkpoint fixtures, each captured after
+#: window 3 of 6 with rows ``{"w": 0..2}``: file name -> spec kwargs.
+#: The trace spec's path is relative to ``tests/fixtures``.
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FIXTURE_SPECS = {
     "checkpoint_counts.ckpt": {
@@ -202,7 +201,7 @@ FIXTURE_WINDOWS = 3
 
 
 def capture_fixtures() -> None:
-    """Write the re-captured checkpoint fixtures (run from any cwd)."""
+    """Write the checkpoint fixtures as v3 blobs (run from any cwd)."""
     import os
 
     from repro.chaos.checkpoint import capture_session, save_checkpoint

@@ -184,7 +184,7 @@ class TestCheckpointResume:
         import pickle
 
         blob = pickle.dumps({"version": 999})
-        with pytest.raises(ValueError, match="checkpoint version"):
+        with pytest.raises(ValueError, match="bad magic"):
             restore_session(blob)
 
 

@@ -7,8 +7,8 @@ Pinned here:
 * restored arrays are writable, 64-byte aligned views;
 * the frame count does not grow with the windows done, and window
   records round-trip field for field, scalar types included;
-* blobs without the v3 magic take the legacy path only when they start
-  with pickle's ``PROTO`` opcode, and fail there with the same error;
+* v3 is the only format: a plain pickle fails the magic check like any
+  other foreign bytes, and its ``__reduce__`` never runs;
 * ``repro serve --resume`` on a bad file exits 2 with one line.
 """
 
@@ -18,7 +18,6 @@ import dataclasses
 import pickle
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +30,6 @@ from repro.chaos.checkpoint import (
 )
 from repro.engine.session import Session
 from repro.engine.spec import ScenarioSpec
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 SPEC = ScenarioSpec(
     workload="masim",
@@ -70,12 +67,44 @@ def _layout(blob: bytes) -> tuple[int, list[int], list[int]]:
 
 @pytest.fixture
 def no_unpickle(monkeypatch):
-    """Fail the test if anything reaches ``pickle.loads``."""
+    """Fail the test if anything reaches ``pickle.loads`` (checked at
+    teardown too, in case the caller swallowed the error)."""
+    calls = []
 
     def refuse(*args, **kwargs):
+        calls.append(args)
         raise AssertionError("pickle.loads reached")
 
     monkeypatch.setattr(pickle, "loads", refuse)
+    yield
+    assert not calls, "pickle.loads reached"
+
+
+#: Every call :class:`_SideEffect` made on being unpickled.
+_SIDE_EFFECTS: list[str] = []
+
+
+def _side_effect(tag: str) -> None:
+    _SIDE_EFFECTS.append(tag)
+
+
+class _SideEffect:
+    """Unpickling it calls :func:`_side_effect`."""
+
+    def __reduce__(self):
+        return _side_effect, ("unpickled",)
+
+
+#: Plain pickles are foreign bytes: they fail the magic check.
+_PICKLES = {
+    "pickled-list": pickle.dumps([1, 2, 3]),
+    "pickled-version-dict": pickle.dumps({"version": 999}),
+    "pickled-spec-dict": pickle.dumps({"spec": {}}),
+    "pickle-then-garbage": b"\x80\x05" + b"garbage" * 10,
+    "truncated-pickle": pickle.dumps(
+        {"version": 2, "graph": b"", "columns": []}
+    )[:20],
+}
 
 
 class TestVerifiedBeforeUnpickle:
@@ -105,11 +134,24 @@ class TestVerifiedBeforeUnpickle:
             b"hello, world\n" * 8,
             b"PK\x03\x04" + bytes(200),
             bytes(np.random.default_rng(3).integers(0, 128, 100, dtype=np.uint8)),
+            *(pytest.param(data, id=name) for name, data in _PICKLES.items()),
         ],
     )
     def test_foreign_bytes(self, foreign, no_unpickle):
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             restore_session(foreign)
+
+    @pytest.mark.parametrize("envelope", ["bare", "v2"])
+    def test_pickle_side_effect_never_runs(self, envelope):
+        payload = pickle.dumps(_SideEffect())
+        if envelope == "v2":
+            payload = pickle.dumps(
+                {"version": 2, "graph": payload, "columns": []}
+            )
+        _SIDE_EFFECTS.clear()
+        with pytest.raises(CheckpointError, match="bad magic"):
+            restore_session(payload)
+        assert _SIDE_EFFECTS == []
 
     def test_wrong_magic(self, blob, no_unpickle):
         with pytest.raises(CheckpointError, match="magic"):
@@ -225,26 +267,6 @@ class TestRecordColumns:
         session = Session(SPEC)
         restored, _, done = restore_session(capture_session(session))
         assert done == 0 and restored.records == []
-
-
-class TestLegacyPath:
-    def test_pickle_that_is_not_a_state(self):
-        for obj in ([1, 2, 3], {"version": 999}, {"spec": {}}):
-            with pytest.raises(CheckpointError, match="checkpoint version"):
-                restore_session(pickle.dumps(obj))
-
-    @pytest.mark.parametrize(
-        "name", ["checkpoint_v1.ckpt", "checkpoint_counts.ckpt"]
-    )
-    def test_truncated_legacy_fixture(self, name):
-        data = (FIXTURES / name).read_bytes()
-        for cut in (2, 1000, len(data) // 2, len(data) - 1):
-            with pytest.raises(CheckpointError):
-                restore_session(data[:cut])
-
-    def test_pickle_opcode_then_garbage(self):
-        with pytest.raises(CheckpointError, match="does not unpickle"):
-            restore_session(b"\x80\x05" + b"garbage" * 10)
 
 
 class TestServeResumeCLI:

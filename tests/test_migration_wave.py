@@ -457,25 +457,6 @@ def test_migrate_span_and_fallback_counter():
     assert parsed["repro_migration_wave_fallbacks_total"][()] == 1
 
 
-@pytest.mark.parametrize(
-    "name", ["checkpoint_v1.ckpt", "checkpoint_counts.ckpt", "checkpoint_trace_inline.ckpt"]
-)
-def test_checkpoints_with_wave_times_restore_without_them(name):
-    """Checkpoints that pickled the per-wave wall times restore without
-    them, the rest of the migration statistics intact."""
-    from pathlib import Path
-
-    from repro.chaos.checkpoint import load_checkpoint, restore_session
-
-    fixture = Path(__file__).parent / "fixtures" / name
-    session, _, done = restore_session(load_checkpoint(fixture))
-    stats = session.daemon.engine.stats
-    assert "wave_ns" not in vars(stats)
-    assert stats.waves == done
-    session.run_window()
-    assert stats.waves == done + 1
-
-
 def test_spectrum_waterfall_copies_run_in_one_pass():
     """With the §7.1 copy on, every wave of a spectrum-mix waterfall run
     -- copies between its same-algorithm tiers included -- runs as one

@@ -1,7 +1,5 @@
 """Unit and property tests for the columnar page table (SoA core)."""
 
-import copyreg
-import io
 import pickle
 
 import numpy as np
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.page import PAGES_PER_REGION
-from repro.mem.pagetable import NEVER_ACCESSED, PageTable, light_pickle
+from repro.mem.pagetable import NEVER_ACCESSED, PageTable
 from repro.mem.region import Region, RegionSet
 from repro.mem.system import TieredMemorySystem
 
@@ -178,53 +176,6 @@ def test_regionset_pickle_roundtrip_preserves_columns():
     assert len(clone) == 2
     assert clone[0].hotness == 0.75
     assert clone[1].assigned_tier == 4
-
-
-# -- light pickle ------------------------------------------------------------
-
-
-def test_light_pickle_strips_and_reattaches_columns():
-    space = AddressSpace(2 * PAGES_PER_REGION, "mixed", seed=1)
-    system = TieredMemorySystem(make_tiers(space), space)
-    system.move_region(1, 2)
-    before = {k: v.copy() for k, v in system.pt.columns().items()}
-
-    class ShapeOnly(pickle.Pickler):
-        """Pickles page tables shape-only, as format-v2 checkpoints did."""
-
-        def __init__(self, file):
-            super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-            self.tables = []
-
-        def reducer_override(self, obj):
-            if type(obj) is not PageTable:
-                return NotImplemented
-            self.tables.append(obj)
-            shape = {"num_pages": obj.num_pages, "num_regions": obj.num_regions}
-            return copyreg.__newobj__, (PageTable,), shape
-
-    out = io.BytesIO()
-    capture = ShapeOnly(out)
-    capture.dump(system)
-    graph = out.getvalue()
-    assert capture.tables == [system.pt]
-    # Stripped graph is far smaller than the full pickle.
-    assert len(graph) < len(pickle.dumps(system))
-
-    with light_pickle() as restore:
-        clone = pickle.loads(graph)
-    assert len(restore.tables) == 1
-    restore.tables[0].attach_columns(before)
-    for name, col in clone.pt.columns().items():
-        assert np.array_equal(col, before[name]), name
-    # The properties alias the attached columns, not stale arrays.
-    assert clone.page_location is clone.pt.tier
-    assert clone.last_access_window is clone.pt.last_access
-
-    # Outside the context, pickling is full-state and self-contained.
-    plain = pickle.loads(pickle.dumps(system))
-    for name, col in plain.pt.columns().items():
-        assert np.array_equal(col, system.pt.columns()[name]), name
 
 
 def test_system_binds_tiers_to_shared_table():

@@ -8,8 +8,8 @@ cursor, and restore re-checks the fingerprint.  Pinned here:
   batch session), and the drain checkpoint does not grow with the trace;
 * a missing or re-recorded trace fails at restore with
   :class:`TraceMismatchError`;
-* checkpoints that carry the windows inline (captured before traces
-  were checkpointed by reference) still resume, without the file.
+* the committed ``checkpoint_trace_ref.ckpt`` fixture resumes like a
+  fresh run.
 """
 
 from __future__ import annotations
@@ -187,6 +187,51 @@ class TestResumeEqualsUninterrupted:
             resumed.run_window()
         _assert_same_run(resumed, full)
 
+    @pytest.mark.parametrize("window", ["events:5000", "seconds:0.5"])
+    def test_replay_resume_needs_source_windows(
+        self, tmp_path, window, capsys
+    ):
+        """Closed windows are recorded windows only under the ``source``
+        rule; resuming under another would replay events twice, so it is
+        refused, and ``repro serve --resume`` exits 2 with one line."""
+        from repro.cli import main
+
+        workload = make_workload(
+            "flash-crowd", seed=3, num_pages=1024, ops_per_window=2000
+        )
+        trace = record_trace(workload, 8, tmp_path / "flash.npz")
+        ckpt = tmp_path / "drain.ckpt"
+        daemon = ServeDaemon(
+            _spec(trace, 8, seed=3),
+            ServeOptions(
+                stream=f"replay:{trace}",
+                window=window,
+                virtual_clock=True,
+                http=False,
+                max_windows=3,
+                checkpoint=ckpt,
+            ),
+        )
+        asyncio.run(daemon.run())
+        options = ServeOptions(
+            stream=f"replay:{trace}",
+            window=window,
+            virtual_clock=True,
+            http=False,
+        )
+        with pytest.raises(ValueError, match="'source' window rule"):
+            ServeDaemon.from_checkpoint(ckpt, options)
+        code = main(
+            [
+                "serve", "--resume", str(ckpt), "--stream", f"replay:{trace}",
+                "--window", window, "--virtual-clock", "--no-http",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'source' window rule" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_drain_checkpoint_does_not_grow_with_trace(self, tmp_path):
         sizes = {}
         for windows in (4, 40):
@@ -242,37 +287,10 @@ class TestTraceMismatch:
 
 
 class TestInlineCheckpointCompat:
-    """The fixture was captured before traces checkpointed by reference:
-    512 pages, 400 accesses per window, 6 windows, checkpoint after
-    window 3, waterfall, seed 5.  Its trace path is relative and absent
-    here; the companion trace is committed next to it.  Its PEBS sampler
-    thinned ids, so a fresh run of the counts-domain sampler no longer
-    reproduces its three windows; resume ≡ fresh run is pinned on
-    ``checkpoint_trace_ref.ckpt``, captured from the counts-domain
-    stream with the same spec (path relative to the fixtures) after the
-    same window."""
-
-    def test_inline_windows_resume_without_the_file(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.chaos.invariants import check_capacity
-
-        monkeypatch.chdir(tmp_path)
-        blob = load_checkpoint(FIXTURES / "checkpoint_trace_inline.ckpt")
-        resumed, _rows, done = restore_session(blob)
-        assert done == 3
-        assert resumed.workload.info is None
-        assert len(resumed.workload._windows) == 6
-        twin, _rows, _done = restore_session(blob)
-        for session in (resumed, twin):
-            for _ in range(session.spec.windows - done):
-                session.run_window()
-            check_capacity(session.system)
-        _assert_same_run(resumed, twin)
-
-        # Re-checkpointing keeps the windows inline: still no file needed.
-        again, _rows, _done = restore_session(capture_session(resumed))
-        assert len(again.workload._windows) == 6
+    """The committed trace fixture: ``checkpoint_trace_ref.ckpt`` replays
+    ``checkpoint_trace_inline.npz`` (512 pages, 400 accesses per window,
+    6 windows; path relative to the fixtures) and was captured after
+    window 3 of a waterfall run, seed 5."""
 
     def test_recaptured_reference_resumes_like_a_fresh_run(self, monkeypatch):
         monkeypatch.chdir(FIXTURES)

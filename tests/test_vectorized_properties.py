@@ -262,15 +262,6 @@ def _zspage_pfns(pool):
     return {frozenset(ids): int(pool._zs_pfn[slot]) for slot, ids in members.items()}
 
 
-def _old_layout_state(pool) -> dict:
-    """``pool``'s pickle state as it was before the stack column: the
-    partial stacks as a dict of slot lists, bottom first."""
-    state = pool.__getstate__()
-    del state["_stacked"]
-    state["_partial"] = pool._partial
-    return state
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     batches=st.lists(st.integers(20, 400), min_size=1, max_size=4),
@@ -333,13 +324,11 @@ def test_store_free_across_many_classes_match_sequential(batches, seed):
         max_size=5,
     ),
     seed=st.integers(0, 10_000),
-    old_layout=st.booleans(),
 )
-def test_bulk_pool_pickles_mid_sequence(rounds, seed, old_layout):
-    """A bulk pool pickled after the first round -- as it pickles now,
-    or in the layout from before the stack column -- restores to the
-    same packing state and partial stacks, and keeps matching the
-    sequential pool round after round."""
+def test_bulk_pool_pickles_mid_sequence(rounds, seed):
+    """A bulk pool pickled after the first round restores to the same
+    packing state and partial stacks, and keeps matching the sequential
+    pool round after round."""
     import pickle
 
     bulk = ZsmallocAllocator(arena_pages=1 << 12)
@@ -359,39 +348,11 @@ def test_bulk_pool_pickles_mid_sequence(rounds, seed, old_layout):
         for handle in drop:
             sequential.free(handle)
         if index == 0:
-            if old_layout:
-                restored = ZsmallocAllocator.__new__(ZsmallocAllocator)
-                restored.__setstate__(_old_layout_state(bulk))
-            else:
-                restored = pickle.loads(pickle.dumps(bulk))
+            restored = pickle.loads(pickle.dumps(bulk))
             assert restored._partial == bulk._partial
             assert _packing_state(restored) == _packing_state(bulk)
             bulk = restored
         assert _packing_state(bulk) == _packing_state(sequential)
-
-
-def test_old_layout_partial_dict_loads_into_columns():
-    """A pool state from before the stack column -- partial lists as a
-    dict of slot lists, empty lists included -- loads into the column
-    layout with each stack in the same order, top included."""
-    pool = ZsmallocAllocator(arena_pages=1 << 12)
-    # Six full 4-object zspages of class 2912, then 1504 and 112 objects.
-    handles = _store_ids(pool, [2900] * 24 + [1500] * 9 + [100] * 3)
-    # Free one object of four full zspages, out of order, so they sit
-    # on their class's stack in free order.
-    _free_ids(pool, [handles[i] for i in (13, 2, 22, 5)] + handles[25:27])
-    state = _old_layout_state(pool)
-    partial = state["_partial"]
-    assert len(partial[2912]) == 4
-    state["_partial"] = {**partial, 2048: []}
-    restored = ZsmallocAllocator.__new__(ZsmallocAllocator)
-    restored.__setstate__(state)
-    assert restored._partial == partial
-    assert "_partial" not in restored.__dict__
-    assert _packing_state(restored) == _packing_state(pool)
-    # The next stores fill the same stack tops.
-    assert _store_ids(restored, [2900] * 5) == _store_ids(pool, [2900] * 5)
-    assert _packing_state(restored) == _packing_state(pool)
 
 
 def test_store_ids_exhausting_arena_commits_sequential_prefix():
@@ -460,20 +421,18 @@ def _assert_tables_match_scalar(system, tier_idx, ids) -> None:
 
 
 def test_restored_fixtures_rebuild_level_tables():
-    """Checkpoints from before the per-level tables carried per-page
-    memo arrays; a restore discards them and the rebuilt tables match
-    the scalar law for every page."""
+    """A restore carries no per-level tables; the rebuilt ones match the
+    scalar law for every page."""
     from repro.chaos.checkpoint import load_checkpoint, restore_session
 
-    for name in ("checkpoint_counts.ckpt", "checkpoint_v1.ckpt"):
-        session, _, _ = restore_session(load_checkpoint(FIXTURES / name))
-        system = session.system
-        assert not hasattr(system, "_csize_cache")
-        assert not hasattr(system, "_accepts_cache")
-        ids = np.arange(system.space.num_pages)
-        for idx, tier in enumerate(system.tiers):
-            if tier.is_compressed:
-                _assert_tables_match_scalar(system, idx, ids)
+    blob = load_checkpoint(FIXTURES / "checkpoint_counts.ckpt")
+    session, _, _ = restore_session(blob)
+    system = session.system
+    assert system._level_csizes is None
+    ids = np.arange(system.space.num_pages)
+    for idx, tier in enumerate(system.tiers):
+        if tier.is_compressed:
+            _assert_tables_match_scalar(system, idx, ids)
 
 
 def test_checkpoint_carries_no_level_tables():
@@ -770,43 +729,20 @@ def _records_equal(got, want) -> None:
         assert np.array_equal(col, want_rollup[name]), name
 
 
-def test_checkpoint_v1_fixture_loads_and_resumes_identically():
-    """Backward compat: a pre-SoA (v1) checkpoint restores into the
-    columnar core and resumes deterministically to completion.
-
-    The fixture was captured with the pre-refactor object-layer code
-    after 3 of 6 windows of the spec below.  Its three windows came from
-    the page-id stream, which counts-domain windows redraw, so a fresh
-    run no longer reproduces it; two restores of it must still finish
-    bit-identically.  Resume ≡ fresh run is pinned on
-    ``checkpoint_counts.ckpt``, captured from the counts-domain stream
-    with the same spec after the same window.
-    """
+def test_counts_fixture_resumes_like_a_fresh_run():
+    """``checkpoint_counts.ckpt`` was captured after 3 of 6 windows of the
+    spec below; restored and run to the end, it matches an uninterrupted
+    run of that spec, and it passes the capacity invariants."""
     from repro.chaos.checkpoint import load_checkpoint, restore_session
     from repro.chaos.invariants import check_capacity
     from repro.engine.session import Session
     from repro.engine.spec import ScenarioSpec
 
-    def resume(name):
-        sess, rows, done = restore_session(load_checkpoint(FIXTURES / name))
-        assert done == 3
-        assert rows == [{"w": 0}, {"w": 1}, {"w": 2}]
-        return sess
-
-    sess = resume("checkpoint_v1.ckpt")
-    # The fixture's samplers carry scratch and the unfolded bucket table;
-    # both are dropped on load.
-    hot = sess.workload.distribution._hot
-    assert not hasattr(hot, "_bucket_lo") and not hasattr(hot, "_scr_u")
-    assert not hasattr(sess.daemon.profiler.sampler, "_scr_u")
-    again = resume("checkpoint_v1.ckpt")
-    for resumed in (sess, again):
-        for _ in range(resumed.spec.windows - 3):
-            resumed.run_window()
-        check_capacity(resumed.system)
-    assert len(sess.records) == 6
-    _records_equal(sess, again)
-
+    blob = load_checkpoint(FIXTURES / "checkpoint_counts.ckpt")
+    assert blob[:8] == b"TSCKPT\r\n"
+    recaptured, rows, done = restore_session(blob)
+    assert done == 3
+    assert rows == [{"w": 0}, {"w": 1}, {"w": 2}]
     spec = ScenarioSpec(
         workload="memcached-ycsb",
         workload_kwargs={"num_pages": 4096, "ops_per_window": 20_000},
@@ -814,11 +750,10 @@ def test_checkpoint_v1_fixture_loads_and_resumes_identically():
         windows=6,
         seed=7,
     )
-    assert sess.spec == spec
-    recaptured = resume("checkpoint_counts.ckpt")
     assert recaptured.spec == spec
-    for _ in range(spec.windows - 3):
+    for _ in range(spec.windows - done):
         recaptured.run_window()
+    check_capacity(recaptured.system)
     fresh = Session(spec)
     for _ in range(spec.windows):
         fresh.run_window()
