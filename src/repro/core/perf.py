@@ -46,23 +46,20 @@ def per_access_penalty(
 
 
 def penalty_matrix(
-    tiers: list[Tier],
-    region_compressibility: np.ndarray,
-    hotness: np.ndarray,
-    sampling_rate: int,
+    per_access: np.ndarray, hotness: np.ndarray, sampling_rate: int
 ) -> np.ndarray:
     """Eq. 7's ``perf_ovh`` contributions, shape ``(R, T)``.
 
     Args:
-        tiers: The system's tiers.
-        region_compressibility: Mean compressibility per region.
+        per_access: :func:`per_access_penalty` of the system's tiers for
+            its regions (the planner keeps it per address space, see
+            :meth:`~repro.mem.system.TieredMemorySystem.planning_tables`).
         hotness: Cooled sampled access counts per region (from telemetry).
         sampling_rate: PEBS period, to rescale samples to access estimates.
     """
     hotness = np.asarray(hotness, dtype=np.float64)
     expected_accesses = hotness * sampling_rate
-    penalties = per_access_penalty(tiers, region_compressibility)
-    return expected_accesses[:, None] * penalties
+    return expected_accesses[:, None] * per_access
 
 
 def perf_overhead(penalties: np.ndarray, assignment: np.ndarray) -> float:

@@ -4,8 +4,10 @@ Every window, the model:
 
 1. extrapolates next-window accesses per region from the cooled hotness
    profile (the proportionality assumption stated after Eq. 10),
-2. builds the performance-penalty matrix (Eq. 7) and the TCO cost matrix
-   (Eq. 8/10) over all (region, tier) pairs,
+2. builds the performance-penalty matrix (Eq. 7) over all (region,
+   tier) pairs from the system's per-region planning tables, which also
+   hold the TCO cost matrix (Eq. 8/10) and are built once per address
+   space,
 3. derives the TCO budget from the knob: ``TCO_min + alpha * MTS``
    (Eqs. 1-2),
 4. solves the resulting multiple-choice-knapsack ILP with the configured
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import perf, tco
+from repro.core import perf
 from repro.core.knob import Knob
 from repro.core.placement.base import PlacementModel
 from repro.mem.system import TieredMemorySystem
-from repro.solver import PlacementProblem, solve
+from repro.solver import PlacementProblem, Solution, solve
 from repro.telemetry.window import ProfileRecord
 
 
@@ -64,9 +66,9 @@ class AnalyticalModel(PlacementModel):
         self, record: ProfileRecord, system: TieredMemorySystem
     ) -> PlacementProblem:
         """Assemble the window's ILP instance (steps 1-3 above)."""
-        region_comp = system.space.region_compressibility()
+        tables = system.planning_tables()
         penalties = perf.penalty_matrix(
-            system.tiers, region_comp, record.hotness, record.sampling_rate
+            tables.per_access, record.hotness, record.sampling_rate
         )
         # Tie-break: a region with zero observed hotness has zero modelled
         # penalty in every tier; prefer faster tiers on ties so alpha = 1
@@ -74,13 +76,15 @@ class AnalyticalModel(PlacementModel):
         # The frontier backend applies it exactly; HiGHS's default 1e-6
         # absolute gap may not.
         penalties = penalties + 1e-6 * np.arange(len(system.tiers))[None, :]
-        costs = tco.cost_matrix(system.tiers, region_comp)
-        budget = self.knob.budget(tco.tco_min(costs), tco.tco_max(costs))
+        budget = self.knob.budget(tables.tco_min, tables.tco_max)
         capacity = None
         if self.use_capacity:
             capacity = self._tier_capacities(system)
         return PlacementProblem(
-            penalty=penalties, cost=costs, budget=budget, capacity=capacity
+            penalty=penalties,
+            cost=tables.cost,
+            budget=budget,
+            capacity=capacity,
         )
 
     @staticmethod
@@ -99,14 +103,20 @@ class AnalyticalModel(PlacementModel):
         )
         return pages // PAGES_PER_REGION
 
+    def warm_solve(self, problem: PlacementProblem, backend: str) -> Solution:
+        """Solve ``problem``, warm-started from the last window's answer.
+
+        The hint bounds the solve; it never changes the answer.
+        """
+        if self.last_solution is not None:
+            problem.hint = self.last_solution.assignment
+        return solve(problem, backend=backend, obs=self.obs)
+
     def recommend(
         self, record: ProfileRecord, system: TieredMemorySystem
     ) -> dict[int, int]:
         problem = self.build_problem(record, system)
-        if self.last_solution is not None:
-            # Warm start: last window's answer bounds this window's solve.
-            problem.hint = self.last_solution.assignment
-        solution = solve(problem, backend=self.backend, obs=self.obs)
+        solution = self.warm_solve(problem, self.backend)
         self.last_solution = solution
         self.solver_ns += solution.solve_wall_ns
         return {

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from repro.core.knob import Knob
 from repro.core.placement.analytical import AnalyticalModel
 from repro.mem.system import TieredMemorySystem
-from repro.solver import solve
 from repro.telemetry.window import ProfileRecord
 
 #: Modeled ILP service cost per (region, tier) cell.  Order of magnitude
@@ -225,7 +224,7 @@ class ServicedAnalyticalModel(AnalyticalModel):
         ilp_ns = modeled_ilp_ns(problem.num_regions, problem.num_tiers)
         rtt_ns = config.network_rtt_ns if config.remote else 0.0
         if config.remote and queue_ns + ilp_ns + rtt_ns > config.timeout_ns:
-            solution = solve(problem, backend="greedy", obs=self.obs)
+            solution = self.warm_solve(problem, "greedy")
             if self.obs is not None:
                 self.obs.registry.counter(
                     "repro_solver_fallbacks_total",
@@ -241,7 +240,7 @@ class ServicedAnalyticalModel(AnalyticalModel):
                 measured_wall_ns=int(solution.solve_wall_ns),
             )
         else:
-            solution = solve(problem, backend=self.backend, obs=self.obs)
+            solution = self.warm_solve(problem, self.backend)
             event = ServiceEvent(
                 node_id=self.node_id,
                 window=record.window,

@@ -126,6 +126,24 @@ class WaveResult(NamedTuple):
     per_page: bool
 
 
+class PlanningTables(NamedTuple):
+    """The planner's per-region tables for one compressibility map.
+
+    Attributes:
+        per_access: Per-access penalty of each tier for each region,
+            shape ``(R, T)`` (:func:`repro.core.perf.per_access_penalty`).
+        cost: Modelled TCO of each region in each tier, shape ``(R, T)``
+            (:func:`repro.core.tco.cost_matrix`).
+        tco_min: Eq. 1's ``TCO_min`` of ``cost``.
+        tco_max: Eq. 1's ``TCO_max`` of ``cost``.
+    """
+
+    per_access: np.ndarray
+    cost: np.ndarray
+    tco_min: float
+    tco_max: float
+
+
 class TieredMemorySystem(TransientCaches):
     """A set of tiers serving one application's address space.
 
@@ -144,7 +162,9 @@ class TieredMemorySystem(TransientCaches):
     The compression law reaches the batched paths through per-level
     tables: each page's index into the space's distinct compressibility
     values, and per compressed tier a compressed size and an admission
-    flag per value.  Checkpoints leave them out.
+    flag per value.  The planner's per-region tables
+    (:meth:`planning_tables`) are derived the same way.  Checkpoints
+    leave them all out.
     """
 
     _TRANSIENT = (
@@ -153,6 +173,7 @@ class TieredMemorySystem(TransientCaches):
         "_page_level",
         "_level_csizes",
         "_level_accepts",
+        "_plan",
     )
 
     def __init__(
@@ -268,6 +289,38 @@ class TieredMemorySystem(TransientCaches):
                     csizes[idx] = tier.algorithm.compressed_sizes(values)
             self._level_accepts, self._level_csizes = accepts, csizes
         return self._level_accepts, self._level_csizes
+
+    def planning_tables(self) -> PlanningTables:
+        """The placement ILP's per-region tables (paper §6.5-6.6).
+
+        They depend only on the tiers and the regions' compressibility,
+        so they are built on first use and kept until
+        ``space.compressibility`` is replaced, the invalidation
+        :meth:`_page_levels` uses.  The arrays are read-only: every
+        window's problem shares them.
+        """
+        comp = self.space.compressibility
+        if self._plan is None or self._plan[0] is not comp:
+            from repro.core import perf, tco  # repro.core imports this module
+
+            region_comp = self.space.region_compressibility()
+            per_access = perf.per_access_penalty(self.tiers, region_comp)
+            cost = tco.cost_matrix(self.tiers, region_comp)
+            per_access.setflags(write=False)
+            cost.setflags(write=False)
+            tables = PlanningTables(
+                per_access, cost, tco.tco_min(cost), tco.tco_max(cost)
+            )
+            self._plan = (comp, tables)
+        return self._plan[1]
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        # Left out rather than pickled as None: the planning cache adds
+        # no key to the pickled state, so checkpoint bytes are the same
+        # as those of a system without it.
+        del state["_plan"]
+        return state
 
     def _tier_csizes(self, tier_idx: int, page_ids: np.ndarray) -> np.ndarray:
         """Per-page compressed sizes at ``tiers[tier_idx]``."""

@@ -65,44 +65,58 @@ def solve_frontier(problem: PlacementProblem) -> Solution:
         bound = greedy.objective if greedy.feasible else None
     incumbent = np.inf if bound is None else bound + 1e-9 * max(1.0, abs(bound))
 
-    front_cost = np.zeros(1)
-    front_pen = np.zeros(1)
-    parents: list[np.ndarray] = []
-    options: list[np.ndarray] = []
+    # A point is one complex number, cost + penalty*1j.  Complex addition
+    # adds the two parts separately, so the sums are the float sums of a
+    # cost and a penalty array, and numpy sorts complex numbers by real
+    # part, then imaginary part: one stable argsort orders candidates by
+    # cost, then penalty, then index.
+    options = np.empty(cost.shape + (1,), dtype=np.complex128)
+    options.real[:, :, 0] = cost
+    options.imag[:, :, 0] = penalty
+    front = np.zeros(1, dtype=np.complex128)
+    folds: list[tuple[np.ndarray, int]] = []
     for r in range(num_regions - 1, -1, -1):
         # Candidates laid out tier-major: index = tier * width + parent.
-        width = front_cost.size
-        cand_cost = (cost[r][:, None] + front_cost[None, :]).ravel()
-        cand_pen = (penalty[r][:, None] + front_pen[None, :]).ravel()
-        keep = (cand_cost + min_cost_before[r] <= limit) & (
-            cand_pen + min_pen_before[r] <= incumbent
-        )
-        idx = np.flatnonzero(keep)
-        if idx.size == 0:  # rounding against the up-front budget check
-            return _cheapest(problem, t_start)
-        # Stable sort: exact (cost, penalty) ties keep the lowest index,
-        # i.e. the lowest tier for region r.
-        idx = idx[np.lexsort((cand_pen[idx], cand_cost[idx]))]
-        pen_sorted = cand_pen[idx]
-        pareto = np.empty(idx.size, dtype=bool)
+        width = front.size
+        cand = (options[r] + front).ravel()
+        # Exact (cost, penalty) ties keep the lowest index, i.e. the
+        # lowest tier for region r.
+        order = cand.argsort(kind="stable")
+        ranked = cand[order]
+        # Pareto scan: a point survives when its penalty is below that
+        # of every point before it.
+        pen_sorted = ranked.imag
+        pareto = np.empty(order.size, dtype=bool)
         pareto[0] = True
-        pareto[1:] = pen_sorted[1:] < np.minimum.accumulate(pen_sorted)[:-1]
-        idx = idx[pareto]
-        front_cost = cand_cost[idx]
-        front_pen = cand_pen[idx]
-        tier, parent = np.divmod(idx, width)
-        options.append(tier)
-        parents.append(parent)
+        np.less(
+            pen_sorted[1:],
+            np.minimum.accumulate(pen_sorted[:-1]),
+            out=pareto[1:],
+        )
+        idx = order[pareto]
+        front = ranked[pareto]
+        # The bounds cut the frontier after the scan: cost ascends along
+        # it, so the budget bound keeps a prefix, and penalty descends,
+        # so the incumbent bound keeps a suffix.  Either bound passes a
+        # point only if it passes every point that dominates it, so
+        # cutting after the scan keeps the points cutting before would.
+        stop = (front.real + min_cost_before[r]).searchsorted(limit, "right")
+        start = idx.size - (front.imag + min_pen_before[r])[::-1].searchsorted(
+            incumbent, "right"
+        )
+        if start >= stop:  # rounding against the up-front budget check
+            return _cheapest(problem, t_start)
+        front = front[start:stop]
+        folds.append((idx[start:stop], width))
 
     # The last frontier point has the minimum penalty and, among equal
     # penalties, the minimum cost; walk its parents back.  Fold k placed
     # region R-1-k, so region r's choice sits in fold R-1-r.
     assignment = np.empty(num_regions, dtype=np.int64)
-    point = front_cost.size - 1
+    point = front.size - 1
     for r in range(num_regions):
-        fold = num_regions - 1 - r
-        assignment[r] = options[fold][point]
-        point = parents[fold][point]
+        idx, width = folds[num_regions - 1 - r]
+        assignment[r], point = divmod(int(idx[point]), width)
     objective, total_cost = problem.evaluate(assignment)
     return Solution(
         assignment=assignment,

@@ -34,10 +34,14 @@ def _side(
     incorrect_run=None,
     serve_windows_per_s=280.0,
     amtco_windows_per_s=250.0,
+    recommend_ms=1.0,
 ):
     """One tree's parsed results: five identical runs of each run name."""
     ycsb = [_result(windows_per_s=windows_per_s) for _ in range(5)]
     amtco = [_result(windows_per_s=amtco_windows_per_s) for _ in range(5)]
+    amtco_traced = [
+        _result(**{"policy.recommend_ms": recommend_ms}) for _ in range(5)
+    ]
     xsbench = [_result(windows_per_s=90.0) for _ in range(5)]
     serve = [_result(windows_per_s=serve_windows_per_s) for _ in range(5)]
     traced = [
@@ -54,6 +58,7 @@ def _side(
     return {
         "ycsb-waterfall --trace 0": ycsb,
         "ycsb-amtco --trace 0": amtco,
+        "ycsb-amtco --trace 1": amtco_traced,
         "xsbench-ckpt --trace 0": xsbench,
         "xsbench-ckpt --trace 1": traced,
         "serve-flash-adaptive --trace 0": serve,
@@ -91,6 +96,18 @@ def test_amtco_windows_per_s_drop_of_15_pct_fails(gate):
     assert "ycsb-amtco --trace 0 windows_per_s" in failed[0]
 
 
+def test_slower_policy_layer_fails(gate):
+    # +40 % ms of policy.recommend per window is past the 1/0.75 bound;
+    # +30 % is within it.
+    ok, lines = gate.decide(_side(), _side(recommend_ms=1.40))
+    assert not ok
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "ycsb-amtco --trace 1 recommends_per_ms" in failed[0]
+    ok, _ = gate.decide(_side(), _side(recommend_ms=1.30))
+    assert ok
+
+
 def test_slower_migration_per_page_fails(gate):
     # +40 % ms per migrated page is past the 1/0.75 bound.
     ok, lines = gate.decide(_side(), _side(apply_ms=3.2 * 1.40))
@@ -113,6 +130,7 @@ def test_bounds_match_the_gates_they_replace(gate):
     assert bounds == {
         ("ycsb-waterfall --trace 0", "windows_per_s"): 0.10,
         ("ycsb-amtco --trace 0", "windows_per_s"): 0.10,
+        ("ycsb-amtco --trace 1", "recommends_per_ms"): 0.25,
         ("xsbench-ckpt --trace 0", "windows_per_s"): 0.10,
         ("xsbench-ckpt --trace 1", "migrated_pages_per_apply_ms"): 0.25,
         ("serve-flash-adaptive --trace 0", "windows_per_s"): 0.10,

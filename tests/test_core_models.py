@@ -74,9 +74,10 @@ class TestPerfModel:
     def test_penalty_matrix(self, space):
         tiers = make_tiers(space)
         hotness = np.array([10.0, 0.0, 5.0, 1.0])
-        penalties = perf.penalty_matrix(
-            tiers, space.region_compressibility(), hotness, sampling_rate=100
+        per_access = perf.per_access_penalty(
+            tiers, space.region_compressibility()
         )
+        penalties = perf.penalty_matrix(per_access, hotness, sampling_rate=100)
         assert penalties.shape == (4, 3)
         # DRAM column is exactly zero (Eq. 6: delta over DRAM).
         assert (penalties[:, 0] == 0).all()
@@ -88,16 +89,20 @@ class TestPerfModel:
     def test_sampling_rate_scales(self, space):
         tiers = make_tiers(space)
         hotness = np.ones(4)
-        p1 = perf.penalty_matrix(tiers, space.region_compressibility(), hotness, 100)
-        p2 = perf.penalty_matrix(tiers, space.region_compressibility(), hotness, 200)
+        per_access = perf.per_access_penalty(
+            tiers, space.region_compressibility()
+        )
+        p1 = perf.penalty_matrix(per_access, hotness, 100)
+        p2 = perf.penalty_matrix(per_access, hotness, 200)
         assert np.allclose(p2, 2 * p1)
 
     def test_perf_overhead(self, space):
         tiers = make_tiers(space)
         hotness = np.ones(4)
-        penalties = perf.penalty_matrix(
-            tiers, space.region_compressibility(), hotness, 100
+        per_access = perf.per_access_penalty(
+            tiers, space.region_compressibility()
         )
+        penalties = perf.penalty_matrix(per_access, hotness, 100)
         all_dram = np.zeros(4, dtype=np.int64)
         assert perf.perf_overhead(penalties, all_dram) == 0.0
         all_ct = np.full(4, 2, dtype=np.int64)

@@ -4,12 +4,13 @@
 Runs each tree's own ``repobench/run.py`` for ``PAIRS`` pairs with a
 fixed seed and run length, alternating which side goes first so a host
 that speeds up or slows down during the job hits both sides alike.  One
-side of a pair is the five runs in ``RUNS``: ``ycsb-waterfall`` (the
+side of a pair is the six runs in ``RUNS``: ``ycsb-waterfall`` (the
 paper's Fig. 8 scenario), ``ycsb-amtco`` (the same stream under the
 am-tco ILP: the solve layer), ``xsbench-ckpt`` (migration waves and
 checkpoints) and ``serve-flash-adaptive`` (the serving path: trace
 replay, ingest and its id -> count conversion) end to end, plus
-``xsbench-ckpt`` with ``--trace 1`` for its per-layer migration time.
+``ycsb-amtco`` and ``xsbench-ckpt`` with ``--trace 1`` for their
+per-layer policy and migration times.
 Both trees run on the same host in the same job, so no committed
 baseline is needed.
 
@@ -47,6 +48,7 @@ SECONDS = 8.0
 RUNS = (
     ("ycsb-waterfall", 0),
     ("ycsb-amtco", 0),
+    ("ycsb-amtco", 1),
     ("xsbench-ckpt", 0),
     ("xsbench-ckpt", 1),
     ("serve-flash-adaptive", 0),
@@ -59,6 +61,10 @@ def run_name(workload: str, trace: int) -> str:
 
 def _metric(name: str):
     return lambda metrics: metrics[name]["value"]
+
+
+def _recommends_per_ms(metrics: dict) -> float:
+    return 1.0 / metrics["policy.recommend_ms"]["value"]
 
 
 def _migrated_pages_per_ms(metrics: dict) -> float:
@@ -98,6 +104,14 @@ GATES = (
         "windows_per_s",
         _metric("windows_per_s"),
         0.10,
+    ),
+    # The policy layer: recommend calls per ms of policy.recommend may
+    # drop at most 25 %, i.e. ms per window may rise at most 1/0.75.
+    (
+        run_name("ycsb-amtco", 1),
+        "recommends_per_ms",
+        _recommends_per_ms,
+        0.25,
     ),
     # Migration wave: pages moved per ms of migration.apply may drop at
     # most 25 %, i.e. ms per migrated page may rise at most 1/0.75.
