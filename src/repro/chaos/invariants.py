@@ -37,7 +37,7 @@ def check_capacity(system) -> None:
     Raises:
         AssertionError: Naming the violated invariant and tier.
     """
-    counts = np.bincount(system.page_location, minlength=len(system.tiers))
+    counts = system.pt.placement_counts(len(system.tiers))
     total = int(counts.sum())
     assert total == system.space.num_pages, (
         f"placement counts sum to {total}, expected "

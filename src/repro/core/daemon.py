@@ -283,9 +283,12 @@ class TSDaemon:
             solver_ns = self.model.solver_ns - solver_before
             span.set(solver_ns=solver_ns, moves=len(recommendation))
 
-        recommended = np.zeros(len(system.tiers), dtype=np.int64)
-        for dst in recommendation.values():
-            recommended[dst] += 1
+        recommended = np.bincount(
+            np.fromiter(
+                recommendation.values(), np.int64, len(recommendation)
+            ),
+            minlength=len(system.tiers),
+        )
 
         wave = self.filter.apply(recommendation, record, system)
         migration_wall_ns = self.engine.apply(wave)
@@ -296,14 +299,15 @@ class TSDaemon:
         faults_now = rollup["faults"]
         window_faults = faults_now - self._prev_faults
         self._prev_faults = faults_now
+        tco = system.tco()
 
         window_record = WindowRecord(
             window=record.window,
             recommended=recommended,
             placement=placement,
             pool_pages=pool_pages,
-            tco=system.tco(),
-            tco_savings=system.tco_savings(),
+            tco=tco,
+            tco_savings=system.tco_savings(tco),
             faults=window_faults,
             access_ns=batch.access_ns,
             accesses=batch.accesses,

@@ -65,21 +65,21 @@ class MigrationFilter:
         # its page count).
         remaining = [tier.free_pages // PAGES_PER_REGION for tier in system.tiers]
 
-        # Coldest-first, so cold regions claim the scarce TCO-saving slots.
-        ordered = sorted(
-            moves.items(), key=lambda kv: record.hotness[kv[0]]
-        )
-        if not ordered:
+        if not moves:
             return filtered
-        ids = np.array([region_id for region_id, _ in ordered], dtype=np.int64)
-        dsts = np.array([dst for _, dst in ordered], dtype=np.int64)
+        ids = np.fromiter(moves.keys(), np.int64, len(moves))
+        dsts = np.fromiter(moves.values(), np.int64, len(moves))
+        # Coldest-first, so cold regions claim the scarce TCO-saving
+        # slots; ties keep the recommendation's order.
+        order = np.argsort(record.hotness[ids], kind="stable")
+        ids, dsts = ids[order], dsts[order]
         assigned = system.pt.region_assigned[ids]
         # A move is a no-op when its region is assigned to, and every one
         # of its pages sits in, the destination: one pass over all moves.
         pages = system.page_location.reshape(-1, PAGES_PER_REGION)[ids]
         noop = (dsts == assigned) & (pages == dsts[:, None]).all(axis=1)
-        for (region_id, dst), is_noop, assigned_tier in zip(
-            ordered, noop.tolist(), assigned.tolist()
+        for region_id, dst, is_noop, assigned_tier in zip(
+            ids.tolist(), dsts.tolist(), noop.tolist(), assigned.tolist()
         ):
             if is_noop:
                 self.dropped_noop += 1

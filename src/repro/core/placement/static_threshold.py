@@ -47,9 +47,7 @@ class StaticThresholdPolicy(PlacementModel):
         self, record: ProfileRecord, system: TieredMemorySystem
     ) -> dict[int, int]:
         slow_idx = system.tier_index(self.slow_tier)
-        threshold = float(np.percentile(record.hotness, self.percentile))
-        moves: dict[int, int] = {}
-        for region in system.space.regions:
-            hot = record.hotness[region.region_id] > threshold
-            moves[region.region_id] = 0 if hot else slow_idx
-        return moves
+        hotness = record.hotness
+        threshold = float(np.percentile(hotness, self.percentile))
+        moves = np.where(hotness > threshold, 0, slow_idx)
+        return dict(enumerate(moves.tolist()))

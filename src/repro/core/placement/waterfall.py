@@ -41,12 +41,9 @@ class WaterfallModel(PlacementModel):
     def recommend(
         self, record: ProfileRecord, system: TieredMemorySystem
     ) -> dict[int, int]:
+        hotness = record.hotness
+        threshold = float(np.percentile(hotness, self.percentile))
         last_tier = len(system.tiers) - 1
-        threshold = float(np.percentile(record.hotness, self.percentile))
-        moves: dict[int, int] = {}
-        for region in system.space.regions:
-            if record.hotness[region.region_id] > threshold:
-                moves[region.region_id] = 0
-            else:
-                moves[region.region_id] = min(region.assigned_tier + 1, last_tier)
-        return moves
+        moves = np.minimum(system.pt.region_assigned + 1, last_tier)
+        moves[hotness > threshold] = 0
+        return dict(enumerate(moves.tolist()))

@@ -252,8 +252,20 @@ class TieredMemorySystem(TransientCaches):
             raise KeyError(f"no tier named {name!r}") from None
 
     def placement_counts(self) -> np.ndarray:
-        """Application pages per tier, shape ``(len(tiers),)``."""
-        return self.pt.placement_counts(len(self.tiers))
+        """Application pages per tier, shape ``(len(tiers),)``.
+
+        Read off the tiers' residency counters, O(tiers);
+        :func:`repro.chaos.check_capacity` checks them against
+        :meth:`PageTable.placement_counts`, a bincount of the ``tier``
+        column.
+        """
+        return np.array(
+            [
+                tier.resident_pages if tier.is_compressed else tier.used_pages
+                for tier in self.tiers
+            ],
+            dtype=np.int64,
+        )
 
     def _page_levels(self) -> np.ndarray:
         """Per-page index into the distinct compressibility values.
@@ -932,9 +944,15 @@ class TieredMemorySystem(TransientCaches):
         """TCO with everything in DRAM (Eq. 1's ``TCO_max``)."""
         return self.space.num_pages * self.dram.media.cost_per_page
 
-    def tco_savings(self) -> float:
-        """Fractional TCO savings vs all-DRAM."""
-        return 1.0 - self.tco() / self.tco_max()
+    def tco_savings(self, tco: float | None = None) -> float:
+        """Fractional TCO savings vs all-DRAM.
+
+        ``tco`` is a :meth:`tco` result the caller already holds; it
+        saves a second pass over the tiers.
+        """
+        if tco is None:
+            tco = self.tco()
+        return 1.0 - tco / self.tco_max()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         placement = self.placement_counts()

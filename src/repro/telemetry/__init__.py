@@ -7,7 +7,7 @@ contributions (paper §3.1, §7.2).  This package reproduces that pipeline on
 the simulated access stream:
 
 * :class:`~repro.telemetry.pebs.PEBSSampler` -- unbiased Bernoulli thinning
-  of the access stream,
+  of the access stream into per-region sample counts,
 * :class:`~repro.telemetry.hotness.RegionHotness` -- per-region accumulation
   with EWMA cooling and percentile thresholds,
 * :class:`~repro.telemetry.window.Profiler` -- the per-window composition

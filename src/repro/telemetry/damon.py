@@ -70,17 +70,11 @@ class DamonProfiler:
         touched_fraction = hits.mean(axis=1)
         estimated_touched = touched_fraction * PAGES_PER_REGION
 
-        # Feed the estimate through the shared cooling machinery by
-        # synthesizing one sampled page id per estimated touched page.
-        synthetic: list[np.ndarray] = []
-        for region, count in enumerate(np.rint(estimated_touched).astype(int)):
-            if count > 0:
-                start = region * PAGES_PER_REGION
-                synthetic.append(start + np.arange(count))
-        sampled = (
-            np.concatenate(synthetic) if synthetic else np.empty(0, dtype=np.int64)
-        )
-        hotness = self.hotness.observe(sampled).copy()
+        # One hotness unit per estimated touched page, like the idle-bit
+        # scanner's touched-page count.
+        hotness = self.hotness.fold(
+            np.rint(estimated_touched).astype(np.int64)
+        ).copy()
         # Clear only the probed bits (test-and-clear semantics).
         self._accessed[probe_pages] = False
         record = ProfileRecord(

@@ -7,6 +7,10 @@ population TierScape exploits.  We implement the standard exponential
 moving average the paper attributes to HeMem-style profilers::
 
     hotness <- (1 - cooling) * hotness + sampled_count
+
+The fold takes per-region sample counts, the form the PEBS sampler
+emits; :meth:`RegionHotness.observe` bins page ids into that form for
+the backends that see pages (idle-bit scanning).
 """
 
 from __future__ import annotations
@@ -36,28 +40,40 @@ class RegionHotness:
         self.hotness = np.zeros(num_regions, dtype=np.float64)
         self.windows_observed = 0
 
-    def observe(self, sampled_page_ids: np.ndarray) -> np.ndarray:
-        """Fold one window of sampled accesses into the hotness state.
+    def fold(self, region_counts: np.ndarray) -> np.ndarray:
+        """Fold one window of per-region sample counts into the hotness.
 
         Args:
-            sampled_page_ids: Page ids from the PEBS sampler for this
-                window.
+            region_counts: Samples per region for this window.  It may
+                be shorter than :attr:`num_regions` (missing regions got
+                no samples) or longer, as long as every region past the
+                tracked ones is zero.
 
         Returns:
             The updated hotness array (a reference, not a copy).
+
+        Raises:
+            ValueError: A sample landed outside the tracked regions.
         """
-        counts = np.bincount(
-            np.asarray(sampled_page_ids) // PAGES_PER_REGION,
-            minlength=self.num_regions,
-        ).astype(np.float64)
-        if len(counts) > self.num_regions:
-            raise ValueError(
-                "sampled page id outside the tracked address space"
-            )
+        region_counts = np.asarray(region_counts)
+        tracked = self.num_regions
+        if region_counts[tracked:].any():
+            raise ValueError("sample outside the tracked address space")
+        counts = np.zeros(tracked, dtype=np.float64)
+        counts[: len(region_counts)] = region_counts[:tracked]
         self.hotness *= 1.0 - self.cooling
         self.hotness += counts
         self.windows_observed += 1
         return self.hotness
+
+    def observe(self, sampled_page_ids: np.ndarray) -> np.ndarray:
+        """:meth:`fold` one window of sampled page ids, binned by region."""
+        return self.fold(
+            np.bincount(
+                np.asarray(sampled_page_ids) // PAGES_PER_REGION,
+                minlength=self.num_regions,
+            )
+        )
 
     def threshold(self, percentile: float) -> float:
         """Hotness value at the given percentile (paper's H_th)."""

@@ -6,9 +6,11 @@ On a simulated access stream the exact equivalent is Bernoulli thinning:
 every simulated access is independently kept with probability ``1/R``.
 A window arrives as per-page access counts, so the sampler thins by
 position instead: ``S ~ Binomial(n, 1/R)`` sampled accesses, a uniform
-``S``-subset of the ``n`` positions, each position mapped to its page
-through the cumulative counts.  That is Bernoulli thinning in
-distribution, at O(n/R) draws instead of n.
+``S``-subset of the ``n`` positions, each position mapped to its 2 MB
+region through the per-region cumulative counts.  That is Bernoulli
+thinning in distribution, at O(n/R) draws instead of n.  TS-Daemon bins
+samples by region (§7.2), so the sampler returns per-region sample
+counts and never materializes page ids.
 
 The sampler also charges a small per-sample CPU overhead so the "TierScape
 Tax" experiment (Figure 14) can report a non-zero but minimal profiling
@@ -18,6 +20,8 @@ cost, as the paper measures.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.mem.page import PAGES_PER_REGION
 
 #: The paper's PEBS sampling period (1 sample per 5000 events).
 PEBS_DEFAULT_RATE = 5000
@@ -49,26 +53,34 @@ class PEBSSampler:
         """Sample a window of per-page access counts.
 
         Args:
-            counts: Accesses per page (``counts[p]`` to page ``p``).
+            counts: Accesses per page (``counts[p]`` to page ``p``); any
+                length, not necessarily a whole number of regions.
 
         Returns:
-            The page id of every sampled access (one entry per sample).
+            Sampled accesses per 2 MB region, shape
+            ``(ceil(len(counts) / PAGES_PER_REGION),)``.
         """
         counts = np.asarray(counts)
-        n = int(counts.sum())
-        self.events_seen += n
+        region_counts = np.add.reduceat(
+            counts, np.arange(0, len(counts), PAGES_PER_REGION), dtype=np.int64
+        )
         if self.rate == 1:
-            sampled = np.repeat(np.arange(len(counts)), counts)
+            n = taken = int(region_counts.sum())
+            sampled = region_counts
         else:
+            bounds = np.cumsum(region_counts)
+            n = int(bounds[-1]) if len(bounds) else 0
             rng = self._rng
-            k = int(rng.binomial(n, 1.0 / self.rate))
-            positions = rng.choice(n, size=k, replace=False, shuffle=False)
-            # Sorted keys make the search ~3x faster (each one starts
-            # from the previous hit) and return pages in ascending order.
+            taken = int(rng.binomial(n, 1.0 / self.rate))
+            positions = rng.choice(n, size=taken, replace=False, shuffle=False)
+            # Count the positions below each region's upper bound: one
+            # search per region into the sorted positions, ~4x faster
+            # than searching every position among the bounds.
             positions.sort()
-            sampled = np.cumsum(counts).searchsorted(positions, side="right")
-        self.samples_taken += len(sampled)
-        self.overhead_ns += len(sampled) * SAMPLE_HANDLING_NS
+            sampled = np.diff(positions.searchsorted(bounds), prepend=0)
+        self.events_seen += n
+        self.samples_taken += taken
+        self.overhead_ns += taken * SAMPLE_HANDLING_NS
         return sampled
 
     @property

@@ -2,9 +2,11 @@
 
 The :class:`Profiler` is what TS-Daemon runs during each profile window
 (paper Figure 6): each window's per-page access counts go through the
-sampler, the sampled accesses accumulate into region hotness, and at the
-window boundary a :class:`ProfileRecord` snapshot feeds the placement
-model.
+sampler, which returns sampled accesses per 2 MB region; those counts
+accumulate over the window, fold into region hotness at the window
+boundary, and a :class:`ProfileRecord` snapshot feeds the placement
+model.  Nothing on this path is per page after the sampler's one
+reduction over the counts vector.
 """
 
 from __future__ import annotations
@@ -60,22 +62,20 @@ class Profiler:
 
     def record(self, counts: np.ndarray) -> None:
         """Feed a batch of per-page access counts into the current window."""
-        sampled = self.sampler.sample(counts)
-        if len(sampled):
-            self._pending.append(sampled)
+        self._pending.append(self.sampler.sample(counts))
 
     def end_window(self) -> ProfileRecord:
         """Close the current window and return its telemetry snapshot."""
-        if self._pending:
-            samples = np.concatenate(self._pending)
-        else:
-            samples = np.empty(0, dtype=np.int64)
-        self._pending = []
-        hotness = self.hotness.observe(samples).copy()
+        pending, self._pending = self._pending, []
+        width = max([self.hotness.num_regions, *map(len, pending)])
+        samples = np.zeros(width, dtype=np.int64)
+        for region_counts in pending:
+            samples[: len(region_counts)] += region_counts
+        hotness = self.hotness.fold(samples).copy()
         record = ProfileRecord(
             window=self._window,
             hotness=hotness,
-            window_samples=len(samples),
+            window_samples=int(samples.sum()),
             sampling_rate=self.sampler.rate,
         )
         self._window += 1

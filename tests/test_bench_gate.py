@@ -35,9 +35,20 @@ def _side(
     serve_windows_per_s=280.0,
     amtco_windows_per_s=250.0,
     recommend_ms=1.0,
+    record_ms=0.3,
+    end_window_ms=0.05,
 ):
     """One tree's parsed results: five identical runs of each run name."""
     ycsb = [_result(windows_per_s=windows_per_s) for _ in range(5)]
+    ycsb_traced = [
+        _result(
+            **{
+                "telemetry.record_ms": record_ms,
+                "telemetry.end_window_ms": end_window_ms,
+            }
+        )
+        for _ in range(5)
+    ]
     amtco = [_result(windows_per_s=amtco_windows_per_s) for _ in range(5)]
     amtco_traced = [
         _result(**{"policy.recommend_ms": recommend_ms}) for _ in range(5)
@@ -57,6 +68,7 @@ def _side(
         traced[incorrect_run]["correct"] = False
     return {
         "ycsb-waterfall --trace 0": ycsb,
+        "ycsb-waterfall --trace 1": ycsb_traced,
         "ycsb-amtco --trace 0": amtco,
         "ycsb-amtco --trace 1": amtco_traced,
         "xsbench-ckpt --trace 0": xsbench,
@@ -108,6 +120,18 @@ def test_slower_policy_layer_fails(gate):
     assert ok
 
 
+def test_slower_telemetry_layer_fails(gate):
+    # +40 % ms of telemetry.record + telemetry.end_window per window is
+    # past the 1/0.75 bound; +30 % is within it, wherever it lands.
+    ok, lines = gate.decide(_side(), _side(record_ms=0.3 + 0.14))
+    assert not ok
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "ycsb-waterfall --trace 1 profiled_windows_per_ms" in failed[0]
+    ok, _ = gate.decide(_side(), _side(end_window_ms=0.05 + 0.105))
+    assert ok
+
+
 def test_slower_migration_per_page_fails(gate):
     # +40 % ms per migrated page is past the 1/0.75 bound.
     ok, lines = gate.decide(_side(), _side(apply_ms=3.2 * 1.40))
@@ -129,6 +153,7 @@ def test_bounds_match_the_gates_they_replace(gate):
     bounds = {(run, metric): bound for run, metric, _, bound in gate.GATES}
     assert bounds == {
         ("ycsb-waterfall --trace 0", "windows_per_s"): 0.10,
+        ("ycsb-waterfall --trace 1", "profiled_windows_per_ms"): 0.25,
         ("ycsb-amtco --trace 0", "windows_per_s"): 0.10,
         ("ycsb-amtco --trace 1", "recommends_per_ms"): 0.25,
         ("xsbench-ckpt --trace 0", "windows_per_s"): 0.10,

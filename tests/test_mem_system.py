@@ -296,6 +296,9 @@ class TestConsistency:
             system.move_region(int(rng.integers(0, 4)), int(rng.integers(0, 3)))
         counts = system.placement_counts()
         assert counts.sum() == system.space.num_pages
+        np.testing.assert_array_equal(
+            counts, system.pt.placement_counts(len(system.tiers))
+        )
         assert counts[0] == system.tiers[0].used_pages
         assert counts[1] == system.tiers[1].used_pages
         assert counts[ct_idx] == system.tiers[ct_idx].resident_pages

@@ -13,20 +13,26 @@ class TestPEBSSampler:
     def test_rate_one_records_everything(self):
         sampler = PEBSSampler(rate=1)
         batch = np.ones(1000, dtype=np.int64)  # one access to each page
-        assert np.array_equal(sampler.sample(batch), np.arange(1000))
+        expected = np.bincount(np.arange(1000) // PAGES_PER_REGION)
+        assert np.array_equal(sampler.sample(batch), expected)  # [512, 488]
+        assert sampler.samples_taken == sampler.events_seen == 1000
 
     def test_thinning_is_approximately_unbiased(self):
         sampler = PEBSSampler(rate=10, seed=1)
         batch = np.ones(100_000, dtype=np.int64)
         sampled = sampler.sample(batch)
-        assert 8_000 < len(sampled) < 12_000
+        assert 8_000 < sampled.sum() < 12_000
+        assert sampled.sum() == sampler.samples_taken
         assert sampler.effective_rate == pytest.approx(10, rel=0.2)
 
     def test_sampled_subset_preserved(self):
         sampler = PEBSSampler(rate=5, seed=2)
-        batch = np.bincount(np.full(10_000, 7))
+        page = 3 * PAGES_PER_REGION + 7
+        batch = np.bincount(np.full(10_000, page))
         sampled = sampler.sample(batch)
-        assert (sampled == 7).all()
+        assert len(sampled) == 4
+        assert np.flatnonzero(sampled).tolist() == [3]
+        assert sampled[3] == sampler.samples_taken > 0
 
     def test_default_rate_is_papers(self):
         assert PEBS_DEFAULT_RATE == 5000

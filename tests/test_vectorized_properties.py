@@ -145,6 +145,9 @@ def test_placement_counts_conserved_across_migration_waves(seed, data):
         system.advance_window()
         counts = system.placement_counts()
         assert counts.sum() == num_pages
+        np.testing.assert_array_equal(
+            counts, system.pt.placement_counts(len(system.tiers))
+        )
         for idx, tier in enumerate(system.tiers):
             if isinstance(tier, ByteAddressableTier):
                 assert counts[idx] == tier.used_pages

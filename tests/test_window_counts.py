@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro.mem.page import PAGES_PER_REGION
 from repro.telemetry.pebs import PEBSSampler
 from repro.workloads.base import Workload, expand_counts
 from repro.workloads.distributions import HotWarmColdGenerator, ZipfianGenerator
@@ -153,23 +154,35 @@ def test_zipfian_counts_with_a_table_match_bincount_of_ids():
 
 
 def test_pebs_by_position_matches_bernoulli_thinning():
-    """Sample totals and their allocation over pages, against Bernoulli
+    """Sample totals and their allocation over regions, against Bernoulli
     thinning of the same window's expanded ids."""
     rate, trials = 50, 600
-    counts = np.random.default_rng(3).zipf(1.6, size=64).clip(1, 4000)
+    rng0 = np.random.default_rng(3)
+    # 64 touched pages over 40 regions, the last one partial.
+    num_pages = 40 * PAGES_PER_REGION - 100
+    counts = np.zeros(num_pages, dtype=np.int64)
+    touched_pages = rng0.choice(num_pages, size=64, replace=False)
+    counts[touched_pages] = rng0.zipf(1.6, size=64).clip(1, 4000)
     ids = expand_counts(counts)
     n = int(counts.sum())
+    region_counts = np.bincount(
+        np.arange(num_pages) // PAGES_PER_REGION, weights=counts
+    )
+    touched = region_counts > 0
 
     sampler = PEBSSampler(rate=rate, seed=7)
     rng = np.random.default_rng(8)
     totals = np.empty((2, trials), dtype=np.int64)
-    per_page = np.zeros((2, len(counts)), dtype=np.int64)
+    per_region = np.zeros((2, len(region_counts)), dtype=np.int64)
     for t in range(trials):
         by_position = sampler.sample(counts)
         thinned = ids[rng.random(n) < 1.0 / rate]
+        thinned = np.bincount(
+            thinned // PAGES_PER_REGION, minlength=len(region_counts)
+        )
         for side, sampled in enumerate((by_position, thinned)):
-            totals[side, t] = len(sampled)
-            per_page[side] += np.bincount(sampled, minlength=len(counts))
+            totals[side, t] = sampled.sum()
+            per_region[side] += sampled
 
     # Totals: Binomial(n, 1/R) on both sides, binned at quantiles.
     edges = np.quantile(totals, np.linspace(0, 1, 9)[1:-1])
@@ -177,9 +190,14 @@ def test_pebs_by_position_matches_bernoulli_thinning():
     assert homogeneity_p(*binned) > ALPHA
     expected = n / rate
     assert abs(totals[0].mean() - expected) < 4 * np.sqrt(expected / trials)
-    # Allocation: proportional to the page's accesses on both sides.
-    assert homogeneity_p(per_page[0], per_page[1]) > ALPHA
-    gof = stats.chisquare(per_page[0], per_page[0].sum() * counts / n)
+    # Allocation: proportional to the region's accesses on both sides,
+    # and never to a region without accesses.
+    assert homogeneity_p(per_region[0], per_region[1]) > ALPHA
+    assert not per_region[0][~touched].any()
+    gof = stats.chisquare(
+        per_region[0][touched],
+        per_region[0].sum() * region_counts[touched] / n,
+    )
     assert gof.pvalue > ALPHA
     assert sampler.events_seen == trials * n
 

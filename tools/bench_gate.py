@@ -4,13 +4,14 @@
 Runs each tree's own ``repobench/run.py`` for ``PAIRS`` pairs with a
 fixed seed and run length, alternating which side goes first so a host
 that speeds up or slows down during the job hits both sides alike.  One
-side of a pair is the six runs in ``RUNS``: ``ycsb-waterfall`` (the
+side of a pair is the seven runs in ``RUNS``: ``ycsb-waterfall`` (the
 paper's Fig. 8 scenario), ``ycsb-amtco`` (the same stream under the
 am-tco ILP: the solve layer), ``xsbench-ckpt`` (migration waves and
 checkpoints) and ``serve-flash-adaptive`` (the serving path: trace
 replay, ingest and its id -> count conversion) end to end, plus
-``ycsb-amtco`` and ``xsbench-ckpt`` with ``--trace 1`` for their
-per-layer policy and migration times.
+``ycsb-waterfall``, ``ycsb-amtco`` and ``xsbench-ckpt`` with
+``--trace 1`` for their per-layer telemetry, policy and migration
+times.
 Both trees run on the same host in the same job, so no committed
 baseline is needed.
 
@@ -47,6 +48,7 @@ SECONDS = 8.0
 #: ``(workload, --trace)`` runs that make up one side of a pair.
 RUNS = (
     ("ycsb-waterfall", 0),
+    ("ycsb-waterfall", 1),
     ("ycsb-amtco", 0),
     ("ycsb-amtco", 1),
     ("xsbench-ckpt", 0),
@@ -65,6 +67,11 @@ def _metric(name: str):
 
 def _recommends_per_ms(metrics: dict) -> float:
     return 1.0 / metrics["policy.recommend_ms"]["value"]
+
+
+def _profiled_windows_per_ms(metrics: dict) -> float:
+    record_ms = metrics["telemetry.record_ms"]["value"]
+    return 1.0 / (record_ms + metrics["telemetry.end_window_ms"]["value"])
 
 
 def _migrated_pages_per_ms(metrics: dict) -> float:
@@ -111,6 +118,14 @@ GATES = (
         run_name("ycsb-amtco", 1),
         "recommends_per_ms",
         _recommends_per_ms,
+        0.25,
+    ),
+    # The telemetry layer: windows sampled and folded per ms of
+    # telemetry.record + telemetry.end_window may drop at most 25 %.
+    (
+        run_name("ycsb-waterfall", 1),
+        "profiled_windows_per_ms",
+        _profiled_windows_per_ms,
         0.25,
     ),
     # Migration wave: pages moved per ms of migration.apply may drop at
