@@ -1,7 +1,10 @@
 """Pool allocator interface and shared bookkeeping.
 
 A :class:`PoolAllocator` stores variable-size compressed objects inside
-pool pages drawn from a :class:`~repro.allocators.buddy.BuddyAllocator`.
+pool pages drawn from an arena of ``arena_pages`` order-0 frames: zbud
+and z3fold take each page from a
+:class:`~repro.allocators.buddy.BuddyAllocator`, whose pfns key their
+unbuddied lists, while zsmalloc only counts the frames its zspages hold.
 The two quantities the tiering models consume are:
 
 * **density** -- how many pool pages the allocator needs to hold the
@@ -58,17 +61,18 @@ class PoolAllocator(abc.ABC):
     #: Management overhead charged on each store or lookup, nanoseconds.
     mgmt_overhead_ns: float = 0.0
 
-    #: Worst-case pool-page growth of a single :meth:`store`: the
-    #: largest buddy block one store can open.  It sizes the blocks of
-    #: :meth:`arena_fits` and the default :meth:`store_bound`; every
-    #: subclass sets it.
+    #: Worst-case pool-page growth of a single :meth:`store`, which the
+    #: default :meth:`store_bound` charges every store; a subclass that
+    #: keeps that default sets it.
     max_pool_pages_per_store: int
 
     #: Largest storable object, bytes.  zswap rejects objects that compress
     #: to more than a page; individual allocators may be stricter.
     max_object_size: int = PAGE_SIZE
 
-    def __init__(self) -> None:
+    def __init__(self, arena_pages: int) -> None:
+        #: Order-0 frames the pool may hold at once.
+        self.arena_pages = arena_pages
         self.stored_bytes = 0
         self.stored_objects = 0
         self._next_id = 0
@@ -121,16 +125,14 @@ class PoolAllocator(abc.ABC):
         ):
             self.free(Handle(name, int(object_id), int(size)))
 
-    def store_bound(self, sizes) -> tuple[int, int]:
-        """Growth bound of ``store_ids(sizes)``: ``(blocks, pages)``.
+    def store_bound(self, sizes) -> int:
+        """Growth bound of ``store_ids(sizes)``, pages.
 
-        ``store_ids(sizes)`` opens at most ``blocks`` buddy blocks (of
-        at most :attr:`max_pool_pages_per_store` pages each) and grows
-        :attr:`pool_pages` by at most ``pages``, whatever the pool
-        holds.  The default charges every store one fresh block.
+        ``store_ids(sizes)`` grows :attr:`pool_pages` by at most this
+        many pages, whatever the pool holds.  The default charges every
+        store :attr:`max_pool_pages_per_store` fresh pages.
         """
-        n = len(sizes)
-        return n, n * self.max_pool_pages_per_store
+        return len(sizes) * self.max_pool_pages_per_store
 
     def stores_fit(self, runs, room_pages: int) -> bool:
         """Whether ``store_ids`` runs provably open fewer pool pages than
@@ -138,26 +140,18 @@ class PoolAllocator(abc.ABC):
 
         ``runs`` are the runs' size arrays, in order; frees may separate
         them (frees only add room).  The runs' :meth:`store_bound`
-        totals decide.
+        total decides.
         """
-        blocks = pages = 0
-        for sizes in runs:
-            run_blocks, run_pages = self.store_bound(sizes)
-            blocks += run_blocks
-            pages += run_pages
-        return pages < room_pages and self.arena_fits(blocks)
+        pages = sum(self.store_bound(sizes) for sizes in runs)
+        return pages < room_pages and self.arena_fits(pages)
 
-    def arena_fits(self, blocks: int) -> bool:
-        """Whether ``blocks`` fresh blocks provably fit in the arena.
+    def arena_fits(self, pages: int) -> bool:
+        """Whether ``pages`` fresh pool pages fit in the arena.
 
-        Each block has at most :attr:`max_pool_pages_per_store` pages,
-        and every such request takes at most one of the buddy's
-        :meth:`~repro.allocators.buddy.BuddyAllocator.free_blocks` of
-        that order.
+        Every pool page is one order-0 frame, so any free frame serves
+        any open, in any order.
         """
-        buddy = self._buddy
-        order = buddy.order_for(self.max_pool_pages_per_store)
-        return blocks <= buddy.free_blocks(order)
+        return self.pool_pages + pages <= self.arena_pages
 
     # -- shared helpers -----------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Binary buddy allocator over a page-granular arena.
 
 Zswap pools grow by requesting physical pages from the kernel's buddy
-allocator (paper §2).  This is a faithful from-scratch implementation:
-power-of-two block sizes, free lists per order, split on allocation,
-coalesce with the buddy on free.
+allocator (paper §2).  zbud and z3fold take their order-0 pool pages
+from this one, whose pfns key their unbuddied lists.  This is a
+faithful from-scratch implementation: power-of-two block sizes, free
+lists per order, split on allocation, coalesce with the buddy on free.
 
 Blocks are addressed by their first page frame number (PFN).  The arena
 size must be a power of two pages; callers wanting "effectively unbounded"
@@ -67,21 +68,6 @@ class BuddyAllocator:
             AllocationError: If no block of sufficient order is free.
         """
         return self.alloc_many(num_pages, 1)[0]
-
-    def free_blocks(self, order: int) -> int:
-        """Blocks of ``order`` the free lists can still hand out.
-
-        Every free block of ``order`` or above counts as the blocks of
-        ``order`` it splits into.  A request of at most ``order`` takes
-        at most one of them (an exact smaller block takes none, and a
-        split leaves the rest of the block free), so that many such
-        requests always succeed, in any order.
-        """
-        free_lists = self._free_lists
-        return sum(
-            len(free_lists[o]) << (o - order)
-            for o in range(order, self.max_order + 1)
-        )
 
     def alloc_many(self, num_pages: int, k: int) -> list[int]:
         """Allocate ``k`` blocks of at least ``num_pages`` pages each.

@@ -21,7 +21,9 @@ def make_allocator(name: str, arena_pages: int = 1 << 20) -> PoolAllocator:
 
     Args:
         name: One of ``"zbud"``, ``"z3fold"``, ``"zsmalloc"``.
-        arena_pages: Size of the backing buddy arena, pages (power of two).
+        arena_pages: Order-0 frames the pool may hold.  zbud and z3fold
+            take them from a buddy arena of that size, which must be a
+            power of two; zsmalloc only counts them.
     """
     try:
         factory = ALLOCATOR_FACTORIES[name]

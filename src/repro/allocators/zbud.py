@@ -41,7 +41,7 @@ class ZbudAllocator(PoolAllocator):
     max_pool_pages_per_store = 1
 
     def __init__(self, arena_pages: int = 1 << 20) -> None:
-        super().__init__()
+        super().__init__(arena_pages)
         self._buddy = BuddyAllocator(arena_pages)
         self._pages: dict[int, _ZbudPage] = {}  # pfn -> page
         self._page_of: dict[int, int] = {}  # object id -> pfn

@@ -7,8 +7,13 @@ the best packing density of the three pool managers at the cost of the most
 complex management (paper §2), which we reflect in the highest per-operation
 overhead.
 
-Columnar internals: zspages are rows of six numpy slot columns (pfn,
-pages, capacity, live-object count, class, stack sequence; narrow
+Like the kernel's ``alloc_zspage``, each zspage takes its 1-4 pages
+as separate order-0 frames, so the arena is one page budget
+(``arena_pages``) that opens charge and releases refund; no frame
+address is modelled, as no packing decision reads one.
+
+Columnar internals: zspages are rows of five numpy slot columns
+(pages, capacity, live-object count, class, stack sequence; narrow
 dtypes, ``_n_slots`` rows in use) and object membership is one int32
 array mapping object id -> zspage slot (-1 when free).  Each class's
 partial list -- the kernel's stack of partly filled zspages, filled
@@ -31,8 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.allocators.base import Handle, PoolAllocator
-from repro.allocators.buddy import BuddyAllocator
+from repro.allocators.base import AllocationError, Handle, PoolAllocator
 from repro.mem.page import PAGE_SIZE
 from repro.mem.pagetable import PageTable
 
@@ -98,17 +102,14 @@ def zspage_geometry(cls: int) -> tuple[int, int]:
     return _GEOMETRY[cls // CLASS_DELTA]
 
 
-#: Per class index (``cls // CLASS_DELTA``): zspage pages, objects and
-#: buddy order.
+#: Per class index (``cls // CLASS_DELTA``): zspage pages and objects.
 _GEOM_PAGES = np.array([g[0] for g in _GEOMETRY], dtype=np.int64)
 _GEOM_OBJECTS = np.array([g[1] for g in _GEOMETRY], dtype=np.int64)
-_GEOM_ORDER = np.array([(g[0] - 1).bit_length() for g in _GEOMETRY])
 
-#: Per-zspage slot columns and their dtypes (``_zs_pfn``'s is per arena).
-#: ``_zs_stack`` is the push sequence number of a zspage on its class's
-#: partial stack, -1 when off it.
+#: Per-zspage slot columns and their dtypes.  ``_zs_stack`` is the push
+#: sequence number of a zspage on its class's partial stack, -1 when
+#: off it.
 _SLOT_COLUMNS = {
-    "_zs_pfn": None,
     "_zs_pages": np.int8,
     "_zs_capacity": np.int16,
     "_zs_count": np.int16,
@@ -122,15 +123,12 @@ class ZsmallocAllocator(PoolAllocator):
 
     name = "zsmalloc"
     mgmt_overhead_ns = 600.0
-    #: A store may open a fresh zspage spanning up to this many pages.
-    max_pool_pages_per_store = MAX_PAGES_PER_ZSPAGE
 
     def __init__(self, arena_pages: int = 1 << 20) -> None:
-        super().__init__()
-        self._buddy = BuddyAllocator(arena_pages)
+        super().__init__(arena_pages)
         # Zspage slot columns; the first ``_n_slots`` rows are in use
         # (live or on the free-slot stack, recycled LIFO).
-        for name, dtype in self._slot_dtypes().items():
+        for name, dtype in _SLOT_COLUMNS.items():
             setattr(self, name, np.zeros(64, dtype=dtype))
         self._n_slots = 0
         self._zs_free_slots: list[int] = []
@@ -175,28 +173,30 @@ class ZsmallocAllocator(PoolAllocator):
 
     # -- slot helpers --------------------------------------------------------
 
-    def _slot_dtypes(self) -> dict[str, type]:
-        pfn = np.int32 if self._buddy.total_pages <= 1 << 31 else np.int64
-        return {name: dtype or pfn for name, dtype in _SLOT_COLUMNS.items()}
-
     def _open_zspages(self, class_index: np.ndarray) -> np.ndarray:
         """Open one fresh zspage per entry of ``class_index``, in order.
 
         ``class_index`` holds ``cls // CLASS_DELTA`` per zspage.  Exactly
-        the sequential opens: buddy blocks in allocation order, freed
-        slots reused most-recently-freed first, then new slots.  Counts
-        start at zero, off the partial stacks.
+        the sequential opens: freed slots reused most-recently-freed
+        first, then new slots.  Counts start at zero, off the partial
+        stacks.
 
         Returns:
             The slots, in order.
+
+        Raises:
+            AllocationError: Changing nothing, if the zspages' frames do
+                not fit the arena.
         """
-        pfns = self._buddy.alloc_orders(_GEOM_ORDER[class_index].tolist())
-        total = len(pfns)
         pages = _GEOM_PAGES[class_index]
-        # The buddy allocator rounds to powers of two; charge only the
-        # pages the zspage actually uses, as the kernel allocates
-        # order-0 pages individually and links them.
-        self._pool_pages += int(pages.sum())
+        opened = int(pages.sum())
+        if self._pool_pages + opened > self.arena_pages:
+            raise AllocationError(
+                f"out of memory: {opened} frames on {self._pool_pages} of "
+                f"{self.arena_pages} arena pages"
+            )
+        self._pool_pages += opened
+        total = len(pages)
         free = self._zs_free_slots
         reused = min(total, len(free))
         slots = np.empty(total, dtype=np.int64)
@@ -210,7 +210,6 @@ class ZsmallocAllocator(PoolAllocator):
             self._n_slots = n + fresh
             if n + fresh > self._zs_count.size:
                 self._grow_slots(n + fresh)
-        self._zs_pfn[slots] = pfns
         self._zs_pages[slots] = pages
         self._zs_capacity[slots] = _GEOM_OBJECTS[class_index]
         self._zs_count[slots] = 0
@@ -227,9 +226,8 @@ class ZsmallocAllocator(PoolAllocator):
             setattr(self, name, col)
 
     def _release_zspages(self, slots) -> None:
-        """Return emptied zspages' pages to the buddy allocator, in order."""
+        """Return emptied zspages' frames to the arena, in order."""
         slots = np.asarray(slots, dtype=np.int64)
-        self._buddy.free_many(self._zs_pfn[slots].tolist())
         self._pool_pages -= int(self._zs_pages[slots].sum())
         self._zs_stack[slots] = -1
         self._zs_free_slots.extend(slots.tolist())
@@ -298,10 +296,9 @@ class ZsmallocAllocator(PoolAllocator):
         batch classes' stacked zspages top first, a segmented cumulative
         free capacity assigns each object its zspage, and every fresh
         zspage opens in one batch, in the order the sequential calls
-        would open them.  When the buddy arena cannot provably hold the
-        fresh zspages, the batch takes the sequential path, so an
-        exhausted arena raises with exactly the sequential prefix
-        committed.
+        would open them.  When the arena cannot hold the fresh zspages'
+        frames, the batch takes the sequential path, so an exhausted
+        arena raises with exactly the sequential prefix committed.
         """
         arr = np.asarray(sizes, dtype=np.int64)
         n = arr.size
@@ -346,7 +343,7 @@ class ZsmallocAllocator(PoolAllocator):
         capacity = _GEOM_OBJECTS[group_class]
         opens = -(-rest // capacity)
         total_opens = int(opens.sum())
-        if not self.arena_fits(total_opens):
+        if not self.arena_fits(int(opens @ _GEOM_PAGES[group_class])):
             return super().store_ids(arr)
         self._next_id = first + n
         self.stored_bytes += int(arr.sum())
@@ -389,7 +386,7 @@ class ZsmallocAllocator(PoolAllocator):
         self._obj_zspage[first + order] = member
         return first
 
-    def store_bound(self, sizes) -> tuple[int, int]:
+    def store_bound(self, sizes) -> int:
         """Class-exact growth bound; see ``PoolAllocator.store_bound``.
 
         A class's stores fill its partial stack and then fresh zspages,
@@ -403,7 +400,7 @@ class ZsmallocAllocator(PoolAllocator):
             _class_indices(np.asarray(sizes)), minlength=classes
         )[:classes]
         zspages = (counts + (_GEOM_OBJECTS - 1)) // _GEOM_OBJECTS
-        return int(zspages.sum()), int(zspages @ _GEOM_PAGES)
+        return int(zspages @ _GEOM_PAGES)
 
     def free_ids(self, object_ids, sizes) -> None:
         """Vectorized frees; see ``PoolAllocator.free_ids``.
@@ -418,8 +415,8 @@ class ZsmallocAllocator(PoolAllocator):
         the exact repeated-id check (:meth:`_unmap`).  Emptied zspages
         are released where the sequential loop releases them, each at
         its *last* free (``np.maximum.at``, one argsort over the emptied
-        zspages), so buddy blocks and the free-slot stack -- and with
-        them every later pfn and slot -- match the sequential calls.
+        zspages), so the free-slot stack -- and with it every later
+        slot -- matches the sequential calls.
         """
         ids = np.asarray(object_ids, dtype=np.int64)
         n = ids.size
@@ -489,7 +486,7 @@ class ZsmallocAllocator(PoolAllocator):
 
         Within each size class, objects from the least-occupied partial
         zspages migrate into the fullest ones; emptied zspages return
-        their pages to the buddy allocator.
+        their frames to the arena.
 
         Returns:
             ``(pages_reclaimed, objects_moved)``.
@@ -559,6 +556,6 @@ class ZsmallocAllocator(PoolAllocator):
         state["_zs_stack"] = np.full(state["_n_slots"], -1)
         state["_stack_seq"] = 0
         self.__dict__.update(state)
-        for name, dtype in self._slot_dtypes().items():
+        for name, dtype in _SLOT_COLUMNS.items():
             setattr(self, name, np.array(state[name], dtype=dtype))
         self._restack(stacked)

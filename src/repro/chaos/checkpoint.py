@@ -20,13 +20,13 @@ checkpoint carries a registry *snapshot* which is merged into the fresh
 registry on restore, so counters accumulated before the crash are not
 double- or under-counted.
 
-Format v3 (framed).  A blob is a fixed header followed by 64-byte
+Format v4 (framed).  A blob is a fixed header followed by 64-byte
 aligned frames::
 
     offset  size  field
     0       8     magic ``b"TSCKPT\\r\\n"``
     8       4     crc32 of every byte from offset 12 to the end
-    12      4     format version (3)
+    12      4     format version (4)
     16      4     frame count ``n`` (at least 1)
     20      8*n   frame lengths (little-endian u64, unpadded)
     ...           zero padding to a 64-byte boundary, then each frame,
@@ -46,8 +46,10 @@ not grow with the number of windows done.
 lengths add up to the blob's length and the crc32, in that order, before
 anything is unpickled; any failure raises :class:`CheckpointError`.  It
 then copies the payload once into a 64-byte aligned buffer: restored
-arrays are writable, aligned views into it.  v3 is the only format
-that loads: a blob without the magic fails before any unpickling.
+arrays are writable, aligned views into it.  v4 is the only format
+that loads: a blob without the magic, or of another version, fails
+before any unpickling.  (v4 frames v3's layout; the version moved
+when the zsmalloc pool state dropped its buddy arena.)
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ import numpy as np
 from repro.core.daemon import WindowRecord
 from repro.workloads.trace import TraceMismatchError
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
-#: First eight bytes of a v3 blob (the CR LF catches text-mode newline
+#: First eight bytes of a v4 blob (the CR LF catches text-mode newline
 #: mangling).
 MAGIC = b"TSCKPT\r\n"
 
@@ -111,7 +113,7 @@ def _frame(frames: list) -> bytes:
 
 
 def read_frames(blob) -> list[memoryview]:
-    """Verify a v3 blob and return its frames.
+    """Verify a v4 blob and return its frames.
 
     Checks the magic, the version, that the frame lengths account for
     every byte of the blob, and the crc32, before anything is

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.allocators.zsmalloc import ZsmallocAllocator
+from repro.allocators.zsmalloc import CLASS_DELTA, _GEOM_PAGES, ZsmallocAllocator
 from repro.mem.tier import ByteAddressableTier, CompressedTier
 
 
@@ -95,16 +95,17 @@ def check_pool(tier: CompressedTier) -> None:
     """Assert a compressed tier's pool allocator is self-consistent.
 
     Checks that the allocator's object and byte counts match the tier's
-    stored pages and that its buddy arena charges exactly the blocks
-    behind its pool pages; for zsmalloc, also that the zspage columns
-    agree with the object membership:
+    stored pages and that its pool pages stay within ``arena_pages``;
+    for zbud/z3fold, that the buddy arena charges exactly their pool
+    pages; for zsmalloc, also that the zspage columns agree with the
+    object membership:
 
     * each live zspage's count is the number of objects mapped to it,
       between 1 and its capacity, and no object maps to a free slot;
     * the partial stacks hold exactly the live zspages with
       ``0 < count < capacity``, each once;
-    * ``pool_pages`` is the live zspages' pages, and the buddy's
-      allocated pages are their blocks rounded up to powers of two.
+    * each live zspage holds its class's page count, and
+      ``pool_pages`` is the live zspages' pages.
 
     Raises:
         AssertionError: Naming the violated invariant and tier.
@@ -119,6 +120,10 @@ def check_pool(tier: CompressedTier) -> None:
     assert pool.stored_bytes == stored_bytes, (
         f"pool of {name}: {pool.stored_bytes} B stored but its pages "
         f"hold {stored_bytes} B"
+    )
+    assert pool.pool_pages <= pool.arena_pages, (
+        f"pool of {name}: {pool.pool_pages} pool pages exceed its arena "
+        f"of {pool.arena_pages}"
     )
     if isinstance(pool, ZsmallocAllocator):
         _check_zsmalloc(name, pool)
@@ -161,13 +166,12 @@ def _check_zsmalloc(name: str, pool: ZsmallocAllocator) -> None:
         f"pool of {name}: a zspage is stacked twice"
     )
     pages = pool._zs_pages[:n][live].astype(np.int64)
+    geometry = _GEOM_PAGES[pool._zs_cls[:n][live] // CLASS_DELTA]
+    assert np.array_equal(pages, geometry), (
+        f"pool of {name}: a live zspage's frames differ from its class's "
+        f"page count"
+    )
     assert pool.pool_pages == int(pages.sum()), (
         f"pool of {name}: {pool.pool_pages} pool pages but live zspages "
         f"span {int(pages.sum())}"
-    )
-    # A zspage of p pages holds a buddy block of the next power of two.
-    rounded = int((1 << np.ceil(np.log2(pages)).astype(np.int64)).sum())
-    assert pool._buddy.allocated_pages == rounded, (
-        f"pool of {name}: buddy charges {pool._buddy.allocated_pages} "
-        f"pages but live zspages round up to {rounded}"
     )

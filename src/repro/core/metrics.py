@@ -1,10 +1,42 @@
-"""Run-level metrics: weighted percentiles and experiment summaries."""
+"""Run-level metrics: percentiles and experiment summaries."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def linear_percentile(values: np.ndarray, percentile: float) -> float:
+    """``np.percentile(values, percentile)`` of a non-empty 1-D sample.
+
+    numpy's default ``linear`` method, step for step, without its
+    generic quantile machinery (a tenth of the time on a few dozen
+    values): the virtual index ``(n - 1) * percentile / 100`` into the
+    sorted values, then numpy's ``_lerp`` between its neighbours --
+    ``lo + d * g`` below ``g = 0.5``, ``hi - d * (1 - g)`` from it.  A
+    sample holding a NaN gives NaN.  Only the sign of a zero result may
+    differ, as the sorts may order ``-0.0`` and ``0.0`` differently.
+    """
+    ordered = np.sort(values)
+    n = ordered.size
+    if math.isnan(ordered[-1]):
+        return math.nan
+    index = (n - 1) * float(np.true_divide(percentile, 100))
+    if index >= n - 1:
+        # numpy reads the last value through index -1 and takes the
+        # interpolation weight from there.
+        lo = hi = -1
+    else:
+        lo = math.floor(index)
+        hi = lo + 1
+    gamma = index - lo
+    below, above = float(ordered[lo]), float(ordered[hi])
+    diff = above - below
+    if gamma < 0.5:
+        return below + diff * gamma
+    return above - diff * (1 - gamma)
 
 
 def weighted_percentile(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.metrics import linear_percentile
 from repro.core.placement.base import PlacementModel
 from repro.mem.system import TieredMemorySystem
 from repro.telemetry.window import ProfileRecord
@@ -48,6 +49,6 @@ class StaticThresholdPolicy(PlacementModel):
     ) -> dict[int, int]:
         slow_idx = system.tier_index(self.slow_tier)
         hotness = record.hotness
-        threshold = float(np.percentile(hotness, self.percentile))
+        threshold = linear_percentile(hotness, self.percentile)
         moves = np.where(hotness > threshold, 0, slow_idx)
         return dict(enumerate(moves.tolist()))

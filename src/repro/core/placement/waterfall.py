@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.metrics import linear_percentile
 from repro.core.placement.base import PlacementModel
 from repro.mem.system import TieredMemorySystem
 from repro.telemetry.window import ProfileRecord
@@ -42,7 +43,7 @@ class WaterfallModel(PlacementModel):
         self, record: ProfileRecord, system: TieredMemorySystem
     ) -> dict[int, int]:
         hotness = record.hotness
-        threshold = float(np.percentile(hotness, self.percentile))
+        threshold = linear_percentile(hotness, self.percentile)
         last_tier = len(system.tiers) - 1
         moves = np.minimum(system.pt.region_assigned + 1, last_tier)
         moves[hotness > threshold] = 0

@@ -513,9 +513,12 @@ class TieredMemorySystem(TransientCaches):
         does both (the paper's naive path) -- unless
         :attr:`fast_same_algo_migration` is on and the two tiers share an
         algorithm, in which case only the compressed bytes stream between
-        the backing media.
+        the backing media.  A page already at ``dst_idx`` costs nothing,
+        even in a full compressed tier: it is not a store to refuse.
         """
         src_idx = int(self.page_location[page_id])
+        if src_idx == dst_idx:
+            return 0.0
         dst_idx = self.resolve_destination(page_id, dst_idx)
         if src_idx == dst_idx:
             return 0.0
@@ -756,7 +759,7 @@ class TieredMemorySystem(TransientCaches):
           are detached first, so a page's store never precedes the read
           of its old object.
         * **Capacity proof, once.** No store may find its tier full or
-          its buddy arena exhausted: per compressed tier, the stores'
+          its arena exhausted: per compressed tier, the stores'
           :meth:`~repro.allocators.base.PoolAllocator.store_bound`
           summed over its store runs must keep ``used_pages`` below
           capacity and fit the arena.  Frees only add room, so the

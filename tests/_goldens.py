@@ -9,7 +9,7 @@ form; ``golden_text`` produces the exact bytes stored on disk.
 tuning moved onto the adaptive controller (``python tests/_goldens.py
 sla``).  Every golden was re-recorded once with these helpers when
 windows became per-page counts, which redraws the access stream and the
-PEBS samples.  ``python tests/_goldens.py fixtures`` writes the format-v3
+PEBS samples.  ``python tests/_goldens.py fixtures`` writes the format-v4
 checkpoint fixtures (``FIXTURE_SPECS``).
 """
 
@@ -174,7 +174,7 @@ def capture() -> None:
     print(f"captured {stats_path}")
 
 
-#: The committed format-v3 checkpoint fixtures, each captured after
+#: The committed format-v4 checkpoint fixtures, each captured after
 #: window 3 of 6 with rows ``{"w": 0..2}``: file name -> spec kwargs.
 #: The trace spec's path is relative to ``tests/fixtures``.
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -201,7 +201,7 @@ FIXTURE_WINDOWS = 3
 
 
 def capture_fixtures() -> None:
-    """Write the checkpoint fixtures as v3 blobs (run from any cwd)."""
+    """Write the checkpoint fixtures as v4 blobs (run from any cwd)."""
     import os
 
     from repro.chaos.checkpoint import capture_session, save_checkpoint

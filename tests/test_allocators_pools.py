@@ -145,6 +145,23 @@ class TestZsmalloc:
         pool.store(2048)  # must reuse the freed slot
         assert pool.pool_pages == pages_full
 
+    def test_zspages_take_order_0_frames(self):
+        """A 3-page zspage costs 3 arena frames, not a 4-page block, so
+        a 4-frame arena still holds a 1-page zspage beside it."""
+        assert zspage_geometry(size_class(48))[0] == 3
+        pool = ZsmallocAllocator(arena_pages=4)
+        small = pool.store(48)
+        page = pool.store(4096)
+        assert pool.pool_pages == 4
+        with pytest.raises(AllocationError):
+            pool.store(4096)
+        assert pool.pool_pages == 4 and pool.stored_objects == 2
+        pool.free(small)
+        assert pool.pool_pages == 1
+        pool.store(4096)
+        pool.free(page)
+        assert pool.pool_pages == 1
+
 
 class TestRegistry:
     def test_all_kernel_names(self):

@@ -1,4 +1,4 @@
-"""Checkpoint format v3: the framed blob and its checks.
+"""Checkpoint format v4: the framed blob and its checks.
 
 Pinned here:
 
@@ -7,7 +7,7 @@ Pinned here:
 * restored arrays are writable, 64-byte aligned views;
 * the frame count does not grow with the windows done, and window
   records round-trip field for field, scalar types included;
-* v3 is the only format: a plain pickle fails the magic check like any
+* v4 is the only format: a plain pickle fails the magic check like any
   other foreign bytes, and its ``__reduce__`` never runs;
 * ``repro serve --resume`` on a bad file exits 2 with one line.
 """
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.chaos.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     capture_session,
     read_frames,
@@ -110,7 +111,7 @@ _PICKLES = {
 class TestVerifiedBeforeUnpickle:
     def test_blob_layout(self, blob):
         assert blob[:8] == b"TSCKPT\r\n"
-        assert struct.unpack_from("<I", blob, 12)[0] == 3
+        assert struct.unpack_from("<I", blob, 12)[0] == CHECKPOINT_VERSION
         assert struct.unpack_from("<I", blob, 8)[0] == zlib.crc32(blob[12:])
         count, offsets, _ = _layout(blob)
         assert count > 1
@@ -157,7 +158,7 @@ class TestVerifiedBeforeUnpickle:
         with pytest.raises(CheckpointError, match="magic"):
             restore_session(b"TSCKPX\r\n" + blob[8:])
 
-    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize("version", [2, 3, 5])
     def test_wrong_version_with_a_valid_digest(self, blob, version, no_unpickle):
         tampered = bytearray(blob)
         struct.pack_into("<I", tampered, 12, version)
@@ -166,7 +167,7 @@ class TestVerifiedBeforeUnpickle:
             restore_session(bytes(tampered))
 
     def test_zero_frames_with_a_valid_digest(self, no_unpickle):
-        body = struct.pack("<II", 3, 0) + bytes(44)
+        body = struct.pack("<II", CHECKPOINT_VERSION, 0) + bytes(44)
         header = b"TSCKPT\r\n" + struct.pack("<I", zlib.crc32(body))
         with pytest.raises(CheckpointError, match="0-frame header"):
             restore_session(header + body)

@@ -179,6 +179,33 @@ class TestMigration:
         system = fresh_system()
         assert system.move_page(0, 0) == 0.0
 
+    def test_move_page_into_its_own_full_compressed_tier_is_a_noop(self):
+        """A page already in a compressed tier at capacity stays there:
+        its own tier is its destination, not a refused store."""
+        from repro.bench.configs import make_compressed_tier
+
+        n = PAGES_PER_REGION
+        # Equal objects of one size class: whole zspages fill the
+        # 8-page tier exactly.
+        space = AddressSpace(n, compressibility=np.full(n, 0.2))
+        tiers = [
+            ByteAddressableTier("DRAM", DRAM, capacity_pages=n),
+            make_compressed_tier("CT", "lzo", "zsmalloc", DRAM, 8),
+        ]
+        system = TieredMemorySystem(tiers, space)
+        ct = system.tiers[1]
+        pid = 0
+        while ct.free_pages > 0:
+            system.move_page(pid, 1)
+            pid += 1
+        stored = ct.resident_pages
+        assert ct.free_pages == 0 and stored == pid
+        migrated, clock = system.migrated_pages, system.clock.migration_ns
+        assert system.move_page(3, 1) == 0.0
+        assert system.page_location[3] == 1 and ct.resident_pages == stored
+        assert system.migrated_pages == migrated
+        assert system.clock.migration_ns == clock
+
     def test_move_into_compressed_charges_compression(self):
         system = fresh_system()
         ct_idx = system.tier_index("CT")

@@ -82,15 +82,9 @@ def _scalar_wave(system, wave, recency_windows):
 def _pool_state(pool):
     """Pool state without slot numbers: each class's partial stack as a
     sequence of ``(count, capacity)``, plus the pool's counters."""
-    state = (
-        pool.pool_pages,
-        pool._buddy.allocated_pages,
-        pool.stored_bytes,
-        pool.stored_objects,
-        pool._next_id,
-    )
+    state = (pool.pool_pages, pool.stored_bytes, pool.stored_objects, pool._next_id)
     if not isinstance(pool, ZsmallocAllocator):
-        return state
+        return state, pool._buddy.allocated_pages
     stacks = {
         cls: [(int(pool._zs_count[s]), int(pool._zs_capacity[s])) for s in slots]
         for cls, slots in pool._partial.items()
@@ -255,7 +249,7 @@ def test_proof_leaves_room_for_the_last_store():
 
     system, reference = build(), build()
     sizes = system._tier_csizes(1, np.arange(PAGES_PER_REGION))
-    _, pages = system.tiers[1].allocator.store_bound(sizes)
+    pages = system.tiers[1].allocator.store_bound(sizes)
     system.tiers[1].capacity_pages = reference.tiers[1].capacity_pages = pages
     result = system.move_regions([(0, 1)])
     assert result.per_page
@@ -281,26 +275,6 @@ def test_merged_runs_follow_region_order():
     _assert_same(system, reference)
 
 
-def _opened(pool, store):
-    """Run ``store()`` on ``pool``; returns ``(blocks, pages)`` opened."""
-    buddy = pool._buddy
-    blocks = 0
-    alloc_orders = buddy.alloc_orders
-
-    def counting(orders):
-        nonlocal blocks
-        blocks += len(orders)
-        return alloc_orders(orders)
-
-    buddy.alloc_orders = counting
-    try:
-        before = pool.pool_pages
-        store()
-        return blocks, pool.pool_pages - before
-    finally:
-        del buddy.alloc_orders
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     allocator_cls=st.sampled_from([ZsmallocAllocator, ZbudAllocator, Z3foldAllocator]),
@@ -311,23 +285,22 @@ def _opened(pool, store):
 )
 def test_store_bound_covers_what_store_ids_opens(allocator_cls, seed, runs):
     """For any pool state and any size batch, ``store_bound`` is at least
-    the blocks and pool pages ``store_ids`` opens, and the per-run bounds
-    of store runs separated by frees add up to at least their total."""
+    the pool pages ``store_ids`` opens, and the per-run bounds of store
+    runs separated by frees add up to at least their total."""
     pool = allocator_cls(arena_pages=1 << 16)
     rng = np.random.default_rng(seed)
     live = []
-    total = [0, 0]
-    bound_sum = [0, 0]
+    total = bound_sum = 0
     for n, drop in runs:
         sizes = rng.integers(1, 4097, n)
         bound = pool.store_bound(sizes)
         first = pool._next_id
-        opened = _opened(pool, lambda: pool.store_ids(sizes))
-        assert bound[0] >= opened[0]
-        assert bound[1] >= opened[1]
-        for k in range(2):
-            total[k] += opened[k]
-            bound_sum[k] += bound[k]
+        before = pool.pool_pages
+        pool.store_ids(sizes)
+        opened = pool.pool_pages - before
+        assert bound >= opened
+        total += opened
+        bound_sum += bound
         live.extend(zip(range(first, first + n), sizes.tolist()))
         # Free a random share before the next run.
         order = rng.permutation(len(live))
@@ -337,7 +310,7 @@ def test_store_bound_covers_what_store_ids_opens(allocator_cls, seed, runs):
         if gone:
             ids, gone_sizes = zip(*gone)
             pool.free_ids(np.array(ids), np.array(gone_sizes))
-    assert bound_sum[0] >= total[0] and bound_sum[1] >= total[1]
+    assert bound_sum >= total
 
 
 def test_zsmalloc_bound_is_per_class():
@@ -346,11 +319,11 @@ def test_zsmalloc_bound_is_per_class():
 
     pool = ZsmallocAllocator()
     pages = sum(zspage_geometry(size_class(s))[0] for s in (700, 1500, 40))
-    assert pool.store_bound(np.array([700, 700, 1500, 40, 40])) == (3, pages)
+    assert pool.store_bound(np.array([700, 700, 1500, 40, 40])) == pages
     # 24 objects of 700 bytes need two 23-object zspages.
-    assert pool.store_bound(np.full(24, 700)) == (2, 2 * zspage_geometry(704)[0])
-    assert pool.store_bound(np.zeros(0, dtype=np.int64)) == (0, 0)
-    assert ZbudAllocator().store_bound(np.array([700, 700])) == (2, 2)
+    assert pool.store_bound(np.full(24, 700)) == 2 * zspage_geometry(704)[0]
+    assert pool.store_bound(np.zeros(0, dtype=np.int64)) == 0
+    assert ZbudAllocator().store_bound(np.array([700, 700])) == 2
 
 
 def test_stores_fit_keeps_every_store_below_capacity():
@@ -370,9 +343,9 @@ def test_stores_fit_keeps_every_store_below_capacity():
 
 
 def test_free_ids_releases_like_sequential_frees():
-    """Bulk frees return emptied zspages to the buddy allocator and the
-    slot stack in the order one-at-a-time frees do, so every later pfn
-    and slot matches too."""
+    """Bulk frees return emptied zspages' frames to the arena and their
+    slots to the slot stack in the order one-at-a-time frees do, so
+    every later slot, zspage and partial stack matches too."""
     bulk = ZsmallocAllocator(arena_pages=1 << 10)
     sequential = ZsmallocAllocator(arena_pages=1 << 10)
     sizes = np.array([700, 1500, 2900, 4096] * 30)
@@ -383,13 +356,20 @@ def test_free_ids_releases_like_sequential_frees():
     for object_id in ids.tolist():
         sequential.free(Handle("zsmalloc", object_id, int(sizes[object_id - first])))
     assert bulk._zs_free_slots == sequential._zs_free_slots
-    assert bulk._buddy._free_lists == sequential._buddy._free_lists
+    assert bulk.pool_pages == sequential.pool_pages == 0
     more = np.array([1500, 100] * 40)
     bulk.store_ids(more)
-    sequential.store_ids(more)
+    for size in more.tolist():
+        sequential.store(size)
     n = bulk._n_slots
-    assert np.array_equal(bulk._zs_pfn[:n], sequential._zs_pfn[:n])
-    assert bulk._buddy._allocated == sequential._buddy._allocated
+    assert n == sequential._n_slots
+    for column in ("_zs_pages", "_zs_cls", "_zs_count"):
+        got, want = getattr(bulk, column), getattr(sequential, column)
+        assert np.array_equal(got[:n], want[:n])
+    ids = bulk._next_id
+    assert np.array_equal(bulk._obj_zspage[:ids], sequential._obj_zspage[:ids])
+    assert bulk._partial == sequential._partial
+    assert bulk.pool_pages == sequential.pool_pages
 
 
 @pytest.mark.parametrize("fail_fraction", [0.3, 1.0])

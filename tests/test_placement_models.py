@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.knob import Knob
+from repro.core.metrics import linear_percentile
 from repro.core.placement.analytical import AnalyticalModel
 from repro.core.placement.filter import MigrationFilter
 from repro.core.placement.static_threshold import StaticThresholdPolicy
@@ -258,3 +259,26 @@ def test_filter_matches_per_region_reference(seed, data):
     assert list(got.items()) == list(want.items())
     for name in ("dropped_noop", "dropped_pressure", "dropped_capacity"):
         assert getattr(got_filter, name) == getattr(want_filter, name), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e16, float("nan")])
+        | st.floats(-1e16, 1e16),
+        min_size=1,
+        max_size=69,
+    ),
+    percentile=st.sampled_from([0.0, 25.0, 50.0, 75.0, 100.0])
+    | st.floats(0.0, 100.0),
+)
+def test_linear_percentile_hot_masks_match_numpy(values, percentile):
+    """The hot mask ``hotness > threshold`` that waterfall and the static
+    thresholds take is the one ``np.percentile`` gives, ties, signed
+    zeros, one value and NaN included; so is the threshold, up to the
+    sign of a zero."""
+    hotness = np.array(values)
+    want = float(np.percentile(hotness, percentile))
+    got = linear_percentile(hotness, percentile)
+    assert np.array_equal(hotness > got, hotness > want)
+    assert got == want or (np.isnan(got) and np.isnan(want))

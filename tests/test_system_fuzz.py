@@ -176,19 +176,19 @@ class TestFailureInjection:
         check_capacity(system)
 
 
-# -- pool invariants and the buddy-arena bound ---------------------------------
+# -- pool invariants and the arena bound ---------------------------------------
 
 
 def _arena_bound_system(seed: int) -> TieredMemorySystem:
-    """An 8-region space over DRAM and a 1024-page lzo/zsmalloc tier, so
-    the buddy arena (1024 pages) fills while the pool's own page count
-    is still below capacity: 3-page zspages hold 4-page blocks."""
+    """An 8-region space over DRAM and a 1024-page lzo/zsmalloc tier
+    whose arena holds only 512 frames, so the arena fills while the
+    pool's page count is still below capacity."""
     from repro.bench.configs import make_compressed_tier
 
     space = AddressSpace(8 * PAGES_PER_REGION, "mixed", seed=seed)
     tiers = [
         ByteAddressableTier("DRAM", DRAM, capacity_pages=space.num_pages),
-        make_compressed_tier("CT", "lzo", "zsmalloc", DRAM, 1024),
+        make_compressed_tier("CT", "lzo", "zsmalloc", DRAM, 1024, arena_pages=512),
     ]
     return TieredMemorySystem(tiers, space)
 
@@ -208,7 +208,7 @@ def _fill_arena(system, reference, seed: int, steps: int = 100) -> None:
 
 @pytest.mark.parametrize("seed", [0, 2, 3])
 def test_bulk_moves_into_full_arena_match_scalar(seed):
-    """Bulk stores into a zsmalloc tier whose buddy arena runs out fall
+    """Bulk stores into a zsmalloc tier whose arena runs out fall
     back to the per-page path: the same pages fail to store, and the
     pool stays consistent."""
     import copy
@@ -229,11 +229,9 @@ def test_bulk_moves_into_full_arena_match_scalar(seed):
 
 
 def test_check_capacity_catches_an_overcounted_pool(monkeypatch):
-    """Without the arena bound the batch runs the buddy dry mid-store,
+    """Without the arena bound the batch runs the arena dry mid-store,
     leaving objects counted that no page holds; the pool check fails."""
-    from repro.allocators.buddy import BuddyAllocator
-
-    monkeypatch.setattr(BuddyAllocator, "free_blocks", lambda self, order: 1 << 30)
+    monkeypatch.setattr(ZsmallocAllocator, "arena_fits", lambda self, pages: True)
     system = _arena_bound_system(0)
     with pytest.raises(AllocationError):
         _fill_arena(system, None, 0)
@@ -258,7 +256,8 @@ def _zsmalloc_system() -> TieredMemorySystem:
         ("stack_full", "partial stacks"),
         ("stack_twice", "stacked twice"),
         ("pool_pages", "pool pages"),
-        ("buddy", "buddy charges"),
+        ("frames", "frames differ"),
+        ("arena", "exceed its arena"),
     ],
 )
 def test_check_capacity_catches_a_corrupted_zsmalloc_pool(corrupt, message):
@@ -279,7 +278,12 @@ def test_check_capacity_catches_a_corrupted_zsmalloc_pool(corrupt, message):
         pool._zs_stack[stacked[0]] = pool._zs_stack[stacked[1]]
     elif corrupt == "pool_pages":
         pool._pool_pages += 1
+    elif corrupt == "frames":
+        # One zspage claims a frame more than its class's geometry, and
+        # the pool counts it: only the per-class frame check sees it.
+        pool._zs_pages[full[0]] += 1
+        pool._pool_pages += 1
     else:
-        pool._buddy.allocated_pages += 1
+        pool.arena_pages = pool.pool_pages - 1
     with pytest.raises(AssertionError, match=message):
         check_capacity(system)

@@ -160,19 +160,13 @@ def _packing_state(pool):
 
     Each live zspage is named by its member-id set: (count, capacity,
     class) per zspage, each class's partial list as the order of those
-    zspages, plus pool and buddy page counts.  Slot numbers and pfns are
-    left out on purpose; bulk and sequential paths may recycle slots in
-    a different order.
+    zspages, plus the pool's counters (and, for zbud/z3fold, the buddy's
+    allocated pages).  Slot numbers are left out on purpose; bulk and
+    sequential paths may recycle slots in a different order.
     """
-    state = (
-        pool.pool_pages,
-        pool._buddy.allocated_pages,
-        pool.stored_bytes,
-        pool.stored_objects,
-        pool._next_id,
-    )
+    state = (pool.pool_pages, pool.stored_bytes, pool.stored_objects, pool._next_id)
     if not isinstance(pool, ZsmallocAllocator):
-        return state
+        return state, pool._buddy.allocated_pages
     owner = pool._obj_zspage[: pool._next_id]
     members: dict[int, set[int]] = {}
     for object_id in np.flatnonzero(owner >= 0).tolist():
@@ -256,13 +250,17 @@ def test_store_ids_free_ids_match_sequential(rounds, seed, allocator_cls):
         assert _packing_state(bulk) == _packing_state(sequential)
 
 
-def _zspage_pfns(pool):
-    """Each live zspage's buddy block, the zspage named by its members."""
+def _zspage_slots(pool):
+    """Each live zspage's slot and frames, the zspage named by its
+    members."""
     owner = pool._obj_zspage[: pool._next_id]
     members: dict[int, set[int]] = {}
     for object_id in np.flatnonzero(owner >= 0).tolist():
         members.setdefault(int(owner[object_id]), set()).add(object_id)
-    return {frozenset(ids): int(pool._zs_pfn[slot]) for slot, ids in members.items()}
+    return {
+        frozenset(ids): (slot, int(pool._zs_pages[slot]))
+        for slot, ids in members.items()
+    }
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,9 +272,9 @@ def test_store_free_across_many_classes_match_sequential(batches, seed):
     """Batches spanning dozens of size classes, then one round that
     empties most of every zspage and refills the same zspages, and one
     that empties every zspage and refills the pool: bulk == sequential
-    after every step.  Store-only rounds from equal pools also hand out
-    the same buddy block per zspage (fresh zspages open in the order
-    the sequential stores open them)."""
+    after every step.  Store-only rounds from equal pools also give
+    each zspage the same slot (fresh zspages open in the order the
+    sequential stores open them)."""
     bulk = ZsmallocAllocator(arena_pages=1 << 13)
     sequential = ZsmallocAllocator(arena_pages=1 << 13)
     rng = np.random.default_rng(seed)
@@ -298,7 +296,7 @@ def test_store_free_across_many_classes_match_sequential(batches, seed):
         sizes = rng.integers(1, 4097, n).tolist()
         assert len({size_class(size) for size in sizes}) > 20 or n < 60
         store(sizes)
-    assert _zspage_pfns(bulk) == _zspage_pfns(sequential)
+    assert _zspage_slots(bulk) == _zspage_slots(sequential)
 
     # Keep one object per zspage: every zspage goes partial (or empties,
     # if it held one object) and the refill lands on those zspages.
@@ -312,10 +310,11 @@ def test_store_free_across_many_classes_match_sequential(batches, seed):
     free(drop)
     store([handle.size for handle in drop])
 
-    # Empty every zspage, then refill the released slots and blocks.
+    # Empty every zspage, then refill the released slots.
     drop, live = live, []
     free(drop)
-    assert bulk.pool_pages == 0 and bulk._buddy.allocated_pages == 0
+    assert bulk.pool_pages == 0
+    assert sorted(bulk._zs_free_slots) == list(range(bulk._n_slots))
     store([h.size for h in drop])
 
 
