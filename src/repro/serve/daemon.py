@@ -6,10 +6,10 @@ range(windows)`` loop with stream ingest: chunks arrive from a
 :mod:`~repro.serve.stream` source, a
 :class:`~repro.serve.windowing.WindowAccumulator` closes profile windows
 per the configured rule, and every closed window's page ids are
-bincounted into per-page counts and run through ``Session.run_window``
--- the *same* instrumented path the batch engine uses, so placement
-decisions, migrations, obs metrics/spans and engine events are
-identical for identical windows.
+counted per page (:func:`~repro.workloads.base.count_ids`) and run
+through ``Session.run_window`` -- the *same* instrumented path the
+batch engine uses, so placement decisions, migrations, obs
+metrics/spans and engine events are identical for identical windows.
 
 On top of the loop:
 
@@ -38,8 +38,6 @@ import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.chaos.checkpoint import (
     capture_session,
     load_checkpoint,
@@ -59,6 +57,7 @@ from repro.serve.stream import (
     StreamSpec,
 )
 from repro.serve.windowing import WindowAccumulator, WindowRule
+from repro.workloads.base import count_ids
 
 _log = get_logger("serve.daemon")
 
@@ -180,7 +179,8 @@ class ServeDaemon:
         self._window_opened_s = 0.0
         #: Out-of-range page accesses dropped (socket feeders).
         self.rejected_events = 0
-        #: Total in-range events ingested.
+        #: Total events ingested, out-of-range ones included (those are
+        #: also counted in ``rejected_events``).
         self.events_ingested = 0
 
     # -- construction --------------------------------------------------------
@@ -315,17 +315,13 @@ class ServeDaemon:
                 pass  # non-unix loops; rely on KeyboardInterrupt there
 
     def _run_pending(self, pending) -> None:
-        """Validate, bincount and run one closed window through the
+        """Validate, count and run one closed window through the
         session."""
-        pages = pending.pages
         num_pages = self.session.system.space.num_pages
-        if len(pages) and (pages.min() < 0 or pages.max() >= num_pages):
-            in_range = (pages >= 0) & (pages < num_pages)
-            self.rejected_events += len(pages) - int(in_range.sum())
-            pages = pages[in_range]
-        if not len(pages):
+        counts, rejected = count_ids(pending.pages, num_pages)
+        self.rejected_events += rejected
+        if rejected == len(pending.pages):
             return
-        counts = np.bincount(pages, minlength=num_pages)
         injector = self.session.injector
         if injector is not None:
             now = self.clock.now()

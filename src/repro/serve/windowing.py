@@ -16,7 +16,7 @@ profile window is over:
   clocks.
 
 :class:`WindowAccumulator` applies a rule to a chunk stream and yields
-:class:`PendingWindow` batches of page ids; the serving daemon bincounts
+:class:`PendingWindow` batches of page ids; the serving daemon counts
 each one into the per-page counts
 :meth:`repro.engine.session.Session.run_window` takes.
 """

@@ -69,15 +69,21 @@ class ZipfianGenerator(TransientCaches, Distribution):
     ``sample_counts`` draws one ``rng.multinomial`` over the entries the
     ranks map to: with a table, each entry's probability is the summed
     probability of the ranks mapping to it (computed once per distinct
-    table object).  Tables are treated as read-only and their entries
-    must be non-negative.
+    table object and ``shift``).  Tables are treated as read-only and
+    their entries must be non-negative.
+
+    ``shift`` rotates the ranks over the table: rank ``r`` maps to
+    ``lut[(r + shift) % n]`` (to ``(r + shift) % n`` without a table).
+    A rotation only permutes ranks among the same entries, so each
+    rank's entry index is found once per table object and a new shift
+    costs one weighted ``bincount`` over the rotated index.
 
     Args:
         n: Item-space size.
         theta: Skew; 0 = uniform, YCSB default 0.99.
     """
 
-    _TRANSIENT = ("_pmf", "_pmf_entries", "_pmf_lut")
+    _TRANSIENT = ("_pmf", "_pmf_entries", "_pmf_lut", "_pmf_shift", "_ranks")
 
     def __init__(self, n: int, theta: float = 0.99) -> None:
         if n < 1:
@@ -105,29 +111,54 @@ class ZipfianGenerator(TransientCaches, Distribution):
         size: int,
         rng: np.random.Generator,
         lut: np.ndarray | None = None,
+        shift: int = 0,
     ) -> np.ndarray:
         """Draw ``size`` item ids (``lut[id]`` when a table is given).
 
-        Item 0 is the most popular rank.
+        Item 0 is the most popular rank (before the ``shift``).
         """
         ranks = self._cdf.searchsorted(rng.random(size), side="right")
+        if shift:
+            ranks = (ranks + shift) % self.n
         if lut is None:
             return ranks
         self._check_lut(lut)
         return lut.take(ranks)
 
-    def _entry_pmf(self, lut: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Entries the ranks map to (ascending) and their probabilities."""
-        if self._pmf is None or self._pmf_lut is not lut:
+    def _rank_entries(
+        self, lut: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct entries of ``lut[:n]`` (ascending) and each
+        rank's index into them, found once per table object."""
+        if self._ranks is None or self._ranks[0] is not lut:
             if lut is None:
-                entries, pmf = np.arange(self.n), self._probabilities
+                entries = index = np.arange(self.n)
             else:
                 self._check_lut(lut)
-                mass = np.bincount(lut[: self.n], weights=self._probabilities)
-                entries = np.flatnonzero(mass)
-                pmf = mass[entries]
-            self._pmf_entries, self._pmf = entries, pmf / pmf.sum()
-            self._pmf_lut = lut
+                entries, index = np.unique(lut[: self.n], return_inverse=True)
+            self._ranks = (lut, entries, index)
+        return self._ranks[1], self._ranks[2]
+
+    def _entry_pmf(
+        self, lut: np.ndarray | None, shift: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Entries the ranks map to (ascending) and their probabilities.
+
+        Each entry's mass gets the same additions, in the same rank
+        order, as a weighted ``bincount`` of the rotated table would
+        give it.
+        """
+        if self._pmf is None or self._pmf_lut is not lut or self._pmf_shift != shift:
+            entries, index = self._rank_entries(lut)
+            if shift:
+                index = np.concatenate((index[shift:], index[:shift]))
+            mass = np.bincount(
+                index, weights=self._probabilities, minlength=entries.size
+            )
+            if not mass.all():  # ranks whose probability underflowed
+                entries, mass = entries[mass > 0], mass[mass > 0]
+            self._pmf_entries, self._pmf = entries, mass / mass.sum()
+            self._pmf_lut, self._pmf_shift = lut, shift
         return self._pmf_entries, self._pmf
 
     def sample_counts(
@@ -136,9 +167,10 @@ class ZipfianGenerator(TransientCaches, Distribution):
         rng: np.random.Generator,
         lut: np.ndarray | None = None,
         minlength: int = 0,
+        shift: int = 0,
     ) -> np.ndarray:
         """Counts of ``size`` draws per entry: one ``rng.multinomial``."""
-        entries, pmf = self._entry_pmf(lut)
+        entries, pmf = self._entry_pmf(lut, shift)
         counts = np.zeros(max(minlength, int(entries[-1]) + 1), dtype=np.int64)
         counts[entries] = rng.multinomial(size, pmf)
         return counts
@@ -286,7 +318,7 @@ class ChurningColdSet:
         self.offset = 0
 
 
-class HotWarmColdGenerator(TransientCaches, Distribution):
+class HotWarmColdGenerator(Distribution):
     """Three-population popularity: hot (Zipfian), warm, churning cold.
 
     Models the population structure data-center operators report (paper
@@ -296,13 +328,12 @@ class HotWarmColdGenerator(TransientCaches, Distribution):
     identity can drift to reproduce the shifting pattern of the paper's
     Figure 9d.
 
-    The drift never touches the draws: each window's rotation (composed
-    with the caller's ``lut``, if any) becomes one ``hot_items``-entry
-    rank table that the Zipfian sampler indexes, so hot draws come out
-    already rotated and mapped.  :meth:`sample_counts` splits the draws
-    into the three populations with one multinomial, draws the hot
-    counts with one multinomial over the pages that table touches, and
-    bincounts the warm and cold sliver from ids.
+    The drift never touches the draws: each window's rotation is the
+    Zipfian sampler's ``shift`` over the caller's ``lut`` (if any), so
+    hot draws come out already rotated and mapped.  :meth:`sample_counts`
+    splits the draws into the three populations with one multinomial,
+    draws the hot counts with one multinomial over the pages the rotated
+    ranks touch, and bincounts the warm and cold sliver from ids.
 
     Args:
         n: Item-space size.
@@ -313,8 +344,6 @@ class HotWarmColdGenerator(TransientCaches, Distribution):
         hot_drift_fraction: Fraction of the hot range the hot-set identity
             rotates per window (0 = stationary).
     """
-
-    _TRANSIENT = ("_hot_table", "_hot_table_offset", "_hot_table_lut")
 
     def __init__(
         self,
@@ -348,27 +377,6 @@ class HotWarmColdGenerator(TransientCaches, Distribution):
         )
         self._hot_offset = 0
         self._hot_step = max(0, int(round(hot_drift_fraction * self.hot_items)))
-        self._clear_transient()
-
-    def _hot_lut(self, lut: np.ndarray | None) -> np.ndarray | None:
-        """This window's hot-rank table: rotation composed with ``lut``.
-
-        Rank ``r`` maps to item ``(r + offset) % hot_items`` and then to
-        ``lut[item]``.  The table is rebuilt only when the offset or the
-        ``lut`` object changes, so the Zipfian sampler (which caches its
-        per-page probabilities per table) recomputes only then too.
-        """
-        offset = self._hot_offset
-        if self._hot_table_offset != offset or self._hot_table_lut is not lut:
-            if lut is None:
-                head = np.arange(self.hot_items) if offset else None
-            else:
-                head = lut[: self.hot_items]
-            if offset:
-                head = np.concatenate((head[offset:], head[:offset]))
-            self._hot_table = head
-            self._hot_table_offset, self._hot_table_lut = offset, lut
-        return self._hot_table
 
     def sample(
         self,
@@ -388,7 +396,9 @@ class HotWarmColdGenerator(TransientCaches, Distribution):
         cold_idx = not_hot[~warm_split]
         n_hot = size - not_hot.size
         if n_hot:
-            out[hot] = self._hot.sample(n_hot, rng, lut=self._hot_lut(lut))
+            out[hot] = self._hot.sample(
+                n_hot, rng, lut=lut, shift=self._hot_offset
+            )
         if warm_idx.size:
             items = self.hot_items + rng.integers(
                 0, self.warm_items, size=warm_idx.size
@@ -426,7 +436,7 @@ class HotWarmColdGenerator(TransientCaches, Distribution):
             items if lut is None else lut.take(items), minlength=minlength
         )
         counts = self._hot.sample_counts(
-            n_hot, rng, lut=self._hot_lut(lut), minlength=rest.size
+            n_hot, rng, lut=lut, minlength=rest.size, shift=self._hot_offset
         )
         counts[: rest.size] += rest
         return counts

@@ -39,6 +39,7 @@ def _side(
     end_window_ms=0.05,
     waterfall_apply_ms=0.9,
     waterfall_pages=900.0,
+    ingest_ms=0.4,
 ):
     """One tree's parsed results: five identical runs of each run name."""
     ycsb = [_result(windows_per_s=windows_per_s) for _ in range(5)]
@@ -59,6 +60,7 @@ def _side(
     ]
     xsbench = [_result(windows_per_s=90.0) for _ in range(5)]
     serve = [_result(windows_per_s=serve_windows_per_s) for _ in range(5)]
+    serve_traced = [_result(**{"serve.ingest_ms": ingest_ms}) for _ in range(5)]
     traced = [
         _result(
             **{
@@ -78,6 +80,7 @@ def _side(
         "xsbench-ckpt --trace 0": xsbench,
         "xsbench-ckpt --trace 1": traced,
         "serve-flash-adaptive --trace 0": serve,
+        "serve-flash-adaptive --trace 1": serve_traced,
     }
 
 
@@ -152,6 +155,18 @@ def test_slower_migration_per_page_fails(gate):
     assert ok
 
 
+def test_slower_serve_ingest_fails(gate):
+    # +40 % ms of serve ingest per window is past the 1/0.75 bound; +30 %
+    # is within it.
+    ok, lines = gate.decide(_side(), _side(ingest_ms=0.4 * 1.40))
+    assert not ok
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "serve-flash-adaptive --trace 1 ingested_windows_per_ms" in failed[0]
+    ok, _ = gate.decide(_side(), _side(ingest_ms=0.4 * 1.30))
+    assert ok
+
+
 def test_one_incorrect_run_fails(gate):
     ok, lines = gate.decide(_side(), _side(incorrect_run=2))
     assert not ok
@@ -171,6 +186,7 @@ def test_bounds_match_the_gates_they_replace(gate):
         ("xsbench-ckpt --trace 0", "windows_per_s"): 0.10,
         ("xsbench-ckpt --trace 1", "migrated_pages_per_apply_ms"): 0.25,
         ("serve-flash-adaptive --trace 0", "windows_per_s"): 0.10,
+        ("serve-flash-adaptive --trace 1", "ingested_windows_per_ms"): 0.25,
     }
     assert {run for run, *_ in gate.GATES} == {
         gate.run_name(*run) for run in gate.RUNS

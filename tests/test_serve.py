@@ -423,6 +423,12 @@ class TestServeDaemon:
             ([[3, 1024, 1023]], 1),
             ([[-1, 1024], [2, 3]], 2),
             ([[0, -2**40, 2**40, 1023], [-1], [7]], 3),
+            # Ascending windows: rejected ends are cut by binary search.
+            ([[-3, -1, 0, 5, 5, 1023, 1024, 2**40]], 4),
+            ([[-2**40, -1, 0, 0, 1]], 2),
+            ([[1020, 1023, 1024, 1024]], 2),
+            ([[-5, -2], [1024, 2**40], [3]], 4),
+            ([[-1] + [7] * 20_000 + [1024]], 2),
         ],
     )
     def test_rejected_events_counted_exactly(self, windows, rejected):
@@ -445,6 +451,47 @@ class TestServeDaemon:
         assert daemon.windows_done == len(kept)
         served = sum(r.accesses for r in daemon.session.records)
         assert served == sum(len(w) for w in windows) - rejected
+
+    def test_replayed_ascending_windows_skip_bincount(
+        self, tmp_path, monkeypatch
+    ):
+        """A recorded window is ascending and holds more than
+        ``SEARCH_MIN_IDS_PER_PAGE`` ids per page, so the daemon counts
+        it by binary search; a fallback to ``np.bincount`` fails here."""
+        from repro.workloads import base
+
+        workload = make_workload(
+            "flash-crowd", seed=3, num_pages=1024, ops_per_window=20_000
+        )
+        assert 20_000 >= base.SEARCH_MIN_IDS_PER_PAGE * 1024
+        trace = record_trace(workload, 3, tmp_path / "t.npz")
+        spec = SPEC.with_(
+            workload="trace",
+            workload_kwargs={"path": str(trace), "loop": False},
+        )
+        reference = Session(spec)
+        for _ in range(3):
+            reference.run_window()
+
+        class NoBincount:
+            def __getattr__(self, name):
+                if name == "bincount":
+                    raise AssertionError("count_ids fell back to bincount")
+                return getattr(np, name)
+
+        monkeypatch.setattr(base, "np", NoBincount())
+        daemon = ServeDaemon(
+            spec,
+            ServeOptions(
+                stream=f"replay:{trace}", virtual_clock=True, http=False
+            ),
+        )
+        asyncio.run(daemon.run())
+        assert daemon.windows_done == 3
+        assert daemon.rejected_events == 0
+        served = [r.accesses for r in daemon.session.records]
+        assert served == [r.accesses for r in reference.records]
+        assert daemon.events_ingested == sum(served)
 
     def test_http_endpoint_live(self):
         """Scrape the real daemon over loopback while it serves."""

@@ -10,13 +10,22 @@ deterministic; ``ALPHA`` is the rejection level.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from repro.mem.page import PAGES_PER_REGION
 from repro.telemetry.pebs import PEBSSampler
-from repro.workloads.base import Workload, expand_counts
+from repro.workloads.base import (
+    SEARCH_MIN_IDS_PER_PAGE,
+    Workload,
+    count_ids,
+    expand_counts,
+)
 from repro.workloads.distributions import HotWarmColdGenerator, ZipfianGenerator
 from repro.workloads.masim import MasimWorkload
 from repro.workloads.registry import WORKLOADS, make_workload
@@ -252,3 +261,210 @@ def test_ordered_generator_out_of_range_id_raises(bad):
 
     with pytest.raises(AssertionError, match="out-of-range"):
         Ordered(num_pages=512, ops_per_window=4).next_window()
+
+
+# -- ids -> counts ----------------------------------------------------------
+
+#: Out-of-range ids mixed into windows: far and near either end.
+_OUTSIDE_LOW = (-(2**40), -3, -1)
+
+
+def _reference_count_ids(ids, num_pages):
+    kept = ids[(ids >= 0) & (ids < num_pages)]
+    return np.bincount(kept, minlength=num_pages), len(ids) - len(kept)
+
+
+def _assert_counts_like_reference(ids, num_pages):
+    """Untrusted windows always; trusted ones too while ``bincount`` of
+    the whole window stays small (no id past 2**20)."""
+    expected, expected_rejected = _reference_count_ids(ids, num_pages)
+    trust = (False, True) if not len(ids) or ids.max() < 2**20 else (False,)
+    for trusted in trust:
+        counts, rejected = count_ids(ids, num_pages, trusted=trusted)
+        assert counts.dtype == expected.dtype
+        assert counts.shape == expected.shape == (num_pages,)
+        assert np.array_equal(counts, expected)
+        assert rejected == expected_rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num_pages=st.integers(1, 16),
+    # Up to 600 ids: windows both shorter and longer than the search
+    # threshold of SEARCH_MIN_IDS_PER_PAGE * num_pages in-range ids.
+    length=st.integers(0, 600),
+    low=st.integers(0, 4),
+    high=st.integers(0, 4),
+    ascending=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_pages=4, length=0, low=0, high=0, ascending=True, seed=0)
+@example(num_pages=4, length=1, low=0, high=0, ascending=True, seed=0)
+@example(num_pages=4, length=1, low=1, high=0, ascending=True, seed=0)
+@example(num_pages=1, length=0, low=2, high=3, ascending=True, seed=1)
+@example(num_pages=1, length=0, low=2, high=3, ascending=False, seed=1)
+@example(num_pages=3, length=48, low=1, high=1, ascending=True, seed=2)
+def test_count_ids_matches_filter_and_bincount(
+    num_pages, length, low, high, ascending, seed
+):
+    """``length`` in-range ids plus ``low`` ids below 0 and ``high`` at or
+    past ``num_pages`` (±2**40 included), ascending or shuffled."""
+    rng = np.random.default_rng(seed)
+    outside_high = (num_pages, num_pages + 2, 2**40)
+    ids = np.concatenate(
+        (
+            rng.integers(0, num_pages, size=length),
+            rng.choice(_OUTSIDE_LOW, size=low),
+            rng.choice(outside_high, size=high),
+        )
+    ).astype(np.int64)
+    if ascending:
+        ids.sort()
+    else:
+        rng.shuffle(ids)
+    _assert_counts_like_reference(ids, num_pages)
+
+
+@pytest.mark.parametrize("num_pages", [1, 5, 512])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("ends", [(0, 0), (2, 0), (0, 2), (1, 3)])
+def test_count_ids_at_the_search_threshold(num_pages, extra, ends):
+    """Ascending windows one id short of, at and past the search
+    threshold, with out-of-range ids at neither, either or both ends."""
+    rng = np.random.default_rng(num_pages)
+    kept = SEARCH_MIN_IDS_PER_PAGE * num_pages + extra
+    ids = np.sort(
+        np.concatenate(
+            (
+                rng.integers(0, num_pages, size=kept),
+                np.full(ends[0], -(2**40)),
+                np.full(ends[1], num_pages),
+            )
+        )
+    )
+    _assert_counts_like_reference(ids, num_pages)
+
+
+def test_count_ids_inverts_expand_counts():
+    rng = np.random.default_rng(4)
+    counts = rng.multinomial(60_000, np.full(1024, 1 / 1024))
+    back, rejected = count_ids(expand_counts(counts), 1024)
+    assert rejected == 0
+    assert np.array_equal(back, counts)
+
+
+_SWEEP = np.arange(50_000, dtype=np.int64) * 512 // 50_000
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        np.arange(100_000, dtype=np.int64)[::-1] % 512,
+        # a PageRank-like window: ascending edge pages, then random
+        # vertex pages
+        np.concatenate(
+            (_SWEEP, np.random.default_rng(0).integers(0, 512, 50_000))
+        ),
+    ],
+    ids=["reversed", "sorted-head"],
+)
+def test_unsorted_window_fails_an_order_probe(ids):
+    """A window out of order in its first or last ids never pays for the
+    full order pass (its comparison array would be as long as the
+    window)."""
+    seen = []
+
+    class Probe(np.ndarray):
+        def __ge__(self, other):
+            seen.append(np.size(self))
+            return np.ndarray.__ge__(self, other)
+
+    counts, rejected = count_ids(ids.view(Probe), 512)
+    assert rejected == 0
+    assert np.array_equal(counts, np.bincount(ids, minlength=512))
+    assert seen and max(seen) < 100
+
+
+# -- the drifting hot set's page probabilities --------------------------------
+
+
+def _rebuilt_counts(gen, size, rng, lut, minlength):
+    """``HotWarmColdGenerator.sample_counts`` with the hot-page pmf
+    rebuilt from the rotated table every window: a weighted ``bincount``
+    over the table, then ``flatnonzero``."""
+    masses = np.array([gen.hot_mass, gen.warm_mass, 0.0])
+    masses[2] = max(0.0, 1.0 - masses[0] - masses[1])
+    n_hot, n_warm, n_cold = rng.multinomial(size, masses).tolist()
+    warm = gen.hot_items + rng.integers(0, gen.warm_items, size=n_warm)
+    cold = gen.hot_items + gen.warm_items + gen._cold.map(
+        rng.integers(0, gen.cold_items, size=n_cold)
+    )
+    items = np.concatenate((warm, cold))
+    rest = np.bincount(
+        items if lut is None else lut.take(items), minlength=minlength
+    )
+    head = np.arange(gen.hot_items) if lut is None else lut[: gen.hot_items]
+    offset = gen._hot_offset
+    table = np.concatenate((head[offset:], head[:offset]))
+    mass = np.bincount(table, weights=gen._hot._probabilities)
+    entries = np.flatnonzero(mass)
+    pmf = mass[entries] / mass[entries].sum()
+    counts = np.zeros(max(rest.size, int(entries[-1]) + 1), dtype=np.int64)
+    counts[entries] = rng.multinomial(n_hot, pmf)
+    counts[: rest.size] += rest
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(12, 3000),
+    theta=st.floats(0.0, 1.6, allow_nan=False),
+    drift=st.floats(0.02, 0.6),
+    table=st.sampled_from(["none", "pages", "drifting"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1000, theta=0.99, drift=0.08, table="pages", seed=7)
+@example(n=1001, theta=0.99, drift=0.34, table="none", seed=8)
+def test_rotated_hot_pmf_matches_rebuilding_it(n, theta, drift, table, seed):
+    """Counts and RNG state equal the rebuild path's for every window past
+    a full rotation of the hot set.  ``pages`` is an item -> page table
+    with 4 items per page, whose last hot page is shared with warm items
+    when ``hot_items % 4``; ``drifting`` hands in a new table each
+    window, like a key layout that drifts too."""
+    params = dict(hot_fraction=0.17, warm_fraction=0.3, hot_theta=theta,
+                  hot_drift_fraction=drift)
+    gen = HotWarmColdGenerator(n, **params)
+    ref = HotWarmColdGenerator(n, **params)
+    layout = np.random.default_rng(seed).permutation(-(-n // 4)).repeat(4)
+    pages = layout.max() + 1
+    windows = gen.hot_items // max(1, gen._hot_step) + 3
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for w in range(windows):
+        lut = {"none": None, "pages": layout, "drifting": np.roll(layout, w)}
+        lut = lut[table]
+        size = 500 + w
+        got = gen.sample_counts(size, rng, lut=lut, minlength=pages)
+        want = _rebuilt_counts(ref, size, ref_rng, lut, pages)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        gen.advance()
+        ref.advance()
+    restored = pickle.loads(pickle.dumps(gen))
+    hot = restored._hot
+    assert hot._ranks is None and hot._pmf is None
+    assert hot._pmf_lut is None and hot._pmf_shift is None
+    assert not any(name.startswith("_hot_table") for name in vars(restored))
+
+
+def test_shifted_zipfian_sample_is_the_rotated_table():
+    gen = ZipfianGenerator(101, theta=0.9)
+    lut = np.random.default_rng(1).permutation(101) // 4
+    for shift in (0, 1, 37, 100):
+        rotated = np.concatenate((lut[shift:], lut[:shift]))
+        identity = np.roll(np.arange(101), -shift)
+        for table, plain in ((lut, rotated), (None, identity)):
+            rng = np.random.default_rng(shift)
+            got = gen.sample(2000, rng, lut=table, shift=shift)
+            want = gen.sample(2000, np.random.default_rng(shift), lut=plain)
+            assert np.array_equal(got, want)

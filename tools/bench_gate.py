@@ -4,15 +4,14 @@
 Runs each tree's own ``repobench/run.py`` for ``PAIRS`` pairs with a
 fixed seed and run length, alternating which side goes first so a host
 that speeds up or slows down during the job hits both sides alike.  One
-side of a pair is the seven runs in ``RUNS``: ``ycsb-waterfall`` (the
+side of a pair is the eight runs in ``RUNS``: ``ycsb-waterfall`` (the
 paper's Fig. 8 scenario), ``ycsb-amtco`` (the same stream under the
 am-tco ILP: the solve layer), ``xsbench-ckpt`` (migration waves and
 checkpoints) and ``serve-flash-adaptive`` (the serving path: trace
-replay, ingest and its id -> count conversion) end to end, plus
-``ycsb-waterfall``, ``ycsb-amtco`` and ``xsbench-ckpt`` with
-``--trace 1`` for their per-layer telemetry, policy and migration
-times (ycsb-waterfall's run gates both its telemetry and its
-migration layer).
+replay, ingest and its id -> count conversion) end to end, plus all
+four with ``--trace 1`` for their per-layer telemetry, policy,
+migration and serve ingest times (ycsb-waterfall's run gates both its
+telemetry and its migration layer).
 Both trees run on the same host in the same job, so no committed
 baseline is needed.
 
@@ -55,6 +54,7 @@ RUNS = (
     ("xsbench-ckpt", 0),
     ("xsbench-ckpt", 1),
     ("serve-flash-adaptive", 0),
+    ("serve-flash-adaptive", 1),
 )
 
 
@@ -78,6 +78,10 @@ def _profiled_windows_per_ms(metrics: dict) -> float:
 def _migrated_pages_per_ms(metrics: dict) -> float:
     pages = metrics["migration.pages_per_window"]["value"]
     return pages / metrics["migration.apply_ms"]["value"]
+
+
+def _ingested_windows_per_ms(metrics: dict) -> float:
+    return 1.0 / metrics["serve.ingest_ms"]["value"]
 
 
 #: ``(run, metric, score, bound)``: the gate fails when the median score
@@ -142,6 +146,14 @@ GATES = (
         run_name("xsbench-ckpt", 1),
         "migrated_pages_per_apply_ms",
         _migrated_pages_per_ms,
+        0.25,
+    ),
+    # Serve ingest: windows taken from the stream, validated and counted
+    # per ms of the daemon's own time may drop at most 25 %.
+    (
+        run_name("serve-flash-adaptive", 1),
+        "ingested_windows_per_ms",
+        _ingested_windows_per_ms,
         0.25,
     ),
 )
