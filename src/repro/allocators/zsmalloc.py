@@ -57,14 +57,27 @@ def size_class(size: int) -> int:
 
 def size_classes(sizes: np.ndarray) -> np.ndarray:
     """:func:`size_class` over an integer array of sizes >= 1."""
-    return _class_indices(sizes) * CLASS_DELTA
+    indices = np.maximum(
+        (sizes + (CLASS_DELTA - 1)) // CLASS_DELTA, MIN_CLASS // CLASS_DELTA
+    )
+    return indices * CLASS_DELTA
+
+
+#: ``size_class(s) // CLASS_DELTA`` for every size ``s`` up to a page,
+#: then one row past the geometry table for every larger size.
+_CLASS_INDEX = np.array(
+    [size_class(max(s, 1)) // CLASS_DELTA for s in range(PAGE_SIZE + 1)]
+    + [PAGE_SIZE // CLASS_DELTA + 1],
+    dtype=np.int16,
+)
 
 
 def _class_indices(sizes: np.ndarray) -> np.ndarray:
-    """``size_classes(sizes) // CLASS_DELTA``: the geometry-table row."""
-    return np.maximum(
-        (sizes + (CLASS_DELTA - 1)) // CLASS_DELTA, MIN_CLASS // CLASS_DELTA
-    )
+    """``size_classes(sizes) // CLASS_DELTA`` for sizes up to a page: the
+    geometry-table row (int16), one lookup per size.  Every larger size
+    maps to the one row past the table, which :meth:`store_bound`
+    drops."""
+    return _CLASS_INDEX.take(sizes, mode="clip")
 
 
 def _kernel_geometry(cls: int) -> tuple[int, int]:
@@ -293,12 +306,13 @@ class ZsmallocAllocator(PoolAllocator):
         per class, each full but the last).  The work is a fixed number
         of numpy passes whatever the number of classes: one stable
         argsort groups the objects by class, one lexsort orders the
-        batch classes' stacked zspages top first, a segmented cumulative
-        free capacity assigns each object its zspage, and every fresh
-        zspage opens in one batch, in the order the sequential calls
-        would open them.  When the arena cannot hold the fresh zspages'
-        frames, the batch takes the sequential path, so an exhausted
-        arena raises with exactly the sequential prefix committed.
+        batch classes' stacked zspages top first (skipped when no stack
+        holds a zspage), a segmented cumulative free capacity assigns
+        each object its zspage, and every fresh zspage opens in one
+        batch, in the order the sequential calls would open them.  When
+        the arena cannot hold the fresh zspages' frames, the batch takes
+        the sequential path, so an exhausted arena raises with exactly
+        the sequential prefix committed.
         """
         arr = np.asarray(sizes, dtype=np.int64)
         n = arr.size
@@ -313,30 +327,32 @@ class ZsmallocAllocator(PoolAllocator):
         # Objects by class: one stable argsort (a radix sort on int16
         # keys); per batch class (ascending), its class index, objects
         # and first sorted position.
-        order = np.argsort(class_index.astype(np.int16), kind="stable")
+        order = np.argsort(class_index, kind="stable")
         class_count = np.bincount(class_index, minlength=_GEOM_OBJECTS.size)
-        group_class = np.flatnonzero(class_count)
+        group_class = np.flatnonzero(class_count != 0)
         groups = group_class.size
         wanted = class_count[group_class]
         starts = np.cumsum(wanted) - wanted
         # The batch classes' stacked zspages, class by class, top first.
         stack = self._zs_stack[: self._n_slots]
         stacked = np.flatnonzero(stack >= 0)
-        stacked_class = self._zs_cls[stacked] // CLASS_DELTA
-        in_batch = class_count[stacked_class] > 0
-        stacked = stacked[in_batch]
-        stacked_group = np.searchsorted(group_class, stacked_class[in_batch])
-        top_first = np.lexsort((-stack[stacked], stacked_group))
-        stacked = stacked[top_first]
-        stacked_group = stacked_group[top_first]
-        room = (self._zs_capacity[stacked] - self._zs_count[stacked]).astype(
-            np.int64
-        )
-        # Free room per class, and above each zspage within its class.
-        class_room = np.bincount(stacked_group, room, groups).astype(np.int64)
-        above = np.cumsum(room) - room
-        above -= (np.cumsum(class_room) - class_room)[stacked_group]
-        take = np.minimum(np.maximum(wanted[stacked_group] - above, 0), room)
+        class_room = np.zeros(groups, dtype=np.int64)
+        if stacked.size:
+            stacked_class = self._zs_cls[stacked] // CLASS_DELTA
+            in_batch = class_count[stacked_class] > 0
+            stacked = stacked[in_batch]
+            stacked_group = np.searchsorted(group_class, stacked_class[in_batch])
+            top_first = np.lexsort((-stack[stacked], stacked_group))
+            stacked = stacked[top_first]
+            stacked_group = stacked_group[top_first]
+            room = (self._zs_capacity[stacked] - self._zs_count[stacked]).astype(
+                np.int64
+            )
+            # Free room per class, and above each zspage within its class.
+            class_room = np.bincount(stacked_group, room, groups).astype(np.int64)
+            above = np.cumsum(room) - room
+            above -= (np.cumsum(class_room) - class_room)[stacked_group]
+            take = np.minimum(np.maximum(wanted[stacked_group] - above, 0), room)
         # Fresh zspages: ``opens`` per class, all full but each class's
         # last, which holds ``rest - (opens - 1) * capacity``.
         rest = np.maximum(wanted - class_room, 0)
@@ -433,8 +449,8 @@ class ZsmallocAllocator(PoolAllocator):
         self.stored_bytes -= int(arr.sum())
         self.stored_objects -= n
         freed = np.bincount(slots)
-        touched = np.flatnonzero(freed)
-        before = self._zs_count[touched].astype(np.int64)
+        touched = np.flatnonzero(freed != 0)
+        before = self._zs_count[touched]
         after = before - freed[touched]
         self._zs_count[touched] = after
         was_full = before >= self._zs_capacity[touched]

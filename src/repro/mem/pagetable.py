@@ -50,10 +50,6 @@ from repro.mem.page import PAGES_PER_REGION
 #: ``last_access`` value meaning "never accessed" (far past).
 NEVER_ACCESSED = -(1 << 30)
 
-#: Keys spanning at most this many values (tier indices) are grouped by
-#: one comparison pass per value instead of a sort.
-FEW_KEYS = 4
-
 
 class PageTable:
     """Parallel numpy columns for one address space's pages and regions.
@@ -143,13 +139,10 @@ class PageTable:
     ) -> list[tuple[int, np.ndarray]]:
         """Group positions ``0..len(keys)`` by key, preserving input order.
 
-        The one grouping primitive behind every per-tier batch: each
-        key's positions come out in input order, which is what the
-        order-sensitive allocator paths require.  Keys spanning at most
-        :data:`FEW_KEYS` values (tier indices) take one comparison pass
-        per value and no sort, a single value none at all; wider keys
-        take one stable argsort, whose runs of equal keys bound the
-        groups.
+        Each key's positions come out in input order, which is what
+        order-sensitive allocator paths require.  A single key value
+        takes no sort; otherwise one stable argsort, whose runs of equal
+        keys bound the groups.
 
         Args:
             keys: 1-D integer key per position.
@@ -168,18 +161,14 @@ class PageTable:
         hi = int(keys.max())
         if lo == hi:
             return [(lo, np.arange(n))]
-        if hi - lo < FEW_KEYS:
-            groups = [(k, np.flatnonzero(keys == k)) for k in range(lo, hi + 1)]
-            groups = [group for group in groups if group[1].size]
-        else:
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-            bounds = [0] + starts.tolist() + [n]
-            groups = [
-                (int(sorted_keys[start]), order[start:stop])
-                for start, stop in zip(bounds, bounds[1:])
-            ]
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        bounds = [0] + starts.tolist() + [n]
+        groups = [
+            (int(sorted_keys[start]), order[start:stop])
+            for start, stop in zip(bounds, bounds[1:])
+        ]
         if first_seen:
             groups.sort(key=lambda group: group[1][0])
         return groups

@@ -20,6 +20,7 @@ paper's "TierScape Tax" methodology (§8.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +28,6 @@ import numpy as np
 from repro.allocators.base import AllocationError
 from repro.mem.address_space import AddressSpace
 from repro.mem.page import PAGE_SIZE, PAGES_PER_REGION
-from repro.mem.pagetable import PageTable
 from repro.mem.stats import ClockStats
 from repro.mem.tier import (
     CHUNK_BYTES,
@@ -48,37 +48,36 @@ _REGION_PAGES = np.arange(PAGES_PER_REGION)
 
 
 def _same_kind_runs(
-    frees: np.ndarray, stores: np.ndarray, group: np.ndarray
-) -> list[tuple[bool, np.ndarray]]:
+    frees: np.ndarray, stores: np.ndarray, bounds: list[int]
+) -> list[tuple[bool, int, int]]:
     """One tier's free and store positions as maximal same-kind runs.
 
-    ``frees`` and ``stores`` are disjoint ascending positions, and
-    ``group`` maps each position to its group.  A group holds one kind
-    for the tier, so runs are found group by group: consecutive frees
-    (no store between them) form one run, and so do consecutive
-    stores.  Returns ``(is_store, positions)`` runs in position order.
+    ``frees`` and ``stores`` are disjoint ascending positions, and group
+    ``g`` holds positions ``bounds[g]`` to ``bounds[g + 1]``.  A group
+    holds one kind for the tier, so runs are found group by group:
+    consecutive frees (no store between them) form one run, and so do
+    consecutive stores.  Returns ``(is_store, start, stop)`` runs in
+    position order: the run is ``stores[start:stop]`` or
+    ``frees[start:stop]``.
     """
-    n_groups = int(group[-1]) + 1
-    # Per group: +frees or -stores (never both).
-    signed = np.bincount(group[frees], minlength=n_groups) - np.bincount(
-        group[stores], minlength=n_groups
-    )
+    if not stores.size:
+        return [(False, 0, frees.size)]
+    if not frees.size:
+        return [(True, 0, stores.size)]
+    # Per group, the frees and stores before its end.
+    free_ends = frees.searchsorted(bounds).tolist()
+    store_ends = stores.searchsorted(bounds).tolist()
     runs: list[list] = []
-    taken = [0, 0]
-    for count in signed.tolist():
-        if not count:
+    for g in range(len(bounds) - 1):
+        is_store = store_ends[g + 1] > store_ends[g]
+        ends = store_ends if is_store else free_ends
+        if ends[g + 1] == ends[g]:
             continue
-        is_store = count < 0
-        start = taken[is_store]
-        taken[is_store] = stop = start + abs(count)
         if runs and runs[-1][0] == is_store:
-            runs[-1][2] = stop
+            runs[-1][2] = ends[g + 1]
         else:
-            runs.append([is_store, start, stop])
-    return [
-        (is_store, (stores if is_store else frees)[start:stop])
-        for is_store, start, stop in runs
-    ]
+            runs.append([is_store, ends[g], ends[g + 1]])
+    return [tuple(run) for run in runs]
 
 
 def _no_values(dtype=np.float64):
@@ -285,21 +284,24 @@ class TieredMemorySystem(TransientCaches):
         return self._page_level
 
     def _level_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """zswap admission and compressed size per ``(tier, level)``.
+        """Admission and compressed size per ``(tier, level)``.
 
-        Rows of byte-addressable tiers reject every page, at size 0.
+        Flat, at ``tier * levels + level``: a page's key into them is one
+        multiply-add, and a wave gathers each table once.  ``accepts``
+        says whether the tier takes a page of that level: a byte tier
+        takes every page (at size 0), a compressed tier those zswap
+        admits.
         """
         self._page_levels()
         if self._level_accepts is None:
             values = self._level_values
-            shape = (len(self.tiers), values.size)
-            accepts = np.zeros(shape, dtype=bool)
-            csizes = np.zeros(shape, dtype=np.int64)
+            accepts = np.ones((len(self.tiers), values.size), dtype=bool)
+            csizes = np.zeros(accepts.shape, dtype=np.int64)
             for idx, tier in enumerate(self.tiers):
                 if tier.is_compressed:
                     accepts[idx] = tier.accepts_many(values)
                     csizes[idx] = tier.algorithm.compressed_sizes(values)
-            self._level_accepts, self._level_csizes = accepts, csizes
+            self._level_accepts, self._level_csizes = accepts.ravel(), csizes.ravel()
         return self._level_accepts, self._level_csizes
 
     def planning_tables(self) -> PlanningTables:
@@ -334,13 +336,21 @@ class TieredMemorySystem(TransientCaches):
         del state["_plan"]
         return state
 
+    def _level_keys(self, tier_idx, page_ids: np.ndarray) -> np.ndarray:
+        """Keys of pages at ``tier_idx`` (a tier or one per page) into the
+        flat :meth:`_level_tables`, once they are built."""
+        return self._page_level[page_ids] + tier_idx * self._level_values.size
+
     def _tier_csizes(self, tier_idx: int, page_ids: np.ndarray) -> np.ndarray:
         """Per-page compressed sizes at ``tiers[tier_idx]``."""
-        return self._level_tables()[1][tier_idx, self._page_level[page_ids]]
+        csizes = self._level_tables()[1]
+        return csizes[self._level_keys(tier_idx, page_ids)]
 
     def _tier_accepts(self, tier_idx: int, page_ids: np.ndarray) -> np.ndarray:
-        """Per-page zswap admission at ``tiers[tier_idx]``."""
-        return self._level_tables()[0][tier_idx, self._page_level[page_ids]]
+        """Per-page admission at ``tiers[tier_idx]`` (zswap's at a compressed
+        tier; a byte tier takes every page)."""
+        accepts = self._level_tables()[0]
+        return accepts[self._level_keys(tier_idx, page_ids)]
 
     # -- access path ----------------------------------------------------------
 
@@ -366,35 +376,48 @@ class TieredMemorySystem(TransientCaches):
         """
         result = BatchResult()
         counts = np.asarray(counts)
-        pages = np.flatnonzero(counts)
-        if not len(pages):
+        # numpy's nonzero on an integer array is the slow form (~2x a
+        # comparison plus nonzero on the boolean).
+        pages = np.flatnonzero(counts != 0)
+        if not pages.size:
             return result
         counts = counts[pages]
         self.last_access_window[pages] = self.current_window
+        tiers = self.tiers
+        locations = self.page_location[pages]
+        # Accesses per tier.  Nearly every touched page sits in
+        # ``tiers[0]`` (DRAM): each other tier's pages are found by one
+        # comparison pass (a compressed tier's faults need their
+        # positions anyway) and ``tiers[0]`` takes the rest of the
+        # total.  A weighted ``bincount`` is no faster, and slower on
+        # large windows.
         total = int(counts.sum())
+        on_tier = [np.flatnonzero(locations == idx) for idx in range(1, len(tiers))]
+        per_tier = [int(counts[pos].sum()) for pos in on_tier]
+        per_tier.insert(0, total - sum(per_tier))
         result.accesses = total
         self.clock.total_accesses += total
         self.clock.optimal_ns += total * self.dram.media.read_ns
 
-        # group_ordered visits tiers in ascending index order with each
-        # group's pages in ascending page order.  Each tier contributes
-        # its clock terms and its histogram entries, in that order.
+        # Tiers in ascending index order, each tier's pages in
+        # ascending page order.  Each tier contributes its clock terms
+        # and its histogram entries, in that order.
         terms, latency, weight, faulted = [[0.0]], [], [], []
-        locations = self.page_location[pages]
-        for idx, pos in PageTable.group_ordered(locations):
-            tier = self.tiers[idx]
-            tier_counts = counts[pos]
+        for idx, n_accesses in enumerate(per_tier):
+            if not n_accesses:
+                continue
+            tier = tiers[idx]
             if isinstance(tier, ByteAddressableTier):
-                n_accesses = int(tier_counts.sum())
                 ns = tier.access_ns(n_accesses, write_fraction)
                 tier.stats.accesses += n_accesses
                 terms.append([ns])
                 latency.append([ns / n_accesses])
                 weight.append([n_accesses])
             else:
+                pos = on_tier[idx - 1]
                 page_ids = pages[pos]
                 tier_terms, tier_weight = self._fault_pages(
-                    tier, page_ids, tier_counts, write_fraction
+                    tier, page_ids, counts[pos], write_fraction
                 )
                 entry = tier_weight > 0
                 terms.append(tier_terms)
@@ -471,8 +494,13 @@ class TieredMemorySystem(TransientCaches):
                 target.stats.accesses += slice_rest
             start = stop
         self.page_location[page_ids] = targets
-        weights = np.column_stack((np.ones(n, dtype=rest.dtype), rest))
-        return np.column_stack((fault_ns, rest_ns)).ravel(), weights.ravel()
+        # Interleaved per page: the fault, then the remaining accesses.
+        terms = np.empty(2 * n)
+        terms[0::2] = fault_ns
+        terms[1::2] = rest_ns
+        weights = np.ones(2 * n, dtype=rest.dtype)
+        weights[1::2] = rest
+        return terms, weights
 
     def _promotion_target(self) -> int:
         """Fastest byte-addressable tier with room for one more page."""
@@ -789,48 +817,45 @@ class TieredMemorySystem(TransientCaches):
             return None
         tiers = self.tiers
         n_tiers = len(tiers)
-        n_groups = len(dsts)
         locations = self.page_location[page_ids]
-        dst_of = np.repeat(np.array(dsts, dtype=locations.dtype), sizes)
-        group = np.repeat(np.arange(n_groups), sizes)
-        keep = locations != dst_of
-        into_pool = any(tiers[d].is_compressed for d in dsts)
+        dst_of = np.repeat(dsts, sizes)
+        # Only the movers are gathered: a page already at its group's
+        # destination costs nothing.
+        moving = np.flatnonzero(locations != dst_of)
+        pids, srcs, dst_of = page_ids[moving], locations[moving], dst_of[moving]
         copies = None
-        if into_pool:
-            compressed = np.array([tier.is_compressed for tier in tiers])
-            src_comp = compressed[locations]
-            dst_comp = compressed[dst_of]
-            # -- admission: a page a compressed destination rejects stays
-            # put (0 ns) when it sits in a byte tier, and promotes otherwise
+        if any(tiers[d].is_compressed for d in dsts):
+            # -- admission, one gather on the flat (tier, level) key: a
+            # page a compressed destination rejects stays put (0 ns) when
+            # it sits in a byte tier, and promotes otherwise
             accepts, csizes = self._level_tables()
-            levels = self._page_level[page_ids]
-            store_mask = accepts[dst_of, levels]
-            keep &= store_mask | src_comp | ~dst_comp
+            keys = self._level_keys(dst_of, pids)
+            taken = accepts[keys]
+            if not taken.all():
+                compressed = np.array([tier.is_compressed for tier in tiers])
+                moves = taken | compressed[srcs]
+                if not moves.all():
+                    moving, pids, srcs = moving[moves], pids[moves], srcs[moves]
+                    dst_of, keys, taken = dst_of[moves], keys[moves], taken[moves]
+                if not taken.all():
+                    promo_idx = next(
+                        (i for i in self._byte_tier_indices if tiers[i].free_pages > 0),
+                        None,
+                    )
+                    if promo_idx is None:
+                        return None
+                    dst_of = np.where(taken, dst_of, promo_idx)
             if self.fast_same_algo_migration:
                 # §7.1: a page stored between two tiers of one algorithm
                 # is copied, not recompressed.
                 algo = [t.algorithm.name if t.is_compressed else None for t in tiers]
-                same = np.array([[a is not None and a == b for b in algo] for a in algo])
-                copies = store_mask & same[locations, dst_of]
-        n = int(np.count_nonzero(keep))
+                same = np.array([a is not None and a == b for a in algo for b in algo])
+                copies = np.flatnonzero(taken & same[srcs * n_tiers + dst_of])
+        n = pids.size
         if n == 0:
-            return WaveResult([0.0] * n_groups, 0, False)
-        pids, srcs, group = page_ids[keep], locations[keep], group[keep]
-        dst_of = dst_of[keep]
-        if into_pool:
-            store_mask, levels = store_mask[keep], levels[keep]
-            store_cs = csizes[dst_of, levels]
-            if copies is not None:
-                copies = np.flatnonzero(copies[keep])
-            promo_mask = compressed[dst_of] & ~store_mask
-            if promo_mask.any():
-                promo_idx = next(
-                    (i for i in self._byte_tier_indices if tiers[i].free_pages > 0),
-                    None,
-                )
-                if promo_idx is None:
-                    return None
-                dst_of = np.where(promo_mask, promo_idx, dst_of)
+            return WaveResult([0.0] * len(dsts), 0, False)
+        # Group g's movers are positions bounds[g] to bounds[g + 1].
+        bounds = moving.searchsorted(list(accumulate(sizes, initial=0))).tolist()
 
         # -- capacity proof, before any state changes
         src_counts = np.bincount(srcs, minlength=n_tiers).tolist()
@@ -849,33 +874,36 @@ class TieredMemorySystem(TransientCaches):
             for t_idx, count in enumerate(dst_counts)
             if count and tiers[t_idx].is_compressed
         }
+        # Per store tier, its stores' compressed sizes; a run is a slice.
+        store_cs = {t_idx: csizes[keys[pos]] for t_idx, pos in stores.items()}
         runs = []
         for t_idx in sorted(frees.keys() | stores.keys()):
             tier = tiers[t_idx]
             tier_runs = _same_kind_runs(
                 frees.get(t_idx, _NO_POSITIONS),
                 stores.get(t_idx, _NO_POSITIONS),
-                group,
+                bounds,
             )
             if t_idx in stores and not tier.allocator.stores_fit(
-                [store_cs[pos] for is_store, pos in tier_runs if is_store],
+                [store_cs[t_idx][a:b] for is_store, a, b in tier_runs if is_store],
                 tier.capacity_pages - tier.used_pages,
             ):
                 return None
-            runs.extend((tier, is_store, pos) for is_store, pos in tier_runs)
+            runs.extend((t_idx, *run) for run in tier_runs)
 
         # -- membership out, then allocator runs, each tier's in order
-        removed_cs = np.zeros(n, dtype=np.int64)
-        removed_ids = np.zeros(n, dtype=np.int64)
-        for t_idx, pos in frees.items():
-            removed_cs[pos], removed_ids[pos] = tiers[t_idx].detach_pages_bulk(
-                pids[pos]
-            )
-        for tier, is_store, pos in runs:
+        removed = {
+            t_idx: tiers[t_idx].detach_pages_bulk(pids[pos])
+            for t_idx, pos in frees.items()
+        }
+        stored = {t_idx: pids[pos] for t_idx, pos in stores.items()}
+        for t_idx, is_store, a, b in runs:
+            tier = tiers[t_idx]
             if is_store:
-                tier.store_prepared_bulk(pids[pos], store_cs[pos])
+                tier.store_prepared_bulk(stored[t_idx][a:b], store_cs[t_idx][a:b])
             else:
-                tier.allocator.free_ids(removed_ids[pos], removed_cs[pos])
+                cs, ids = removed[t_idx]
+                tier.allocator.free_ids(ids[a:b], cs[a:b])
 
         # -- byte-tier residency (removals first: the proof gave every
         # byte tier room for all its additions)
@@ -894,13 +922,13 @@ class TieredMemorySystem(TransientCaches):
         write_ns = page_write[dst_of]
         for t_idx, pos in frees.items():
             tier = tiers[t_idx]
-            cs = removed_cs[pos]
+            cs = removed[t_idx][0]
             tier.stats.pages_out += pos.size
             tier.stats.compressed_bytes -= int(cs.sum())
             load_ns[pos] = tier.csize_fault_ns(cs)
         for t_idx, pos in stores.items():
             tier = tiers[t_idx]
-            cs = store_cs[pos]
+            cs = store_cs[t_idx]
             tier.stats.pages_in += pos.size
             tier.stats.stores += pos.size
             tier.stats.compressed_bytes += int(cs.sum())
@@ -912,7 +940,7 @@ class TieredMemorySystem(TransientCaches):
                 pos = copies[pairs == pair]
                 src_idx, dst_idx = divmod(pair, n_tiers)
                 per_ns[pos] = tiers[src_idx].csize_copy_ns(
-                    tiers[dst_idx], csizes[src_idx, levels[pos]]
+                    tiers[dst_idx], csizes[self._level_keys(src_idx, pids[pos])]
                 )
 
         # -- final placement + ordered clock accumulation
@@ -923,14 +951,13 @@ class TieredMemorySystem(TransientCaches):
         self.clock.migration_ns = float(
             np.add.accumulate(np.append(self.clock.migration_ns, per_ns))[-1]
         )
-        # Each group's sum starts from 0.0 and adds left to right, as
-        # the per-page loop does for its region.
-        group_ns = []
-        start = 0
-        for stop in np.cumsum(np.bincount(group, minlength=n_groups)).tolist():
-            group_sum = np.add.accumulate(np.append(0.0, per_ns[start:stop]))[-1]
-            group_ns.append(float(group_sum))
-            start = stop
+        # Each group's sum adds left to right from its first page, as
+        # the per-page loop does from 0.0 for its region (costs are
+        # positive, so 0.0 + x == x).
+        group_ns = [
+            float(np.add.accumulate(per_ns[a:b])[-1]) if b > a else 0.0
+            for a, b in zip(bounds, bounds[1:])
+        ]
         return WaveResult(group_ns, len(runs), False)
 
     def advance_window(self) -> None:

@@ -291,22 +291,18 @@ class CompressedTier(Tier):
     def csize_fault_ns(self, csizes: np.ndarray) -> np.ndarray:
         """Fault latency of objects of the given compressed sizes."""
         fixed = self.allocator.mgmt_overhead_ns + self.algorithm.decompress_ns()
-        return fixed + self.media.read_ns * np.ceil(
-            csizes.astype(np.float64) / CHUNK_BYTES
-        )
+        return fixed + self.media.read_ns * np.ceil(csizes / CHUNK_BYTES)
 
     def csize_store_ns(self, csizes: np.ndarray) -> np.ndarray:
         """Store latency of objects of the given compressed sizes."""
         fixed = self.allocator.mgmt_overhead_ns + self.algorithm.compress_ns()
-        return fixed + self.media.write_ns * np.ceil(
-            csizes.astype(np.float64) / CHUNK_BYTES
-        )
+        return fixed + self.media.write_ns * np.ceil(csizes / CHUNK_BYTES)
 
     def csize_copy_ns(self, dst: CompressedTier, csizes: np.ndarray) -> np.ndarray:
         """§7.1 copy of objects of the given compressed sizes to ``dst``,
         a tier of the same algorithm: both pools' management plus the
         object streamed off this medium and onto ``dst``'s, no codec."""
-        chunks = np.ceil(csizes.astype(np.float64) / CHUNK_BYTES)
+        chunks = np.ceil(csizes / CHUNK_BYTES)
         fixed = self.allocator.mgmt_overhead_ns + dst.allocator.mgmt_overhead_ns
         return fixed + self.media.read_ns * chunks + dst.media.write_ns * chunks
 
@@ -423,14 +419,16 @@ class CompressedTier(Tier):
         if pids.size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         limit = pt.num_pages if pt is not None else 0
-        valid = (pids >= 0) & (pids < limit)
-        member = np.zeros(pids.size, dtype=bool)
-        if valid.any():
-            member[valid] = pt.ct_owner[pids[valid]] == self._token
-        if not member.all():
-            raise AllocationError(
-                f"page {int(pids[~member][0])} is not stored in tier {self.name}"
-            )
+        if (
+            pids.min() < 0
+            or pids.max() >= limit
+            or (pt.ct_owner[pids] != self._token).any()
+        ):
+            for pid in pids.tolist():
+                if not self.contains(pid):
+                    raise AllocationError(
+                        f"page {pid} is not stored in tier {self.name}"
+                    )
         cs = pt.csize[pids]
         oids = pt.obj_id[pids]
         pt.ct_owner[pids] = -1

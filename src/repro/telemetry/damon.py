@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.mem.page import PAGES_PER_REGION
 from repro.telemetry.hotness import RegionHotness
+from repro.telemetry.idlebit import set_accessed_bits
 from repro.telemetry.window import ProfileRecord
 
 #: Cost to probe one sampled address (page-table walk + bit check), ns.
@@ -55,7 +56,7 @@ class DamonProfiler:
         self.sampler = None  # interface parity with the PEBS profiler
 
     def record(self, counts: np.ndarray) -> None:
-        self._accessed[np.flatnonzero(counts)] = True
+        set_accessed_bits(self._accessed, counts)
 
     def end_window(self) -> ProfileRecord:
         probes = self._rng.integers(

@@ -40,6 +40,8 @@ def _side(
     waterfall_apply_ms=0.9,
     waterfall_pages=900.0,
     ingest_ms=0.4,
+    waterfall_access_ms=0.3,
+    access_ms=0.5,
 ):
     """One tree's parsed results: five identical runs of each run name."""
     ycsb = [_result(windows_per_s=windows_per_s) for _ in range(5)]
@@ -50,6 +52,7 @@ def _side(
                 "telemetry.end_window_ms": end_window_ms,
                 "migration.apply_ms": waterfall_apply_ms,
                 "migration.pages_per_window": waterfall_pages,
+                "mem.access_batch_ms": waterfall_access_ms,
             }
         )
         for _ in range(5)
@@ -66,6 +69,7 @@ def _side(
             **{
                 "migration.apply_ms": apply_ms,
                 "migration.pages_per_window": pages,
+                "mem.access_batch_ms": access_ms,
             }
         )
         for _ in range(5)
@@ -167,6 +171,24 @@ def test_slower_serve_ingest_fails(gate):
     assert ok
 
 
+def test_slower_fault_path_fails(gate):
+    # +40 % ms of mem.access_batch per window is past the 1/0.75 bound,
+    # on either gated run; +30 % is within it.
+    for run, slower in (
+        ("ycsb-waterfall --trace 1", {"waterfall_access_ms": 0.3 * 1.40}),
+        ("xsbench-ckpt --trace 1", {"access_ms": 0.5 * 1.40}),
+    ):
+        ok, lines = gate.decide(_side(), _side(**slower))
+        assert not ok
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert f"{run} accessed_windows_per_ms" in failed[0]
+    ok, _ = gate.decide(
+        _side(), _side(waterfall_access_ms=0.3 * 1.30, access_ms=0.5 * 1.30)
+    )
+    assert ok
+
+
 def test_one_incorrect_run_fails(gate):
     ok, lines = gate.decide(_side(), _side(incorrect_run=2))
     assert not ok
@@ -181,10 +203,12 @@ def test_bounds_match_the_gates_they_replace(gate):
         ("ycsb-waterfall --trace 0", "windows_per_s"): 0.10,
         ("ycsb-waterfall --trace 1", "profiled_windows_per_ms"): 0.25,
         ("ycsb-waterfall --trace 1", "migrated_pages_per_apply_ms"): 0.25,
+        ("ycsb-waterfall --trace 1", "accessed_windows_per_ms"): 0.25,
         ("ycsb-amtco --trace 0", "windows_per_s"): 0.10,
         ("ycsb-amtco --trace 1", "recommends_per_ms"): 0.25,
         ("xsbench-ckpt --trace 0", "windows_per_s"): 0.10,
         ("xsbench-ckpt --trace 1", "migrated_pages_per_apply_ms"): 0.25,
+        ("xsbench-ckpt --trace 1", "accessed_windows_per_ms"): 0.25,
         ("serve-flash-adaptive --trace 0", "windows_per_s"): 0.10,
         ("serve-flash-adaptive --trace 1", "ingested_windows_per_ms"): 0.25,
     }

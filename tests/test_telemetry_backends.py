@@ -101,6 +101,44 @@ class TestDamonProfiler:
             DamonProfiler(num_regions=1, samples_per_region=0)
 
 
+@pytest.mark.parametrize("cls", [IdleBitProfiler, DamonProfiler])
+class TestAccessedBits:
+    """``record`` sets the bits of the touched pages, as indexing with
+    ``np.flatnonzero(counts)`` did."""
+
+    def test_bits_match_the_touched_pages(self, cls):
+        rng = np.random.default_rng(3)
+        profiler = cls(num_regions=2)
+        expected = np.zeros(2 * PAGES_PER_REGION, dtype=bool)
+        for length in (2 * PAGES_PER_REGION, 700, 1, 0):
+            counts = rng.integers(0, 3, length) * rng.integers(0, 2, length)
+            profiler.record(counts)
+            expected[np.flatnonzero(counts)] = True
+            np.testing.assert_array_equal(profiler._accessed, expected)
+
+    def test_all_zero_window_sets_nothing(self, cls):
+        profiler = cls(num_regions=2)
+        profiler.record(np.zeros(2 * PAGES_PER_REGION, dtype=np.int64))
+        assert not profiler._accessed.any()
+
+    def test_longer_window_with_an_untouched_tail_is_accepted(self, cls):
+        profiler = cls(num_regions=1)
+        counts = np.zeros(PAGES_PER_REGION + 9, dtype=np.int64)
+        counts[[0, PAGES_PER_REGION - 1]] = 4
+        profiler.record(counts)
+        assert np.flatnonzero(profiler._accessed).tolist() == [
+            0,
+            PAGES_PER_REGION - 1,
+        ]
+
+    def test_touching_a_page_past_the_end_raises(self, cls):
+        profiler = cls(num_regions=1)
+        counts = np.zeros(PAGES_PER_REGION + 9, dtype=np.int64)
+        counts[PAGES_PER_REGION + 4] = 1
+        with pytest.raises(IndexError, match=str(PAGES_PER_REGION + 4)):
+            profiler.record(counts)
+
+
 class TestRegistry:
     def test_all_kinds_constructible(self):
         for kind in PROFILER_KINDS:

@@ -12,6 +12,7 @@ import io
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -805,3 +806,181 @@ def test_zipfian_lut_matches_lut_of_generator_choice(n, theta, size, seed):
         ranks = ref.choice(n, size=size, p=gen._probabilities)
         assert np.array_equal(got, ranks if lut is None else lut[ranks])
     assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
+
+
+# -- the lean bulk paths' branches against their scalar oracles ----------
+
+
+@pytest.mark.parametrize("stacked", ["none", "some", "all"])
+def test_store_ids_with_stacked_zspages_in_none_some_or_all_classes(stacked):
+    """A batch whose classes have no zspage on a partial stack, some of
+    them or all of them: slots, partial stacks and ``pool_pages`` equal
+    sequential ``store`` calls."""
+    # One object each opens a partial zspage of classes 112, 704 and
+    # 1504 (capacities 36, 23 and 13 objects).
+    history = [100, 700, 1500]
+    batch = {
+        "none": [20, 2900, 20, 4096, 33, 2900],
+        "some": [700, 20, 700, 2900, 100, 33],
+        "all": [100, 700, 1500, 1500, 700, 100] * 9,
+    }[stacked]
+    bulk = ZsmallocAllocator(arena_pages=1 << 12)
+    sequential = ZsmallocAllocator(arena_pages=1 << 12)
+    for pool in (bulk, sequential):
+        for size in history:
+            pool.store(size)
+    batch_classes = {size_class(size) for size in batch}
+    on_stack = batch_classes & set(bulk._partial)
+    if stacked == "none":
+        assert not on_stack
+    elif stacked == "some":
+        assert 0 < len(on_stack) < len(batch_classes)
+    else:
+        assert on_stack == batch_classes
+
+    handles = _store_ids(bulk, batch)
+    assert handles == [sequential.store(size) for size in batch]
+    assert _packing_state(bulk) == _packing_state(sequential)
+    assert _zspage_slots(bulk) == _zspage_slots(sequential)
+    assert bulk._partial == sequential._partial
+    assert bulk.pool_pages == sequential.pool_pages
+
+
+def test_size_classes_equal_size_class_below_and_above_a_page():
+    """``size_classes`` is ``size_class`` per size, past a page too; the
+    class-index table agrees with it up to a page."""
+    from repro.allocators.zsmalloc import (
+        CLASS_DELTA,
+        PAGE_SIZE,
+        _class_indices,
+        size_classes,
+    )
+
+    sizes = np.arange(1, 3 * PAGE_SIZE + 1)
+    assert size_classes(sizes).tolist() == [size_class(int(s)) for s in sizes]
+    small = sizes[:PAGE_SIZE]
+    assert np.array_equal(_class_indices(small) * CLASS_DELTA, size_classes(small))
+
+
+def _assert_access_like_scalar(system, counts, write_fraction=0.2):
+    """``access_batch(counts)`` == the per-page reference, state included."""
+    reference = copy.deepcopy(system)
+    batch = np.repeat(np.arange(len(counts)), counts)
+    result = system.access_batch(counts, write_fraction)
+    ref_ns, ref_faults, ref_hist = _scalar_access_batch(
+        reference, batch, write_fraction
+    )
+    assert result.accesses == int(np.sum(counts))
+    assert result.faults == ref_faults
+    assert np.array_equal(system.page_location, reference.page_location)
+    assert np.array_equal(system.last_access_window, reference.last_access_window)
+    assert system.clock.total_accesses == reference.clock.total_accesses
+    assert system.clock.optimal_ns == reference.clock.optimal_ns
+    for got, want in zip(system.tiers, reference.tiers):
+        assert got.stats.snapshot() == want.stats.snapshot()
+        assert got.used_pages == want.used_pages
+    assert np.isclose(result.access_ns, ref_ns, rtol=1e-12)
+    if ref_hist:
+        histogram = np.column_stack((result.latency_ns, result.latency_count))
+        assert np.allclose(histogram, np.asarray(ref_hist), rtol=1e-12)
+    else:
+        assert result.latency_ns.size == result.latency_count.size == 0
+    return result
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_access_batch_window_shapes_match_scalar(seed):
+    """An all-zero window, one shorter than the address space, and windows
+    touching only byte tiers or only compressed tiers."""
+    system = _make_system(seed)
+    rng = np.random.default_rng(seed)
+    _scatter(system, rng)
+    n = system.space.num_pages
+    compressed = np.array([tier.is_compressed for tier in system.tiers])
+
+    before = copy.deepcopy(system)
+    result = system.access_batch(np.zeros(n, dtype=np.int64))
+    assert (result.accesses, result.faults, result.access_ns) == (0, 0, 0.0)
+    assert np.array_equal(system.last_access_window, before.last_access_window)
+    assert system.clock.total_accesses == before.clock.total_accesses
+
+    short = np.zeros(n // 3, dtype=np.int64)
+    short[rng.integers(0, short.size, 50)] = rng.integers(1, 9, 50)
+    system.advance_window()
+    _assert_access_like_scalar(system, short)
+
+    for in_pool in (False, True):
+        pages = np.flatnonzero(compressed[system.page_location] == in_pool)
+        assert pages.size
+        counts = np.zeros(n, dtype=np.int64)
+        chosen = rng.choice(pages, min(40, pages.size), replace=False)
+        counts[chosen] = rng.integers(1, 6, chosen.size)
+        system.advance_window()
+        result = _assert_access_like_scalar(system, counts)
+        assert result.faults == (chosen.size if in_pool else 0)
+
+
+def _two_pool_system(seed: int) -> TieredMemorySystem:
+    """DRAM, NVMM and two zsmalloc tiers whose algorithms disagree on
+    admission: deflate (CT-1) keeps pages that 842 (CT-2) rejects."""
+    from repro.bench.configs import make_compressed_tier
+    from repro.compression.data import page_compressibilities
+    from repro.mem.media import DRAM, NVMM
+
+    n = 6 * PAGES_PER_REGION
+    rng = np.random.default_rng(seed)
+    comp = page_compressibilities("mixed", n, seed=seed)
+    comp[rng.random(n) < 0.2] = 0.93
+    space = AddressSpace(n, compressibility=comp)
+    tiers = [
+        ByteAddressableTier("DRAM", DRAM, capacity_pages=n),
+        ByteAddressableTier("NVMM", NVMM, capacity_pages=n),
+        make_compressed_tier("CT-1", "deflate", "zsmalloc", DRAM, n, 1 << 14),
+        make_compressed_tier("CT-2", "842", "zsmalloc", NVMM, n, 1 << 14),
+    ]
+    return TieredMemorySystem(tiers, space)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_multi_group_wave_is_bit_identical_to_per_page_moves(seed):
+    """Six groups with frees and stores on both zsmalloc tiers and
+    promotions of pages CT-2 rejects: the wave's region nanoseconds and
+    clock equal the per-page path's bit for bit, and so does the state."""
+    def build():
+        system = _two_pool_system(seed)
+        system.move_regions([(0, 2), (1, 2), (2, 3), (3, 3), (4, 1)])
+        return system
+
+    system, reference = build(), build()
+    wave = [(0, 3), (1, 0), (2, 2), (3, 1), (4, 2), (5, 3)]
+    before = system.page_location.copy()
+    stored_before = [tier.stats.pages_in for tier in system.tiers]
+    result = system.move_regions(wave)
+    assert not result.per_page
+    assert result.allocator_calls >= 4
+
+    region_ns = []
+    for region_id, dst in wave:
+        pages = np.arange(region_id * PAGES_PER_REGION, (region_id + 1) * PAGES_PER_REGION)
+        movers = pages[reference.page_location[pages] != dst]
+        region_ns.append(reference._move_pages_scalar(movers, dst))
+    assert result.region_ns == region_ns
+    assert system.clock.migration_ns == reference.clock.migration_ns
+    assert np.array_equal(system.page_location, reference.page_location)
+    for name in ("ct_owner", "csize", "obj_id"):
+        assert np.array_equal(getattr(system.pt, name), getattr(reference.pt, name))
+    for got, want in zip(system.tiers, reference.tiers):
+        assert got.stats.snapshot() == want.stats.snapshot()
+        assert got.used_pages == want.used_pages
+        if got.is_compressed:
+            assert _packing_state(got.allocator) == _packing_state(want.allocator)
+            assert got.allocator._partial == want.allocator._partial
+
+    # The wave freed from and stored into both pools, and promoted the
+    # pages CT-2 rejects out of CT-1.
+    region0 = slice(0, PAGES_PER_REGION)
+    promoted = (before[region0] == 2) & (system.page_location[region0] == 0)
+    assert promoted.any()
+    for idx in (2, 3):
+        assert system.tiers[idx].stats.pages_out > 0
+        assert system.tiers[idx].stats.pages_in > stored_before[idx]
