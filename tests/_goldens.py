@@ -9,8 +9,12 @@ form; ``golden_text`` produces the exact bytes stored on disk.
 tuning moved onto the adaptive controller (``python tests/_goldens.py
 sla``).  Every golden was re-recorded once with these helpers when
 windows became per-page counts, which redraws the access stream and the
-PEBS samples.  ``python tests/_goldens.py fixtures`` writes the format-v4
-checkpoint fixtures (``FIXTURE_SPECS``).
+PEBS samples.  The small presets of the other Session-driven drivers
+(see ``PINNED``) were captured from the per-figure loops before every
+driver moved onto :func:`repro.engine.grid.run_grid`
+(``python tests/_goldens.py NAME...`` re-records only those names).
+``python tests/_goldens.py fixtures`` writes the format-v4 checkpoint
+fixtures (``FIXTURE_SPECS``).
 """
 
 from __future__ import annotations
@@ -21,12 +25,36 @@ from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
-#: The pinned drivers: name -> (driver kwargs).  Defaults mirror each
-#: driver's signature so the captured run is the documented default run.
+#: The pinned drivers: name -> (driver kwargs).  The first three mirror
+#: each driver's signature so the captured run is the documented default
+#: run; the rest are small presets (3 windows, Figs. 7 and 13 on two
+#: workloads) that pin every other Session-driven driver cheaply.
 PINNED = {
     "fig08_waterfall_trace": {"windows": 15, "seed": 0},
     "fig10_knob_sweep": {"windows": 10, "seed": 0},
     "fig14_tax": {"windows": 10, "seed": 0},
+    "fig01_motivation": {"windows": 3, "seed": 0},
+    "fig07_standard_mix": {
+        "workloads": ("memcached-ycsb", "bfs"), "windows": 3, "seed": 0,
+    },
+    "fig09_analytical_trace": {"windows": 3, "seed": 0},
+    "fig11_tail_latency": {"windows": 3, "seed": 0},
+    "fig12_spectrum_placement": {"windows": 3, "seed": 0},
+    "fig13_spectrum": {
+        "workloads": ("memcached-ycsb", "bfs"), "windows": 3, "seed": 0,
+    },
+    "ablation_filter": {"windows": 3, "seed": 0},
+    "ablation_cooling": {"windows": 3, "seed": 0},
+    "ablation_tier_count": {"windows": 3, "seed": 0},
+    "ablation_prefetch": {"windows": 3, "seed": 0},
+    "ablation_fast_migration": {"windows": 3, "seed": 0},
+    "ablation_tier_selection": {"windows": 3, "seed": 0},
+    "ablation_telemetry": {"windows": 3, "seed": 0},
+    "ablation_granularity": {"windows": 3, "seed": 0},
+    "ablation_solver": {"windows": 3, "seed": 0},
+    "exp_extended_baselines": {"windows": 3, "seed": 0},
+    "exp_iaa_tier": {"windows": 3, "seed": 0},
+    "exp_colocation": {"windows": 3, "seed": 0},
 }
 
 
@@ -156,20 +184,24 @@ def capture_sla() -> None:
     print(f"captured {path}")
 
 
-def capture() -> None:
-    """Write goldens from the *current* drivers (run once, pre-refactor)."""
+def capture(names=None) -> None:
+    """Write goldens from the *current* drivers (run once, pre-refactor).
+
+    ``names`` limits the capture to those pinned drivers; the latency
+    entries of the others are kept as they are.
+    """
     from repro.bench import experiments
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    stats = {}
-    for name, kwargs in PINNED.items():
+    stats_path = GOLDEN_DIR / "latency_stats.json"
+    stats = json.loads(stats_path.read_text()) if stats_path.exists() else {}
+    for name in names or PINNED:
         driver = getattr(experiments, name)
-        result = driver(**kwargs)
+        result = driver(**PINNED[name])
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(golden_text(result))
         stats[name] = latency_entries(normalise(result, zeroed=VOLATILE_KEYS))
         print(f"captured {path}")
-    stats_path = GOLDEN_DIR / "latency_stats.json"
     stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     print(f"captured {stats_path}")
 
@@ -230,4 +262,4 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["fixtures"]:
         capture_fixtures()
     else:
-        capture()
+        capture(sys.argv[1:])
