@@ -1,13 +1,15 @@
 """Run an arena grid: one engine session per cell, process-parallel.
 
-Each cell is an independent :class:`~repro.engine.session.Session` with
-its own spawned seed and its own metrics registry, so cells are
+The arena is a grid for :func:`~repro.engine.grid.run_grid`: each cell
+is an independent :class:`~repro.engine.session.Session` with its own
+spawned seed and its own metrics registry, so cells are
 order-independent and the leaderboard is identical whether the grid runs
 inline (``jobs=1``) or across a process pool (``jobs=J``).  A cell that
 cannot be *built* (a policy/mix mismatch, say ``tpp`` on the spectrum
 mix) is reported ``skipped``; a cell that fails mid-run is ``failed``
 with the error preserved.  Either way the sweep continues -- one bad
-cell never loses the rest of the grid.
+cell never loses the rest of the grid.  The leaderboard row is reduced
+in the worker that ran the cell.
 
 Everything ranked by the leaderboard is modeled, deterministic
 simulation output; measured wall-clock goes only to ``manifest.json``
@@ -20,11 +22,12 @@ time, for the same reason the fleet does.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.arena.spec import ArenaCell, ArenaSpec
+from repro.arena.spec import ArenaSpec
 from repro.core.dollars import project_fleet_savings
+from repro.engine.grid import GridCell, run_grid
 from repro.fleet.service import modeled_ilp_ns
 from repro.obs import Observability
 from repro.policies import THRASH_METRIC, validate_policy
@@ -78,48 +81,26 @@ class ArenaResult:
         return all(cell.status == "ok" for cell in self.cells)
 
 
-def _run_cell(
-    payload: tuple[ArenaCell, float, float | None],
-) -> CellResult:
-    """Worker body: one cell, one session, one metrics registry.
+def _leaderboard_row(
+    summary,
+    session,
+    cell,
+    node_memory_gb: float,
+    target_slowdown: float | None,
+) -> tuple[dict, dict]:
+    """Grid reducer: one cell's leaderboard row and invariant counts.
 
-    Module-level so the process pool can pickle it; also the ``jobs=1``
-    inline path, so both paths share every byte of behaviour.
+    Module-level (partial-bound to the arena's dollar and SLA settings)
+    so the worker that holds the session computes the row.
     """
-    cell, node_memory_gb, target_slowdown = payload
-    start = time.perf_counter()
-    result = CellResult(
-        cell_id=cell.cell_id,
-        policy=cell.policy,
-        workload=cell.workload,
-        alpha=cell.alpha,
-        seed=cell.seed,
-        status="ok",
-    )
-    obs = Observability(metrics=True)
-    try:
-        from repro.engine.session import Session
-
-        session = Session(cell.scenario, obs=obs)
-    except (ValueError, KeyError) as exc:
-        result.status = "skipped"
-        result.error = str(exc)
-        result.wall_s = time.perf_counter() - start
-        return result
-    try:
-        summary = session.run()
-    except Exception as exc:  # noqa: BLE001 - one cell must not kill the grid
-        result.status = "failed"
-        result.error = f"{type(exc).__name__}: {exc}"
-        result.wall_s = time.perf_counter() - start
-        return result
-
+    spec = cell.spec
     inner = getattr(session.policy, "primary", session.policy)
     thrash = int(getattr(inner, "thrash_total", 0))
-    snapshot = obs.registry.snapshot()
+    snapshot = session.obs.registry.snapshot()
     metric_thrash = snapshot.get(THRASH_METRIC, {}).get("series", {})
-    if cell.scenario.check_invariants:
-        result.invariants = {
+    invariants = {}
+    if spec.check_invariants:
+        invariants = {
             name: int(sum(snapshot.get(name, {}).get("series", {}).values()))
             for name in INVARIANT_METRICS
         }
@@ -129,7 +110,7 @@ def _run_cell(
         node_memory_gb,
     )
     solver_ms = 0.0
-    if validate_policy(cell.policy).analytical:
+    if validate_policy(spec.policy).analytical:
         solver_ms = (
             summary.windows
             * modeled_ilp_ns(
@@ -137,12 +118,12 @@ def _run_cell(
             )
             / 1e6
         )
-    result.row = {
+    row = {
         "cell_id": cell.cell_id,
-        "policy": cell.policy,
+        "policy": spec.policy,
         "policy_label": inner.name,
-        "workload": cell.workload,
-        "alpha": cell.alpha,
+        "workload": spec.workload,
+        "alpha": spec.alpha,
         "tco_savings_pct": 100.0 * summary.tco_savings,
         "saved_dollars_month": projection.saved_dollars_month,
         "slowdown_pct": 100.0 * summary.slowdown,
@@ -160,7 +141,7 @@ def _run_cell(
         # (static alphas included) so the leaderboard can answer "best
         # dollars among SLA-meeting cells", not just "best dollars".
         read_ns = session.system.dram.media.read_ns
-        result.row["sla_violations"] = sum(
+        row["sla_violations"] = sum(
             1
             for rec in session.records
             if rec.slowdown(read_ns) > target_slowdown
@@ -170,7 +151,7 @@ def _run_cell(
         # Adaptive cells publish their trajectory endpoints so the
         # leaderboard JSON shows *where* the controller converged (all
         # deterministic -- the trace is a pure function of the seed).
-        result.row.update(
+        row.update(
             alpha_final=round(float(tuner.alpha), 9),
             adaptive_steps=int(tuner.steps_total),
             adaptive_violations=int(tuner.violations),
@@ -178,8 +159,7 @@ def _run_cell(
                 round(float(a), 9) for a in tuner.alpha_trajectory()
             ],
         )
-    result.wall_s = time.perf_counter() - start
-    return result
+    return row, invariants
 
 
 def run_arena(
@@ -200,16 +180,24 @@ def run_arena(
     """
     start = time.perf_counter()
     cells = spec.cells()
-    payloads = [
-        (cell, spec.node_memory_gb, spec.target_slowdown) for cell in cells
+    reduce = partial(
+        _leaderboard_row,
+        node_memory_gb=spec.node_memory_gb,
+        target_slowdown=spec.target_slowdown,
+    )
+    grid = [
+        GridCell(cell.cell_id, cell.scenario, {"obs": Observability(metrics=True)})
+        for cell in cells
     ]
-    if jobs <= 1 or len(cells) <= 1:
-        results = [_run_cell(payload) for payload in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            # Executor.map preserves input order, so merge order (and
-            # therefore every artifact) is independent of worker count.
-            results = list(pool.map(_run_cell, payloads))
+    outcomes = run_grid(grid, reduce, jobs=jobs)
+    results = [
+        CellResult(
+            cell.cell_id, cell.policy, cell.workload, cell.alpha, cell.seed,
+            outcome.status, outcome.error, outcome.wall_s,
+            *(outcome.row or ({}, {})),
+        )
+        for cell, outcome in zip(cells, outcomes)
+    ]
     if log is not None:
         for res in results:
             note = f" ({res.error})" if res.error else ""

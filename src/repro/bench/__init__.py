@@ -3,7 +3,10 @@
 * :mod:`repro.bench.configs` -- tier mixes: the 12 characterization tiers
   (Figure 2), the standard mix (§8.2) and the spectrum mix (§8.3).
 * :mod:`repro.bench.experiments` -- one driver per table/figure, each a
-  set of :class:`~repro.engine.spec.ScenarioSpec` runs.
+  grid of :class:`~repro.engine.grid.GridCell` plus a row reducer, run
+  by :func:`~repro.engine.grid.grid_rows`.
+* :mod:`repro.bench.validate` -- the artifact claims C1/C2, checked on
+  the figure drivers' rows.
 * :mod:`repro.bench.reporting` -- plain-text table/series printers.
 """
 

@@ -1,18 +1,22 @@
 """One driver per paper table/figure (see DESIGN.md's experiment index).
 
-Every simulator-driven experiment is a
-:class:`~repro.engine.spec.ScenarioSpec` (or a small list of specs) run
-through :class:`~repro.engine.session.Session`, plus a short
-post-processing step that shapes rows the way the figure needs them.
-Drivers return structured results (lists of dict rows or per-window
-series) and are deterministic for a given seed.  The ``benchmarks/``
-suite wraps these in pytest-benchmark targets and prints the
-paper-shaped output; ``EXPERIMENTS.md`` records paper-vs-measured.
+Every simulator-driven experiment is a grid: a list of
+:class:`~repro.engine.grid.GridCell` (a
+:class:`~repro.engine.spec.ScenarioSpec`, any prebuilt
+:class:`~repro.engine.session.Session` overrides and the labels of its
+row) plus a module-level reducer that turns one finished session into
+the row the figure needs.  :func:`~repro.engine.grid.grid_rows` runs the
+cells and raises a failed cell's own exception.  Drivers return
+structured results (lists of dict rows or per-window series) and are
+deterministic for a given seed.  The ``benchmarks/`` suite wraps these
+in pytest-benchmark targets and prints the paper-shaped output;
+``EXPERIMENTS.md`` records paper-vs-measured.
 
-Two drivers do not spin the window loop at all and therefore bypass the
-engine: ``fig02_characterization`` measures codecs directly (it lives in
-:mod:`repro.bench.characterization` and is re-exported here), and the
-table drivers just print registries.
+Three drivers are not pure grids: ``fig02_characterization`` measures
+codecs directly (it lives in :mod:`repro.bench.characterization` and is
+re-exported here), the table drivers just print registries, and
+``ablation_granularity`` adds one page-granular LRU run
+(:func:`~repro.core.placement.lru.run_lru`) beside its grid cell.
 
 Defaults are sized to finish in seconds per driver; every driver takes
 scale parameters for larger runs.
@@ -20,12 +24,15 @@ scale parameters for larger runs.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.bench import configs
 from repro.bench.characterization import fig02_characterization  # noqa: F401
-from repro.core.metrics import RunSummary
-from repro.engine import NullModel, ScenarioSpec, Session, make_policy
+from repro.engine import NullModel, ScenarioSpec, make_policy
+from repro.engine.grid import GridCell, grid_rows
+from repro.mem.media import DRAM
 from repro.workloads.registry import workload_table
 
 #: The six policies of the standard-mix comparison (Figure 7 legend).
@@ -51,64 +58,82 @@ AGGRESSIVENESS = {
 }
 
 
-def _run(spec: ScenarioSpec, **overrides) -> tuple[RunSummary, Session]:
-    """Run one scenario; returns ``(summary, session)``."""
-    session = Session(spec, **overrides)
-    return session.run(), session
+#: Extra row columns, each read off a finished ``(summary, session)``.
+_COLUMNS = {
+    "policy": lambda s, session: s.policy,
+    "faults": lambda s, session: s.total_faults,
+    "migration_ms": lambda s, session: s.migration_ns / 1e6,
+    "profiling_ms": lambda s, session: s.profiling_ns / 1e6,
+    "solver_ms": lambda s, session: s.solver_ns / 1e6,
+    "pages_migrated": lambda s, session: s.extras.get("pages_migrated", 0),
+    "tiers": lambda s, session: ",".join(t.name for t in session.system.tiers[1:]),
+    "migration_ops": lambda s, session: session.daemon.engine.stats.regions_moved,
+    "pages_moved": lambda s, session: session.daemon.engine.stats.pages_moved,
+    "prefetches": lambda s, session: _prefetch(session, "issued", 0),
+    "accuracy_pct": lambda s, session: 100 * _prefetch(session, "accuracy", 0.0),
+}
 
 
-def _pct_row(summary: RunSummary, **extra) -> dict:
-    """The slowdown/TCO row most figures share."""
+def _prefetch(session, stat: str, default):
+    prefetcher = session.daemon.prefetcher
+    return getattr(prefetcher.stats, stat) if prefetcher else default
+
+
+def _pct_row(summary, session, cell, columns=()) -> dict:
+    """The slowdown/TCO row most figures share: the cell's labels, the
+    named :data:`_COLUMNS`, then the two percentages."""
     return {
-        **extra,
+        **cell.labels,
+        **{name: _COLUMNS[name](summary, session) for name in columns},
         "slowdown_pct": 100 * summary.slowdown,
         "tco_savings_pct": 100 * summary.tco_savings,
     }
 
 
-def fig01_motivation(
-    fractions=(20, 50, 80), windows: int = 10, seed: int = 0
-) -> list[dict]:
-    """TCO savings vs slowdown when placing 20/50/80 % of Memcached data
-    into a single compressed tier (paper Figure 1)."""
-    rows = []
-    for fraction in fractions:
-        summary, _ = _run(ScenarioSpec(
-            policy="gswap", mix="single", windows=windows,
-            percentile=float(fraction), seed=seed,
-        ))
-        rows.append({
-            "placed_pct": fraction,
-            "tco_savings_pct": 100 * summary.tco_savings,
-            "slowdown_pct": 100 * summary.slowdown,
-        })
-    return rows
+def _labelled(labels: dict, spec: ScenarioSpec, **overrides) -> GridCell:
+    """A cell identified by its labels (the id joins their values)."""
+    cell_id = "/".join(str(value) for value in labels.values())
+    return GridCell(cell_id, spec, overrides, labels)
 
 
-def fig07_standard_mix(
-    workloads=EVAL_WORKLOADS,
-    policies=STANDARD_POLICIES,
-    windows: int = 10,
-    seed: int = 0,
-) -> list[dict]:
-    """Performance slowdown and TCO savings per workload and policy with
-    the DRAM+NVMM+CT-1+CT-2 mix (paper Figure 7)."""
-    rows = []
-    for workload in workloads:
-        for policy in policies:
-            summary, _ = _run(ScenarioSpec(
-                workload=workload, policy=policy, windows=windows, seed=seed))
-            summary.workload = workload  # registry name, not instance name
-            rows.append(summary.row())
-    return rows
+def _summary_row(summary, session, cell) -> dict:
+    """``RunSummary.row()`` under the registry workload name."""
+    summary.workload = cell.spec.workload
+    return summary.row()
 
 
-def fig08_waterfall_trace(windows: int = 15, seed: int = 0) -> dict:
-    """Waterfall placement recommendations per window plus the TCO trend
-    (paper Figure 8)."""
-    summary, session = _run(ScenarioSpec(
-        policy="waterfall", windows=windows, seed=seed,
-    ))
+def _knob_row(summary, session, cell) -> dict:
+    """Fig. 10: AM rows by knob value, baselines by name@threshold."""
+    spec = cell.spec
+    if spec.policy == "am":
+        config = f"AM(a={spec.alpha:g})"
+    else:
+        config = f"{summary.policy}@{spec.percentile:g}"
+    return {"config": config, **summary.row()}
+
+
+def _latency_row(summary, session, cell) -> dict:
+    """Fig. 11: mean and tail access latency normalized to DRAM."""
+    return {
+        "policy": summary.policy,
+        "avg_norm": summary.avg_latency_ns / DRAM.read_ns,
+        "p95_norm": summary.p95_latency_ns / DRAM.read_ns,
+        "p999_norm": summary.p999_latency_ns / DRAM.read_ns,
+    }
+
+
+def _final_placement_row(summary, session, cell) -> dict:
+    """Fig. 12: pages per tier after the last window."""
+    row = dict(cell.labels)
+    tiers = [t.name for t in session.system.tiers]
+    for name, pages in zip(tiers, session.records[-1].placement):
+        row[name] = int(pages)
+    row["tco_savings_pct"] = 100 * summary.final_tco_savings
+    return row
+
+
+def _waterfall_trace(summary, session, cell) -> dict:
+    """Fig. 8: per-window placement and TCO savings."""
     return {
         "tiers": [t.name for t in session.system.tiers],
         "placement_per_window": [r.placement.tolist() for r in session.records],
@@ -117,19 +142,8 @@ def fig08_waterfall_trace(windows: int = 15, seed: int = 0) -> dict:
     }
 
 
-def fig09_analytical_trace(
-    windows: int = 15, alpha: float = 0.25, seed: int = 0
-) -> dict:
-    """AM-TCO recommendations vs actual placement, compressed-tier faults
-    and the TCO trend for Memcached/YCSB (paper Figure 9).
-
-    Uses a TCO-leaning knob (tighter than the AM-TCO default) so the
-    recommendation keeps only a small DRAM share, matching the paper's
-    "less than 5 % of data in DRAM" trace.
-    """
-    summary, session = _run(ScenarioSpec(
-        policy="am", alpha=alpha, windows=windows, seed=seed,
-    ))
+def _analytical_trace(summary, session, cell) -> dict:
+    """Fig. 9: recommendation vs actual placement, faults, TCO trend."""
     space = session.system.space
     pages_per_region = space.num_pages // space.num_regions
     records = session.records
@@ -149,6 +163,115 @@ def fig09_analytical_trace(
     }
 
 
+def _tax_row(summary, session, cell) -> dict:
+    """Fig. 14: daemon tax as a share of application time."""
+    if cell.cell_id == "baseline":
+        tax_ns = 0.0
+    elif cell.cell_id == "only-profiling":
+        tax_ns = summary.profiling_ns
+    else:
+        tax_ns = summary.profiling_ns + summary.migration_ns
+        if not session.policy.remote:
+            tax_ns += summary.solver_ns
+    app_ns = max(1.0, summary.extras.get("app_ns", 1.0))
+    return {
+        "config": cell.cell_id,
+        "tax_pct_of_app": 100 * tax_ns / app_ns,
+        "profiling_ms": summary.profiling_ns / 1e6,
+        "solver_ms": summary.solver_ns / 1e6,
+        "migration_ms": summary.migration_ns / 1e6,
+        "slowdown_pct": 100 * summary.slowdown,
+    }
+
+
+def _sla_row(summary, session, cell) -> dict:
+    """SLA tuning: what the controller harvested under its budget."""
+    controller = session.policy.controller
+    return {
+        **cell.labels,
+        "achieved_slowdown_pct": 100 * summary.slowdown,
+        "tco_savings_pct": 100 * summary.tco_savings,
+        "final_alpha": controller.history[-1][0],
+        "violations": controller.violations,
+    }
+
+
+def _tenant_rows(summary, session, cell, profiles=()) -> list[dict]:
+    """Co-location: one placement row per tenant plus the total."""
+    from repro.workloads.colocate import tenant_placement_rows
+
+    system = session.system
+    rows = tenant_placement_rows(system, session.workload, list(profiles))
+    rows.append({
+        "tenant": "TOTAL",
+        "profile": "-",
+        **{t.name: int(c) for t, c in zip(system.tiers, system.placement_counts())},
+        "tco_savings_pct": 100 * summary.tco_savings,
+    })
+    return rows
+
+
+def _aggressiveness_cells(models, labels: dict, **fields) -> list[GridCell]:
+    """One spectrum-mix cell per (policy, C/M/A level) (§8.3)."""
+    return [
+        _labelled({**labels, "config": f"{short}-{level}"}, ScenarioSpec(
+            policy=policy, mix="spectrum", **params, **fields))
+        for policy, short in models
+        for level, params in AGGRESSIVENESS.items()
+    ]
+
+
+def fig01_motivation(
+    fractions=(20, 50, 80), windows: int = 10, seed: int = 0
+) -> list[dict]:
+    """TCO savings vs slowdown when placing 20/50/80 % of Memcached data
+    into a single compressed tier (paper Figure 1)."""
+    return grid_rows([
+        _labelled({"placed_pct": fraction}, ScenarioSpec(
+            policy="gswap", mix="single", percentile=float(fraction),
+            windows=windows, seed=seed,
+        ))
+        for fraction in fractions
+    ], _pct_row)
+
+
+def fig07_standard_mix(
+    workloads=EVAL_WORKLOADS,
+    policies=STANDARD_POLICIES,
+    windows: int = 10,
+    seed: int = 0,
+) -> list[dict]:
+    """Performance slowdown and TCO savings per workload and policy with
+    the DRAM+NVMM+CT-1+CT-2 mix (paper Figure 7)."""
+    return grid_rows([
+        GridCell(f"{policy}/{workload}", ScenarioSpec(
+            workload=workload, policy=policy, windows=windows, seed=seed))
+        for workload in workloads
+        for policy in policies
+    ], _summary_row)
+
+
+def fig08_waterfall_trace(windows: int = 15, seed: int = 0) -> dict:
+    """Waterfall placement recommendations per window plus the TCO trend
+    (paper Figure 8)."""
+    spec = ScenarioSpec(policy="waterfall", windows=windows, seed=seed)
+    return grid_rows([GridCell("waterfall", spec)], _waterfall_trace)[0]
+
+
+def fig09_analytical_trace(
+    windows: int = 15, alpha: float = 0.25, seed: int = 0
+) -> dict:
+    """AM-TCO recommendations vs actual placement, compressed-tier faults
+    and the TCO trend for Memcached/YCSB (paper Figure 9).
+
+    Uses a TCO-leaning knob (tighter than the AM-TCO default) so the
+    recommendation keeps only a small DRAM share, matching the paper's
+    "less than 5 % of data in DRAM" trace.
+    """
+    spec = ScenarioSpec(policy="am", alpha=alpha, windows=windows, seed=seed)
+    return grid_rows([GridCell("am", spec)], _analytical_trace)[0]
+
+
 def fig10_knob_sweep(
     alphas=(0.1, 0.3, 0.5, 0.7, 0.9),
     thresholds=(25.0, 75.0),
@@ -157,19 +280,17 @@ def fig10_knob_sweep(
 ) -> list[dict]:
     """AM at five knob values vs baselines at two hotness thresholds, for
     Memcached/YCSB (paper Figure 10)."""
-    rows = []
-    for alpha in alphas:
-        summary, _ = _run(ScenarioSpec(
-            policy="am", alpha=alpha, windows=windows, seed=seed,
-        ))
-        rows.append({"config": f"AM(a={alpha:g})", **summary.row()})
-    for policy in ("hemem", "gswap", "tmo", "waterfall"):
-        for pct in thresholds:
-            summary, _ = _run(ScenarioSpec(
-                policy=policy, percentile=pct, windows=windows, seed=seed,
-            ))
-            rows.append({"config": f"{summary.policy}@{pct:g}", **summary.row()})
-    return rows
+    base = ScenarioSpec(windows=windows, seed=seed)
+    cells = [
+        GridCell(f"am@{alpha:g}", base.with_(policy="am", alpha=alpha))
+        for alpha in alphas
+    ]
+    cells += [
+        GridCell(f"{policy}@{pct:g}", base.with_(policy=policy, percentile=pct))
+        for policy in ("hemem", "gswap", "tmo", "waterfall")
+        for pct in thresholds
+    ]
+    return grid_rows(cells, _knob_row)
 
 
 def fig11_tail_latency(
@@ -186,44 +307,21 @@ def fig11_tail_latency(
     enough data in their single slow tier to fault on it, which is the
     SLA-pressure regime the paper's figure captures.
     """
-    from repro.mem.media import DRAM
-
-    rows = []
-    for policy in policies:
-        summary, _ = _run(ScenarioSpec(
-            workload="redis-ycsb", policy=policy, windows=windows,
-            percentile=percentile, seed=seed,
-        ))
-        rows.append({
-            "policy": summary.policy,
-            "avg_norm": summary.avg_latency_ns / DRAM.read_ns,
-            "p95_norm": summary.p95_latency_ns / DRAM.read_ns,
-            "p999_norm": summary.p999_latency_ns / DRAM.read_ns,
-        })
-    return rows
+    spec = ScenarioSpec(
+        workload="redis-ycsb", percentile=percentile, windows=windows, seed=seed,
+    )
+    return grid_rows(
+        [GridCell(policy, spec.with_(policy=policy)) for policy in policies],
+        _latency_row,
+    )
 
 
 def fig12_spectrum_placement(windows: int = 12, seed: int = 0) -> list[dict]:
     """Final placement distribution for Waterfall and AM at the three
     aggressiveness levels, 6-tier spectrum mix (paper Figure 12)."""
-    rows = []
-    for model_kind in ("waterfall", "am"):
-        for level, params in AGGRESSIVENESS.items():
-            summary, session = _run(ScenarioSpec(
-                policy=model_kind, mix="spectrum", windows=windows,
-                percentile=params["percentile"], alpha=params["alpha"],
-                seed=seed,
-            ))
-            last = session.records[-1]
-            short = "WF" if model_kind == "waterfall" else "AM"
-            row = {"config": f"{short}-{level}"}
-            for name, pages in zip(
-                [t.name for t in session.system.tiers], last.placement
-            ):
-                row[name] = int(pages)
-            row["tco_savings_pct"] = 100 * summary.final_tco_savings
-            rows.append(row)
-    return rows
+    models = (("waterfall", "WF"), ("am", "AM"))
+    cells = _aggressiveness_cells(models, {}, windows=windows, seed=seed)
+    return grid_rows(cells, _final_placement_row)
 
 
 def fig13_spectrum(
@@ -231,59 +329,33 @@ def fig13_spectrum(
 ) -> list[dict]:
     """Slowdown and TCO savings with six tiers: GSwap* vs Waterfall vs AM
     at three aggressiveness levels (paper Figure 13)."""
-    rows = []
+    models = (("gswap", "GS"), ("waterfall", "WF"), ("am", "AM"))
+    cells = []
     for workload in workloads:
-        for policy, short in (("gswap", "GS"), ("waterfall", "WF"), ("am", "AM")):
-            for level, params in AGGRESSIVENESS.items():
-                summary, _ = _run(ScenarioSpec(
-                    workload=workload, policy=policy, mix="spectrum",
-                    windows=windows, percentile=params["percentile"],
-                    alpha=params["alpha"], seed=seed,
-                ))
-                rows.append(_pct_row(
-                    summary, workload=workload, config=f"{short}-{level}",
-                ))
-    return rows
+        cells += _aggressiveness_cells(
+            models, {"workload": workload},
+            workload=workload, windows=windows, seed=seed,
+        )
+    return grid_rows(cells, _pct_row)
 
 
 def fig14_tax(windows: int = 10, seed: int = 0) -> list[dict]:
     """Daemon overhead (profiling + modeling + migration) for AM-TCO and
     AM-perf with local vs remote solver (paper Figure 14)."""
-    rows = []
-    configurations = [("baseline", None, False), ("only-profiling", None, False)]
+    base = ScenarioSpec(workload="memcached-memtier", windows=windows, seed=seed)
+    cells = [
+        # Effectively no profiling.
+        GridCell("baseline", base.with_(sampling_rate=10**9),
+                 {"policy": NullModel()}),
+        GridCell("only-profiling", base, {"policy": NullModel()}),
+    ]
     for preset in ("am-tco", "am-perf"):
         for remote in (False, True):
-            configurations.append((preset, preset, remote))
-
-    base = ScenarioSpec(workload="memcached-memtier", windows=windows, seed=seed)
-    for label, preset, remote in configurations:
-        if label == "baseline":
-            # Effectively no profiling.
-            summary, _ = _run(
-                base.with_(sampling_rate=10**9), policy=NullModel()
-            )
-            tax_ns = 0.0
-        elif label == "only-profiling":
-            summary, _ = _run(base, policy=NullModel())
-            tax_ns = summary.profiling_ns
-        else:
             policy = make_policy(preset)
             policy.remote = remote
-            summary, _ = _run(base, policy=policy)
-            tax_ns = summary.profiling_ns + summary.migration_ns
-            if not remote:
-                tax_ns += summary.solver_ns
             label = f"{policy.name}-{'Remote' if remote else 'Local'}"
-        app_ns = max(1.0, summary.extras.get("app_ns", 1.0))
-        rows.append({
-            "config": label,
-            "tax_pct_of_app": 100 * tax_ns / app_ns,
-            "profiling_ms": summary.profiling_ns / 1e6,
-            "solver_ms": summary.solver_ns / 1e6,
-            "migration_ms": summary.migration_ns / 1e6,
-            "slowdown_pct": 100 * summary.slowdown,
-        })
-    return rows
+            cells.append(GridCell(label, base, {"policy": policy}))
+    return grid_rows(cells, _tax_row)
 
 
 def tab01_option_space() -> list[dict]:
@@ -303,81 +375,63 @@ def ablation_filter(windows: int = 10, seed: int = 0) -> list[dict]:
     """Migration filter on vs off (pressure avoidance ablation)."""
     from repro.core.placement.filter import MigrationFilter
 
-    rows = []
     spec = ScenarioSpec(sampling_rate=1000, windows=windows, seed=seed)
-    for label, mf in (
-        ("filter-on", MigrationFilter()),
-        ("filter-off", MigrationFilter(pressure_threshold=None, enforce_capacity=False)),
-    ):
-        summary, _ = _run(spec, migration_filter=mf)
-        rows.append(_pct_row(
-            summary, config=label,
-            faults=summary.total_faults,
-            migration_ms=summary.migration_ns / 1e6,
-        ))
-    return rows
+    return grid_rows([
+        _labelled({"config": label}, spec, migration_filter=mf)
+        for label, mf in (
+            ("filter-on", MigrationFilter()),
+            ("filter-off", MigrationFilter(
+                pressure_threshold=None, enforce_capacity=False)),
+        )
+    ], partial(_pct_row, columns=("faults", "migration_ms")))
 
 
 def ablation_cooling(
     coolings=(0.0, 0.25, 0.5, 0.75, 1.0), windows: int = 10, seed: int = 0
 ) -> list[dict]:
     """Hotness EWMA cooling-factor sweep."""
-    rows = []
-    for cooling in coolings:
-        spec = ScenarioSpec(sampling_rate=1000, cooling=cooling, windows=windows, seed=seed)
-        summary, _ = _run(spec)
-        rows.append(_pct_row(summary, cooling=cooling, faults=summary.total_faults))
-    return rows
+    spec = ScenarioSpec(sampling_rate=1000, windows=windows, seed=seed)
+    return grid_rows([
+        _labelled({"cooling": cooling}, spec.with_(cooling=cooling))
+        for cooling in coolings
+    ], partial(_pct_row, columns=("faults",)))
 
 
 def ablation_tier_count(windows: int = 10, seed: int = 0) -> list[dict]:
     """1 vs 2 vs 5 compressed tiers at matched aggressiveness (the paper's
     §8.3.2 'why multiple compressed tiers?' argument)."""
-    rows = []
-    for mix, label in (("single", "1-CT"), ("standard", "2-CT"), ("spectrum", "5-CT")):
-        policy = "gswap" if mix == "single" else "am"
-        summary, _ = _run(ScenarioSpec(
-            policy=policy, mix=mix,
-            alpha=0.1 if policy == "am" else None,
-            percentile=75.0, windows=windows, seed=seed,
-        ))
-        rows.append(_pct_row(summary, config=label))
-    return rows
+    spec = ScenarioSpec(percentile=75.0, windows=windows, seed=seed)
+    return grid_rows([
+        _labelled({"config": "1-CT"}, spec.with_(policy="gswap", mix="single")),
+        _labelled({"config": "2-CT"}, spec.with_(policy="am", alpha=0.1)),
+        _labelled({"config": "5-CT"},
+                  spec.with_(policy="am", alpha=0.1, mix="spectrum")),
+    ], _pct_row)
 
 
 def ablation_prefetch(windows: int = 10, seed: int = 0) -> list[dict]:
     """Spatial prefetcher on/off for a fault-heavy configuration (the
     paper's §3.2 future-work extension)."""
-    rows = []
-    for label, degree in (("no-prefetch", None), ("prefetch-4", 4), ("prefetch-8", 8)):
-        summary, session = _run(ScenarioSpec(
-            policy="tmo", percentile=75.0, prefetch_degree=degree,
-            windows=windows, seed=seed,
-        ))
-        stats = session.daemon.prefetcher.stats if session.daemon.prefetcher else None
-        rows.append(_pct_row(
-            summary, config=label,
-            faults=summary.total_faults,
-            prefetches=stats.issued if stats else 0,
-            accuracy_pct=100 * stats.accuracy if stats else 0.0,
-        ))
-    return rows
+    spec = ScenarioSpec(policy="tmo", percentile=75.0, windows=windows, seed=seed)
+    return grid_rows([
+        _labelled({"config": label}, spec.with_(prefetch_degree=degree))
+        for label, degree in (
+            ("no-prefetch", None), ("prefetch-4", 4), ("prefetch-8", 8),
+        )
+    ], partial(_pct_row, columns=("faults", "prefetches", "accuracy_pct")))
 
 
 def ablation_fast_migration(windows: int = 10, seed: int = 0) -> list[dict]:
     """§7.1's same-algorithm migration optimization on/off, measured on
     the spectrum mix where Waterfall migrates between lz4 tiers."""
-    rows = []
     spec = ScenarioSpec(
         policy="waterfall", mix="spectrum", percentile=50.0,
         windows=windows, seed=seed,
     )
-    for label, fast in (("naive-path", False), ("fast-same-algo", True)):
-        summary = Session(spec.with_(fast_same_algo_migration=fast)).run()
-        rows.append(_pct_row(
-            summary, config=label, migration_ms=summary.migration_ns / 1e6,
-        ))
-    return rows
+    return grid_rows([
+        _labelled({"config": label}, spec.with_(fast_same_algo_migration=fast))
+        for label, fast in (("naive-path", False), ("fast-same-algo", True))
+    ], partial(_pct_row, columns=("migration_ms",)))
 
 
 def ablation_tier_selection(windows: int = 10, seed: int = 0) -> list[dict]:
@@ -385,34 +439,26 @@ def ablation_tier_selection(windows: int = 10, seed: int = 0) -> list[dict]:
     tier set (the paper's §9 'selecting the optimal set' direction)."""
     from repro.core.tier_select import build_selected_tiers, select_tiers
     from repro.mem.address_space import AddressSpace
-    from repro.mem.media import DRAM
     from repro.mem.system import TieredMemorySystem
     from repro.mem.tier import ByteAddressableTier
     from repro.workloads.registry import make_workload
 
-    rows = []
     spec = ScenarioSpec(
         policy="am", alpha=0.5, mix="spectrum", windows=windows, seed=seed,
     )
-    for label in ("hand-picked", "auto-selected"):
-        if label == "hand-picked":
-            session = Session(spec)
-        else:
-            workload = make_workload("memcached-ycsb", seed=seed)
-            space = AddressSpace(workload.num_pages, "mixed", seed=seed)
-            n = space.num_pages
-            tiers = [ByteAddressableTier("DRAM", DRAM, capacity_pages=n)]
-            tiers += build_selected_tiers(
-                select_tiers("mixed", k=5, seed=seed), capacity_pages=n
-            )
-            system = TieredMemorySystem(tiers, space)
-            session = Session(spec, workload=workload, system=system)
-        summary = session.run()
-        rows.append(_pct_row(
-            summary, config=label,
-            tiers=",".join(t.name for t in session.system.tiers[1:]),
-        ))
-    return rows
+    workload = make_workload("memcached-ycsb", seed=seed)
+    space = AddressSpace(workload.num_pages, "mixed", seed=seed)
+    n = space.num_pages
+    tiers = [ByteAddressableTier("DRAM", DRAM, capacity_pages=n)]
+    tiers += build_selected_tiers(
+        select_tiers("mixed", k=5, seed=seed), capacity_pages=n
+    )
+    system = TieredMemorySystem(tiers, space)
+    return grid_rows([
+        _labelled({"config": "hand-picked"}, spec),
+        _labelled({"config": "auto-selected"}, spec,
+                  workload=workload, system=system),
+    ], partial(_pct_row, columns=("tiers",)))
 
 
 def exp_sla(
@@ -423,11 +469,11 @@ def exp_sla(
     from repro.engine.build import build_system
     from repro.workloads.registry import make_workload
 
-    rows = []
+    cells = []
     for target in targets:
         workload = make_workload("memcached-ycsb", seed=seed)
-        system = build_system(workload, mix="standard", seed=seed)
-        session = Session(
+        cells.append(_labelled(
+            {"sla_slowdown_pct": 100 * target},
             ScenarioSpec(
                 policy="adaptive",
                 adaptive=MIMD_CONFIG.with_(target_slowdown=target).to_dict(),
@@ -436,32 +482,20 @@ def exp_sla(
                 daemon_seed=seed + 1,
             ),
             workload=workload,
-            system=system,
-        )
-        summary = session.run()
-        controller = session.policy.controller
-        rows.append({
-            "sla_slowdown_pct": 100 * target,
-            "achieved_slowdown_pct": 100 * summary.slowdown,
-            "tco_savings_pct": 100 * summary.tco_savings,
-            "final_alpha": controller.history[-1][0],
-            "violations": controller.violations,
-        })
-    return rows
+            system=build_system(workload, mix="standard", seed=seed),
+        ))
+    return grid_rows(cells, _sla_row)
 
 
 def exp_extended_baselines(windows: int = 10, seed: int = 0) -> list[dict]:
     """Related-work baselines beyond the paper's three: TPP* (watermark +
     hysteresis) and MEMTIS* (histogram-sized hot set) vs HeMem* and the
     analytical model, on Memcached/YCSB."""
-    rows = []
-    for policy in ("hemem", "tpp", "memtis", "am-tco"):
-        summary, _ = _run(ScenarioSpec(policy=policy, percentile=50.0, windows=windows, seed=seed))
-        rows.append(_pct_row(
-            summary, policy=summary.policy,
-            pages_migrated=summary.extras.get("pages_migrated", 0),
-        ))
-    return rows
+    spec = ScenarioSpec(percentile=50.0, windows=windows, seed=seed)
+    return grid_rows([
+        GridCell(policy, spec.with_(policy=policy))
+        for policy in ("hemem", "tpp", "memtis", "am-tco")
+    ], partial(_pct_row, columns=("policy", "pages_migrated")))
 
 
 def ablation_granularity(windows: int = 10, seed: int = 0) -> list[dict]:
@@ -472,17 +506,11 @@ def ablation_granularity(windows: int = 10, seed: int = 0) -> list[dict]:
     from repro.engine.build import build_system
     from repro.workloads.registry import make_workload
 
-    rows = []
-
-    summary, session = _run(ScenarioSpec(
-        policy="tmo", percentile=50.0, windows=windows, seed=seed,
-    ))
-    rows.append(_pct_row(
-        summary, granularity="2MB-regions",
-        migration_ops=session.daemon.engine.stats.regions_moved,
-        pages_moved=session.daemon.engine.stats.pages_moved,
-        faults=summary.total_faults,
-    ))
+    spec = ScenarioSpec(policy="tmo", percentile=50.0, windows=windows, seed=seed)
+    rows = grid_rows(
+        [_labelled({"granularity": "2MB-regions"}, spec)],
+        partial(_pct_row, columns=("migration_ops", "pages_moved", "faults")),
+    )
 
     workload = make_workload("memcached-ycsb", seed=seed)
     system = build_system(workload, mix="standard", seed=seed)
@@ -506,13 +534,13 @@ def exp_iaa_tier(windows: int = 10, seed: int = 0) -> list[dict]:
     the software tiers span (the artifact kernel's IAA toggle)."""
     from repro.bench.configs import make_compressed_tier
     from repro.mem.address_space import AddressSpace
-    from repro.mem.media import DRAM, NVMM
+    from repro.mem.media import NVMM
     from repro.mem.system import TieredMemorySystem
     from repro.mem.tier import ByteAddressableTier
     from repro.workloads.registry import make_workload
 
-    rows = []
     spec = ScenarioSpec(policy="am", alpha=0.4, windows=windows, seed=seed)
+    cells = []
     for label, algo in (("sw-zstd", "zstd"), ("hw-iaa-deflate", "iaa-deflate")):
         workload = make_workload("memcached-ycsb", seed=seed)
         space = AddressSpace(workload.num_pages, "mixed", seed=seed)
@@ -522,25 +550,21 @@ def exp_iaa_tier(windows: int = 10, seed: int = 0) -> list[dict]:
             ByteAddressableTier("NVMM", NVMM, capacity_pages=n),
             make_compressed_tier("CT", algo, "zsmalloc", NVMM, capacity_pages=n),
         ]
-        system = TieredMemorySystem(tiers, space)
-        summary = Session(spec, workload=workload, system=system).run()
-        rows.append(_pct_row(
-            summary, tier=label, faults=summary.total_faults,
+        cells.append(_labelled(
+            {"tier": label}, spec,
+            workload=workload, system=TieredMemorySystem(tiers, space),
         ))
-    return rows
+    return grid_rows(cells, partial(_pct_row, columns=("faults",)))
 
 
 def ablation_telemetry(windows: int = 10, seed: int = 0) -> list[dict]:
     """Telemetry backend comparison: PEBS sampling vs ACCESSED-bit
     scanning vs DAMON-style probing, driving the same AM policy."""
-    rows = []
-    for kind in ("pebs", "idlebit", "damon"):
-        summary, _ = _run(ScenarioSpec(telemetry=kind, windows=windows, seed=seed))
-        rows.append(_pct_row(
-            summary, telemetry=kind, faults=summary.total_faults,
-            profiling_ms=summary.profiling_ns / 1e6,
-        ))
-    return rows
+    spec = ScenarioSpec(windows=windows, seed=seed)
+    return grid_rows([
+        _labelled({"telemetry": kind}, spec.with_(telemetry=kind))
+        for kind in ("pebs", "idlebit", "damon")
+    ], partial(_pct_row, columns=("faults", "profiling_ms")))
 
 
 def exp_colocation(windows: int = 10, seed: int = 0) -> list[dict]:
@@ -551,47 +575,32 @@ def exp_colocation(windows: int = 10, seed: int = 0) -> list[dict]:
     from repro.bench.configs import spectrum_mix
     from repro.mem.address_space import AddressSpace
     from repro.mem.system import TieredMemorySystem
-    from repro.workloads.colocate import (
-        CompositeWorkload,
-        composite_compressibility,
-        tenant_placement_rows,
-    )
+    from repro.workloads.colocate import CompositeWorkload, composite_compressibility
     from repro.workloads.registry import make_workload
 
     tenants = [
         make_workload("memcached-ycsb", seed=seed, num_pages=8192),
         make_workload("pagerank", seed=seed),
     ]
-    profiles = ["mixed", "nci"]
+    profiles = ("mixed", "nci")
     workload = CompositeWorkload(tenants, seed=seed)
     space = AddressSpace(
         workload.num_pages,
         seed=seed,
-        compressibility=composite_compressibility(tenants, profiles, seed),
+        compressibility=composite_compressibility(tenants, list(profiles), seed),
+    )
+    spec = ScenarioSpec(
+        policy="am", alpha=0.5, mix="spectrum", windows=windows, seed=seed,
     )
     system = TieredMemorySystem(spectrum_mix(space), space)
-    summary = Session(
-        ScenarioSpec(
-            policy="am", alpha=0.5, mix="spectrum", windows=windows, seed=seed,
-        ),
-        workload=workload,
-        system=system,
-    ).run()
-
-    rows = tenant_placement_rows(system, workload, profiles)
-    rows.append({
-        "tenant": "TOTAL",
-        "profile": "-",
-        **{t.name: int(c) for t, c in zip(system.tiers, system.placement_counts())},
-        "tco_savings_pct": 100 * summary.tco_savings,
-    })
-    return rows
+    cell = GridCell("colocation", spec, {"workload": workload, "system": system})
+    return grid_rows([cell], partial(_tenant_rows, profiles=profiles))[0]
 
 
 def ablation_solver(windows: int = 6, seed: int = 0) -> list[dict]:
     """Solver backend comparison on identical runs."""
-    rows = []
-    for backend in ("greedy", "scipy", "frontier"):
-        summary, _ = _run(ScenarioSpec(solver_backend=backend, windows=windows, seed=seed))
-        rows.append(_pct_row(summary, backend=backend, solver_ms=summary.solver_ns / 1e6))
-    return rows
+    spec = ScenarioSpec(windows=windows, seed=seed)
+    return grid_rows([
+        _labelled({"backend": backend}, spec.with_(solver_backend=backend))
+        for backend in ("greedy", "scipy", "frontier")
+    ], partial(_pct_row, columns=("solver_ms",)))

@@ -113,25 +113,16 @@ def validate_c1(windows: int = 8, seed: int = 0) -> ClaimResult:
 
 def validate_c2(windows: int = 8, seed: int = 0) -> ClaimResult:
     """C2: the knob configures distinct cost-performance points."""
-    from repro.engine import ScenarioSpec, Session
+    from repro.bench.experiments import fig10_knob_sweep
 
     t0 = time.time()
     details: list[str] = []
     ok = True
-    alphas = (0.2, 0.5, 0.8)
-    savings = []
-    slowdowns = []
-    for alpha in alphas:
-        spec = ScenarioSpec(
-            workload="memcached-ycsb",
-            policy="am",
-            alpha=alpha,
-            windows=windows,
-            seed=seed,
-        )
-        summary = Session(spec).run()
-        savings.append(100 * summary.tco_savings)
-        slowdowns.append(100 * summary.slowdown)
+    rows = fig10_knob_sweep(
+        alphas=(0.2, 0.5, 0.8), thresholds=(), windows=windows, seed=seed
+    )
+    savings = [row["tco_savings_pct"] for row in rows]
+    slowdowns = [row["slowdown_pct"] for row in rows]
     ok &= _check(
         details,
         f"Fig10: savings fall monotonically with alpha "

@@ -22,6 +22,7 @@ status 2.  ``--trace`` writes a ``chrome://tracing`` span trace and
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import Callable
@@ -76,8 +77,6 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
         "Extended baselines: TPP*, MEMTIS*",
     ),
 }
-
-_NO_WINDOWS_ARG = {"tab01", "tab02", "fig02"}
 
 
 def _print_result(name: str, result) -> None:
@@ -322,11 +321,10 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    kwargs = {}
-    if args.experiment not in _NO_WINDOWS_ARG:
-        kwargs["windows"] = args.windows
-    if args.experiment not in ("tab01", "tab02"):
-        kwargs["seed"] = args.seed
+    params = inspect.signature(driver).parameters
+    kwargs = {
+        name: getattr(args, name) for name in ("windows", "seed") if name in params
+    }
     result = driver(**kwargs)
     _print_result(args.experiment, result)
     if args.out:

@@ -3,7 +3,9 @@
 One seam under every harness: a :class:`ScenarioSpec` describes a run
 (tiers, workload + size scale, policy + knobs, telemetry, windows,
 seeds), a :class:`Session` owns the canonical construction path and the
-single instrumented window loop, and structured
+single instrumented window loop, :func:`~repro.engine.grid.run_grid`
+runs a list of scenario cells inline or in an ordered process pool,
+and structured
 :class:`~repro.engine.events.EngineEvent` hooks feed the bench exporters
 and the fleet's JSONL stream.
 

@@ -10,8 +10,8 @@ the single-node reproduction to that level:
 * :mod:`repro.fleet.service` -- the shared solver service: queueing +
   solve accounting and the timeout-to-greedy fallback,
 * :mod:`repro.fleet.scheduler` -- global-DRAM-budget alpha allocation,
-* :mod:`repro.fleet.runner` -- parallel node execution
-  (:class:`~concurrent.futures.ProcessPoolExecutor`) with a
+* :mod:`repro.fleet.runner` -- parallel node execution (the ordered
+  process pool of :func:`repro.engine.grid.ordered_map`) with a
   deterministic result merge,
 * :mod:`repro.fleet.metrics` -- fleet rollup tables, dollar projection
   and per-window JSONL event export.

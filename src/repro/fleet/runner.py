@@ -8,8 +8,8 @@ from the fleet spec alone, which is what makes ``jobs=1`` and ``jobs=J``
 produce bit-identical per-node :class:`~repro.core.metrics.RunSummary`
 values: the merge just reassembles results in node order.
 
-Workers are dispatched in chunks (``chunksize``) so a large fleet does
-not pay one IPC round trip per node.
+Nodes are dispatched through :func:`repro.engine.grid.ordered_map`,
+the same order-preserving pool the figure grids and the arena use.
 
 Chaos runs (:class:`ChaosOptions`) thread a per-node
 :class:`~repro.chaos.faults.FaultInjector` through each worker.  Nodes
@@ -24,15 +24,14 @@ fleet rollup is too.
 
 from __future__ import annotations
 
-import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.knob import Knob
 from repro.core.metrics import RunSummary
 from repro.engine import Session, make_policy
+from repro.engine.grid import ordered_map
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.service import (
     ServicedAnalyticalModel,
@@ -247,9 +246,9 @@ def _run_node(
 ) -> NodeResult:
     """Worker entry point: simulate one node end to end.
 
-    Module-level (picklable) so :class:`ProcessPoolExecutor` can ship it;
-    also called inline for ``jobs=1``, guaranteeing both paths share one
-    code path for the determinism contract.
+    Module-level (picklable) so the worker pool can ship it; also called
+    inline for ``jobs=1``, guaranteeing both paths share one code path
+    for the determinism contract.
 
     The worker's event log runs in streaming mode (bounded ring): the
     per-window export rows are collected incrementally by a hook as each
@@ -462,8 +461,6 @@ class FleetRunner:
         scheduler: Optional :class:`FleetScheduler`; when given, node
             specs are rewritten to per-node analytical knobs before
             execution.
-        chunksize: Nodes per worker dispatch; default splits the fleet
-            into about two chunks per worker.
         obs: Per-worker observability switches (metrics on by default;
             tracing off because spans are bulky over IPC).
         chaos: Fleet-level fault-injection switches; default: chaos off.
@@ -478,7 +475,6 @@ class FleetRunner:
         jobs: int = 1,
         service: SolverServiceConfig | None = None,
         scheduler: FleetScheduler | None = None,
-        chunksize: int | None = None,
         obs: ObsOptions | None = None,
         chaos: ChaosOptions | None = None,
         rack_size: int = 32,
@@ -498,7 +494,6 @@ class FleetRunner:
         self.jobs = jobs
         self.service = service or SolverServiceConfig()
         self.scheduler = scheduler
-        self.chunksize = chunksize
         self.obs = obs or ObsOptions()
         self.chaos = chaos or ChaosOptions()
         self.rack_size = rack_size
@@ -526,18 +521,9 @@ class FleetRunner:
             self.spec.policy,
         )
         start = time.perf_counter()
-        if jobs == 1:
-            results = [_run_node(p) for p in payloads]
-        else:
-            chunksize = self.chunksize or max(
-                1, math.ceil(len(payloads) / (jobs * 2))
-            )
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                # Executor.map preserves input order, so the merge is
-                # deterministic no matter which worker finishes first.
-                results = list(
-                    pool.map(_run_node, payloads, chunksize=chunksize)
-                )
+        # The map preserves input order, so the merge is deterministic
+        # no matter which worker finishes first.
+        results = ordered_map(_run_node, payloads, jobs)
         wall_s = time.perf_counter() - start
         # Hierarchical rack -> cluster rollup in node-id order.  The
         # merge is associative and order-preserving, so the cluster

@@ -2,6 +2,7 @@
 experiment drivers (the heavy versions live in ``benchmarks/``)."""
 
 import csv
+import functools
 import json
 
 import pytest
@@ -96,3 +97,32 @@ class TestDriverSmoke:
         assert {r["policy"] for r in rows} == {
             "HeMem*", "TPP*(NVMM)", "MEMTIS*(NVMM)", "AM-TCO",
         }
+
+
+@pytest.mark.parametrize(
+    "name, forwarded",
+    [
+        ("tab01", {}),
+        ("fig02", {"seed": 1}),
+        ("fig08", {"windows": 3, "seed": 1}),
+    ],
+)
+def test_cli_forwards_only_the_flags_a_driver_takes(
+    name, forwarded, monkeypatch, capsys
+):
+    """``run`` passes --windows/--seed only to drivers whose signature
+    has them: the tables take neither, Fig. 2 only a seed."""
+    from repro import cli
+
+    driver, description = cli.EXPERIMENTS[name]
+    calls = []
+
+    @functools.wraps(driver)
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return driver(**kwargs)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, name, (spy, description))
+    assert main(["run", name, "--windows", "3", "--seed", "1"]) == 0
+    assert calls == [forwarded]
+    assert capsys.readouterr().out.strip()
